@@ -1,6 +1,15 @@
 """Statistical trace analysis: Walsh transforms, imbalance accumulation,
-mono-bit CPA key ranking, collision and cluster scores, mutual information,
-fixed-versus-random t-tests, and the deliberately-leaky encoding demo."""
+mono-bit DCA key ranking, collision and cluster scores, bit-level mutual
+information, fixed-versus-random t-tests, and the deliberately-leaky encoding
+demo.
+
+DCA and MIA see each recorded byte as eight binary columns (MSB first) but
+never build that (N, 8W) bit matrix. Each hypothesis model groups the traces
+so that one hypothesis bit is a fixed function of the group label; the traces
+are sorted by label once and every bit plane is summed per group
+(`_grouped_bit_sums`). All 256 candidates are then scored from the per-group
+sums by one matrix product, which is exact in float64 because it only adds
+integers. Memory scales with 256 x 8W, not N x 8W."""
 
 from __future__ import annotations
 
@@ -9,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfcore import SBOX, build_s_matrix, gf_mul, pt_index_for_position, position_for_pt_index
+from .gfcore import MC, SBOX, build_s_matrix, gf_mul, pt_index_for_position, position_for_pt_index
 from .binmat import (
     BitMat4,
     EncodingPair,
@@ -66,6 +75,12 @@ def delta_imbalance(f_family) -> int:
 
 # --- hypothesis models ----------------------------------------------------------
 
+def _guess_value_table(coeff: int) -> np.ndarray:
+    """(guess, value) table of coeff * S(value ^ guess)."""
+    vals = np.arange(256, dtype=np.uint8)
+    return _MUL_NP[coeff][_SBOX_NP[vals[:, None] ^ vals[None, :]]]
+
+
 @dataclass(frozen=True)
 class SboxHypothesis:
     """Coefficient-multiplied SubBytes output of one plaintext byte."""
@@ -73,12 +88,16 @@ class SboxHypothesis:
     ell: int
     pt_index: int
 
-    def bytes_by_value(self, guess: int) -> np.ndarray:
-        vals = _SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]
-        return _MUL_NP[self.ell][vals]
-
     def hyp_bytes(self, guess: int, pts: np.ndarray) -> np.ndarray:
-        return self.bytes_by_value(guess)[pts[:, self.pt_index]]
+        return _MUL_NP[self.ell][_SBOX_NP[pts[:, self.pt_index] ^ np.uint8(guess)]]
+
+    def bit_groups(self, pts: np.ndarray, bit: int):
+        """Per-trace group labels and the (256, groups) 0/1 matrix H with
+        hypothesis bit (MSB first) of trace t under guess g = H[g, labels[t]].
+
+        The label is the attacked byte, the same for every bit."""
+        H = (_guess_value_table(self.ell) >> (7 - bit)) & 1
+        return pts[:, self.pt_index], H
 
 
 @dataclass(frozen=True)
@@ -100,16 +119,30 @@ class RoundOutputHypothesis:
         if set(self.known_keys) != rows:
             raise ValueError("known_keys must cover exactly the three non-target rows")
 
-    def hyp_bytes(self, guess: int, pts: np.ndarray) -> np.ndarray:
-        from .gfcore import MC
-
+    def _known_term(self, pts: np.ndarray) -> np.ndarray:
+        """XOR of the three known-row MixColumns terms, per trace."""
         out = np.zeros(pts.shape[0], dtype=np.uint8)
-        for row in range(4):
-            key = guess if row == self.target_row else self.known_keys[row]
-            coeff = MC[self.out_byte][row]
+        for row, key in self.known_keys.items():
             m = pt_index_for_position(row, self.column)
-            out ^= _MUL_NP[coeff][_SBOX_NP[pts[:, m] ^ np.uint8(key)]]
+            out ^= _MUL_NP[MC[self.out_byte][row]][_SBOX_NP[pts[:, m] ^ np.uint8(key)]]
         return out
+
+    def _target(self):
+        return (pt_index_for_position(self.target_row, self.column),
+                MC[self.out_byte][self.target_row])
+
+    def hyp_bytes(self, guess: int, pts: np.ndarray) -> np.ndarray:
+        m, coeff = self._target()
+        return self._known_term(pts) ^ _MUL_NP[coeff][_SBOX_NP[pts[:, m] ^ np.uint8(guess)]]
+
+    def bit_groups(self, pts: np.ndarray, bit: int):
+        """As SboxHypothesis.bit_groups, with label 2 * p[m] + kb, where kb is
+        the bit of the known-row term: H[g, 2v + kb] = kb ^ bit(T(v ^ g))."""
+        m, coeff = self._target()
+        kb = (self._known_term(pts) >> (7 - bit)) & 1
+        tb = (_guess_value_table(coeff) >> (7 - bit)) & 1
+        H = np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
+        return 2 * pts[:, m].astype(np.int64) + kb, H
 
 
 # --- static and trace-mode table-output Walsh -----------------------------------
@@ -164,8 +197,7 @@ def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int, reps: int = 
         for k in range(4):
             fb = (obs[:, k][:, None] >> (7 - np.arange(8))) & 1
             sign[k, :, v] = (1 - 2 * fb.astype(np.float64)).mean(axis=0)
-    vals = np.arange(256, dtype=np.uint8)
-    hyp = _MUL_NP[ellp][_SBOX_NP[vals[None, :] ^ vals[:, None]]]  # (guess, v)
+    hyp = _guess_value_table(ellp)  # (guess, v)
     out = np.empty((256, 4, 8, 8))
     for ip in range(8):
         hsign = 1.0 - 2.0 * ((hyp >> (7 - ip)) & 1)  # (guess, v)
@@ -220,53 +252,42 @@ def walsh_round_output_all(traces: TraceSet, known_k0: int) -> np.ndarray:
     return out
 
 
-# --- CPA / DCA ----------------------------------------------------------------
+# --- DCA ------------------------------------------------------------------------
 
-def _resolve_window(window) -> np.ndarray | slice:
+def _resolve_window(window, width: int) -> np.ndarray | slice:
+    """Sample selection of a window over traces of `width` samples: None (all),
+    a slice, an (offset, length) pair or a sequence of indices.  A window that
+    selects nothing or reaches outside the trace raises ValueError."""
     if window is None:
         return slice(None)
-    if isinstance(window, slice):
-        return window
     if isinstance(window, tuple) and len(window) == 2:
-        return slice(window[0], window[0] + window[1])
-    return np.asarray(window, dtype=np.int64)
+        off, length = window
+        sel, name = slice(off, off + length), f"{off}:{length}"
+    elif isinstance(window, slice):
+        sel, name = window, f"[{window.start}:{window.stop}]"
+    else:
+        sel, name = np.asarray(window, dtype=np.int64), "of indices"
+    if isinstance(sel, slice):
+        lo, hi = sel.start or 0, width if sel.stop is None else sel.stop
+        count = len(range(width)[sel])
+    else:
+        lo, hi, count = sel.min(initial=0), sel.max(initial=-1) + 1, sel.size
+    if lo < 0 or hi > width:
+        raise ValueError(f"window {name} reaches outside the {width}-sample traces")
+    if count == 0:
+        raise ValueError(f"window {name} selects none of the {width} trace samples")
+    return sel
 
 
 def bit_expand(V: np.ndarray) -> np.ndarray:
     """Serialize byte-valued samples to bit samples, MSB first: (N, W) -> (N, 8W).
 
-    Nibble-valued samples contribute four constant zero columns, which later
-    degenerate-variance handling discards.
+    This is the column layout DCA and MIA score; they reach it through
+    _grouped_bit_sums without materializing it.  Nibble-valued samples
+    contribute four constant zero columns.
     """
     shifts = np.arange(7, -1, -1, dtype=np.uint8)
     return ((V[:, :, None] >> shifts) & 1).reshape(V.shape[0], -1)
-
-
-def pearson_binary(h: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Pearson r of one binary hypothesis vector against every sample column;
-    degenerate columns (or a constant hypothesis) give 0."""
-    n = h.shape[0]
-    h = h.astype(np.float64)
-    V = V.astype(np.float64)
-    sh = h.sum()
-    var_h = sh - sh * sh / n
-    if var_h == 0:
-        return np.zeros(V.shape[1])
-    sv = V.sum(axis=0)
-    var_v = (V * V).sum(axis=0) - sv * sv / n
-    num = h @ V - sh * sv / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = num / np.sqrt(var_h * var_v)
-    r[var_v == 0] = 0.0
-    return r
-
-
-def cpa_monobit(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
-    """Correlation of one hypothesis bit against each (windowed) sample."""
-    w = _resolve_window(window)
-    hyp = model.hyp_bytes(guess, traces.plaintexts)
-    h = (hyp >> (7 - bit)) & 1
-    return pearson_binary(h, traces.samples[:, w])
 
 
 @dataclass
@@ -301,19 +322,46 @@ def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _grouped_bit_stats(b: np.ndarray, Vbits: np.ndarray):
-    """Per-byte-value counts and column sums of a 0/1 sample matrix grouped by b."""
-    counts = np.bincount(b, minlength=256).astype(np.float64)
-    order = np.argsort(b, kind="stable")
-    sorted_rows = Vbits[order]
-    starts = np.searchsorted(b[order], np.arange(256))
-    present = counts > 0
-    sums = np.zeros((256, Vbits.shape[1]), dtype=np.float64)
-    chunk = 4096
-    for lo in range(0, Vbits.shape[1], chunk):
-        part = sorted_rows[:, lo : lo + chunk].astype(np.int64)
-        sums[present, lo : lo + chunk] = np.add.reduceat(part, starts[present], axis=0)
-    return counts, sums
+def _grouped_bit_sums(labels: np.ndarray, V: np.ndarray, groups: int):
+    """Trace counts and bit-plane sums of uint8 samples, grouped by label.
+
+    counts[g] is the number of traces labelled g, and sums[g, 8 * s + k] the
+    number of those whose sample s has bit k (MSB first) set: the column sums
+    of bit_expand(V) per group.  The traces are sorted by label once and each
+    bit plane is reduced group by group, so no (N, 8W) array is built.
+    """
+    counts = np.bincount(labels, minlength=groups)
+    present = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[present]
+    # sample-major, so each group is one contiguous run per sample; a 16-bit
+    # accumulator is exact while no group exceeds 65535 traces, and faster
+    VsT = V[np.argsort(labels, kind="stable")].T.copy()
+    acc = np.uint16 if counts.max(initial=0) <= np.iinfo(np.uint16).max else np.int32
+    plane = np.empty_like(VsT)
+    sums = np.zeros((groups, V.shape[1], 8), dtype=np.int32)
+    for k in range(8):
+        np.bitwise_and(np.right_shift(VsT, 7 - k, out=plane), 1, out=plane)
+        sums[present, :, k] = np.add.reduceat(plane, starts, axis=1, dtype=acc).T
+    return counts, sums.reshape(groups, -1)
+
+
+def _hypothesis_bit_stats(traces: TraceSet, model, window, bits):
+    """Per hypothesis bit, all float64: the model's (256, groups) matrix H,
+    per-group trace counts, and per-group sums and totals of the windowed bit
+    columns.  Constant columns, which score exactly 0 in DCA and MIA, are
+    left out.  The sums are recomputed only when the grouping changes."""
+    V = traces.samples[:, _resolve_window(window, traces.samples.shape[1])]
+    labels = None
+    for bit in bits:
+        new_labels, H = model.bit_groups(traces.plaintexts, bit)
+        if labels is None or not np.array_equal(new_labels, labels):
+            labels = new_labels
+            counts, sums = _grouped_bit_sums(labels, V, H.shape[1])
+            sv = sums.sum(axis=0)
+            nz = (sv > 0) & (sv < V.shape[0])
+            S, sv = sums[:, nz].astype(np.float64), sv[nz].astype(np.float64)
+            counts = counts.astype(np.float64)
+        yield H.astype(np.float64), counts, S, sv
 
 
 def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
@@ -321,47 +369,22 @@ def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
     """Mono-bit attack over bit-serialized samples: every windowed sample byte
     is split into its bits, each candidate is scored by its peak |r| across
     those bit columns, and candidates are ranked descending by score."""
-    w = _resolve_window(window)
-    Vbits = bit_expand(traces.samples[:, w])
-    n = Vbits.shape[0]
-
+    n = traces.samples.shape[0]
     bits = list(bits)
     scores = np.zeros((256, len(bits)))
-    if isinstance(model, SboxHypothesis):
-        counts, sums = _grouped_bit_stats(traces.plaintexts[:, model.pt_index], Vbits)
-        sv = sums.sum(axis=0)
+    for bi, (H, counts, S, sv) in enumerate(_hypothesis_bit_stats(traces, model, window, bits)):
+        sh = H @ counts
+        var_h = sh - sh * sh / n
         var_v = sv - sv * sv / n  # binary columns: sum of squares equals the sum
-        nz = var_v > 0
-        hyp_by_val = np.stack([model.bytes_by_value(g) for g in range(256)])
-        for bi, bit in enumerate(bits):
-            H = ((hyp_by_val >> (7 - bit)) & 1).astype(np.float64)  # (guess, value)
-            sh = H @ counts
-            var_h = sh - sh * sh / n
-            num = H @ sums - np.outer(sh, sv) / n
-            r = np.zeros_like(num)
-            ok = var_h > 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r[ok] = num[ok] / np.sqrt(np.outer(var_h[ok], var_v).clip(min=1e-300))
-            r[:, ~nz] = 0.0
-            scores[:, bi] = np.abs(r).max(axis=1)
-    else:
-        V = Vbits.astype(np.float64)
-        sv = V.sum(axis=0)
-        var_v = sv - sv * sv / n
-        nz = var_v > 0
-        Vc = V - sv / n
-        denom_v = np.sqrt(var_v.clip(min=1e-300))
-        for guess in range(256):
-            hyp = model.hyp_bytes(guess, traces.plaintexts)
-            for bi, bit in enumerate(bits):
-                h = ((hyp >> (7 - bit)) & 1).astype(np.float64)
-                sh = h.sum()
-                var_h = sh - sh * sh / n
-                if var_h == 0:
-                    continue
-                r = (h - sh / n) @ Vc / (np.sqrt(var_h) * denom_v)
-                r[~nz] = 0.0
-                scores[guess, bi] = np.abs(r).max()
+        ok = var_h > 0  # a constant hypothesis bit scores 0
+        # r = (H @ S - sh sv / n) / sqrt(var_h var_v), evaluated in place
+        r = H[ok] @ S
+        tmp = np.outer(sh[ok], sv)
+        tmp /= n
+        r -= tmp
+        np.sqrt(np.outer(var_h[ok], var_v, out=tmp), out=tmp)
+        r /= tmp
+        scores[ok, bi] = np.abs(r, out=r).max(axis=1, initial=0.0)
 
     rankings = []
     for bi, bit in enumerate(bits):
@@ -428,11 +451,6 @@ def cluster_sse_score(traces: TraceSet, known_k0: int, guess: int) -> float:
 
 # --- mutual information -----------------------------------------------------------
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
 def _plogp(p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
     nz = p > 0
@@ -440,25 +458,9 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def mia(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
-    """Plug-in mutual information (bits) between one hypothesis bit and every
-    bit-serialized sample in the window.
-
-    Trace points are analyzed at bit granularity, matching the mono-bit CPA
-    treatment: a byte sample contributes eight binary observations.  Returns
-    one value per bit column (8 per windowed sample)."""
-    w = _resolve_window(window)
-    Y = bit_expand(traces.samples[:, w]).astype(np.float64)
-    hyp = model.hyp_bytes(guess, traces.plaintexts)
-    h = ((hyp >> (7 - bit)) & 1).astype(np.float64)
-    n = Y.shape[0]
-    p11 = h @ Y / n
-    p1_ = h.sum() / n
-    p_1 = Y.sum(axis=0) / n
-    return _binary_mi(p11, p1_, p_1)
-
-
 def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.ndarray:
+    """Plug-in mutual information (bits) of binary pairs from P(h=1, y=1),
+    P(h=1) and P(y=1); broadcasts, so p1_ may hold one value per guess row."""
     p10 = p1_ - p11
     p01 = p_1 - p11
     p00 = 1.0 - p1_ - p01
@@ -471,39 +473,18 @@ def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.
     return np.clip(mi, 0.0, None)
 
 
-def mia_bytes(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
-    """Byte-granular variant: raw sample values as 256 bins, one MI per sample.
-
-    With noise-free traces a sample that is a bijection of the attacked input
-    byte saturates this estimator at H(X) for every candidate, so the bit-level
-    mia() is the operative analysis; this form is kept for inspection."""
-    w = _resolve_window(window)
-    V = traces.samples[:, w]
-    hyp = model.hyp_bytes(guess, traces.plaintexts)
-    h = ((hyp >> (7 - bit)) & 1).astype(np.int64)
-    n = V.shape[0]
-    out = np.empty(V.shape[1])
-    for s in range(V.shape[1]):
-        joint = np.bincount(V[:, s].astype(np.int64) * 2 + h, minlength=512).astype(np.float64) / n
-        jm = joint.reshape(256, 2)
-        out[s] = _entropy(jm.sum(axis=1)) + _entropy(jm.sum(axis=0)) - _entropy(joint)
-    return out
-
-
 def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
-    """(256, len(bits)) peak bit-level mutual information per candidate."""
-    w = _resolve_window(window)
-    Y = bit_expand(traces.samples[:, w]).astype(np.float64)
-    n = Y.shape[0]
-    p_1 = Y.sum(axis=0) / n
+    """(256, len(bits)) peak mutual information per candidate between its
+    hypothesis bit and any bit column of the windowed samples, as in DCA.
+    (Byte-binned MI saturates at H(X) for every candidate on noise-free
+    traces, as many samples are bijections of the attacked byte.)"""
+    n = traces.samples.shape[0]
     bits = list(bits)
     out = np.zeros((256, len(bits)))
-    for guess in range(256):
-        hyp = model.hyp_bytes(guess, traces.plaintexts)
-        for bi, bit in enumerate(bits):
-            h = ((hyp >> (7 - bit)) & 1).astype(np.float64)
-            p11 = h @ Y / n
-            out[guess, bi] = _binary_mi(p11, float(h.sum() / n), p_1).max()
+    for bi, (H, counts, S, sv) in enumerate(_hypothesis_bit_stats(traces, model, window, bits)):
+        p11 = H @ S / n
+        p1_ = (H @ counts / n)[:, None]
+        out[:, bi] = _binary_mi(p11, p1_, sv / n).max(axis=1, initial=0.0)
     return out
 
 
@@ -524,7 +505,7 @@ def tvla(fixed: TraceSet, rand: TraceSet, window=None) -> TvlaResult:
     random-plaintext campaign."""
     if fixed.samples.shape[1] != rand.samples.shape[1]:
         raise ValueError("trace layouts differ")
-    w = _resolve_window(window)
+    w = _resolve_window(window, fixed.samples.shape[1])
     F = fixed.samples[:, w].astype(np.float64)
     R = rand.samples[:, w].astype(np.float64)
     nf, nr = F.shape[0], R.shape[0]

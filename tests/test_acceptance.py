@@ -270,13 +270,15 @@ def _mixed_rank_stats(std_pair, seed):
 
 
 def test_criterion_10_mixed_set_protection(std_pair):
+    start = time.perf_counter()
     inside, never_top, ranks = _mixed_rank_stats(std_pair, 77)
     if inside < 0.90 * 128 or not never_top:
         inside, never_top, ranks = _mixed_rank_stats(std_pair, 78)  # statistical rerun rule
+    elapsed = time.perf_counter() - start
     assert inside >= 0.90 * 128, inside
     assert never_top
     _ok(10, f"mixed-set ranks inside (5,252) for {inside}/128 attacks (>= 115); "
-            f"correct never the top scorer; rank span [{min(ranks)}, {max(ranks)}]")
+            f"correct never the top scorer; rank span [{min(ranks)}, {max(ranks)}]; {elapsed:.1f}s")
 
 
 # 11 -----------------------------------------------------------------------------
@@ -336,12 +338,14 @@ def _mia_not_global_max(std_pair, std_spec, seed):
 
 
 def test_criterion_13_mia(std_pair, std_spec):
+    start = time.perf_counter()
     ok_sb, ok_ro, m1, m2 = _mia_not_global_max(std_pair, std_spec, 0xF13)
     if not (ok_sb and ok_ro):
         ok_sb, ok_ro, m1, m2 = _mia_not_global_max(std_pair, std_spec, 0xF14)  # rerun rule
+    elapsed = time.perf_counter() - start
     assert ok_sb and ok_ro
     _ok(13, f"mixed-set mutual information: correct key not the global max for either model "
-            f"(global maxima {m1:.4f} / {m2:.4f} bits)")
+            f"(global maxima {m1:.4f} / {m2:.4f} bits); {elapsed:.1f}s")
 
 
 # 14 -----------------------------------------------------------------------------

@@ -214,6 +214,17 @@ def test_window_parsing(gen_dir, trace_file, capfd):
     assert rc == 2
 
 
+@pytest.mark.parametrize("window", ["1450:100", "5:0"])
+def test_window_outside_trace_is_usage_error(trace_file, capfd, window):
+    rc = main(
+        ["analyze", "--kind", "dca", "--traces", str(trace_file), "--key", FIPS_KEY,
+         "--pt-index", "1", "--window", window]
+    )
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert f"window {window}" in err and "1456" in err
+
+
 def test_analyze_walsh_ut_trace_mode(gen_dir, trace_file, capfd):
     rc = main(
         ["analyze", "--kind", "walsh-ut", "--traces", str(trace_file), "--key", FIPS_KEY,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,9 @@ from balaes.sca import (
     collision_and_sse_scores,
     collision_score,
     cluster_sse_score,
-    cpa_monobit,
     dca_rank,
     delta_imbalance,
-    mia,
-    mia_bytes,
     mia_max,
-    pearson_binary,
     tvla,
     walsh,
     walsh_round_output,
@@ -39,6 +36,102 @@ def _toy_traceset(samples: np.ndarray, plaintexts: np.ndarray | None = None) -> 
     pad = np.zeros((n, cipher.SAMPLE_COUNT), dtype=np.uint8)
     pad[:, : samples.shape[1]] = samples
     return TraceSet(plaintexts=plaintexts, set_bits=np.zeros(n, dtype=np.uint8), samples=pad)
+
+
+# --- per-guess reference implementations -------------------------------------------
+# Brute force over the explicit float64 bit matrix, one guess at a time.  The
+# grouped-sum engine behind dca_rank and mia_max must reproduce these exactly.
+
+def _bit_matrix(traces: TraceSet, window) -> np.ndarray:
+    w = sca._resolve_window(window, traces.samples.shape[1])
+    return bit_expand(traces.samples[:, w]).astype(np.float64)
+
+
+def _hyp_bit(model, guess: int, bit: int, pts: np.ndarray) -> np.ndarray:
+    return ((model.hyp_bytes(guess, pts) >> (7 - bit)) & 1).astype(np.float64)
+
+
+def pearson_binary(h: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Pearson r of one binary hypothesis vector against every sample column;
+    degenerate columns (or a constant hypothesis) give 0."""
+    n = h.shape[0]
+    h = h.astype(np.float64)
+    V = V.astype(np.float64)
+    sh = h.sum()
+    var_h = sh - sh * sh / n
+    if var_h == 0:
+        return np.zeros(V.shape[1])
+    sv = V.sum(axis=0)
+    var_v = (V * V).sum(axis=0) - sv * sv / n
+    num = h @ V - sh * sv / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = num / np.sqrt(var_h * var_v)
+    r[var_v == 0] = 0.0
+    return r
+
+
+def cpa_monobit(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
+    """Correlation of one hypothesis bit against each (windowed) sample."""
+    w = sca._resolve_window(window, traces.samples.shape[1])
+    return pearson_binary(_hyp_bit(model, guess, bit, traces.plaintexts), traces.samples[:, w])
+
+
+def mia(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
+    """Plug-in mutual information (bits) between one hypothesis bit and every
+    bit-serialized sample in the window, one value per bit column."""
+    Y = _bit_matrix(traces, window)
+    h = _hyp_bit(model, guess, bit, traces.plaintexts)
+    n = Y.shape[0]
+    return sca._binary_mi(h @ Y / n, h.sum() / n, Y.sum(axis=0) / n)
+
+
+def _entropy(p: np.ndarray) -> float:
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def mia_bytes(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
+    """Byte-granular MI: raw sample values as 256 bins, one value per sample."""
+    V = traces.samples[:, sca._resolve_window(window, traces.samples.shape[1])]
+    h = _hyp_bit(model, guess, bit, traces.plaintexts).astype(np.int64)
+    n = V.shape[0]
+    out = np.empty(V.shape[1])
+    for s in range(V.shape[1]):
+        joint = np.bincount(V[:, s].astype(np.int64) * 2 + h, minlength=512).astype(np.float64) / n
+        jm = joint.reshape(256, 2)
+        out[s] = _entropy(jm.sum(axis=1)) + _entropy(jm.sum(axis=0)) - _entropy(joint)
+    return out
+
+
+def _reference_scores(traces: TraceSet, model, window, bits):
+    """(dca, mi), each (256, len(bits)): peak |r| as dca_rank scores it and
+    peak bit-level MI as mia_max returns it, one guess and bit at a time.
+    The correlation is pearson_binary with the column statistics hoisted."""
+    Y = _bit_matrix(traces, window)
+    n = Y.shape[0]
+    sv = Y.sum(axis=0)
+    var_v = sv - sv * sv / n
+    dca = np.zeros((256, len(bits)))
+    mi = np.zeros((256, len(bits)))
+    for guess in range(256):
+        for bi, bit in enumerate(bits):
+            h = _hyp_bit(model, guess, bit, traces.plaintexts)
+            sh = h.sum()
+            hy = h @ Y
+            var_h = sh - sh * sh / n
+            if var_h > 0:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    r = (hy - sh * sv / n) / np.sqrt(var_h * var_v)
+                r[var_v == 0] = 0.0
+                dca[guess, bi] = np.abs(r).max()
+            mi[guess, bi] = sca._binary_mi(hy / n, sh / n, sv / n).max()
+    return dca, mi
+
+
+def _round_output_model(std_spec) -> RoundOutputHypothesis:
+    k = std_spec.round_keys.khat[0]
+    return RoundOutputHypothesis(column=0, out_byte=0, target_row=1,
+                                 known_keys={0: k[0][0], 2: k[2][0], 3: k[3][0]})
 
 
 # --- walsh ----------------------------------------------------------------------
@@ -163,16 +256,49 @@ def test_dca_rank_scale_invariance():
 def test_dca_grouped_and_general_paths_agree(traces_q0_10k):
     m = 4
     sb = SboxHypothesis(ell=1, pt_index=m)
-
-    class _Wrapped:
-        def hyp_bytes(self, guess, pts):
-            return sb.hyp_bytes(guess, pts)
-
     fast = dca_rank(traces_q0_10k, sb, correct_guess=STD_KEY[m], window=(0, 40), bits=[0, 5])
-    slow = dca_rank(traces_q0_10k, _Wrapped(), correct_guess=STD_KEY[m], window=(0, 40), bits=[0, 5])
-    for a, b in zip(fast.bits, slow.bits):
-        assert np.allclose(a.scores, b.scores, atol=1e-10)
-        assert np.array_equal(a.ranks, b.ranks)
+    slow, _ = _reference_scores(traces_q0_10k, sb, (0, 40), [0, 5])
+    for bi, a in enumerate(fast.bits):
+        assert np.allclose(a.scores, slow[:, bi], atol=1e-10)
+        assert np.array_equal(a.ranks, sca._ranks_from_scores(slow[:, bi]))
+
+
+@pytest.mark.parametrize("model_name", ["sbox", "round-output"])
+def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, std_spec, model_name):
+    # window (0, 40): 16 table-output bytes followed by 24 nibble samples
+    model = SboxHypothesis(ell=1, pt_index=5) if model_name == "sbox" else _round_output_model(std_spec)
+    bits = [1, 6]
+    ref_dca, ref_mi = _reference_scores(traces_mixed_10k, model, (0, 40), bits)
+    report = dca_rank(traces_mixed_10k, model, correct_guess=0, window=(0, 40), bits=bits)
+    assert [b.bit for b in report.bits] == bits
+    assert np.array_equal(np.stack([b.scores for b in report.bits], axis=1), ref_dca)
+    assert np.array_equal(mia_max(traces_mixed_10k, model, window=(0, 40), bits=bits), ref_mi)
+
+
+def test_grouped_bit_sums_match_bit_expand():
+    rng = np.random.default_rng(83)
+    V = rng.integers(0, 256, (300, 5), dtype=np.uint8)
+    labels = rng.integers(0, 7, 300)
+    labels[labels == 3] = 4  # leave one group empty
+    counts, sums = sca._grouped_bit_sums(labels, V, 9)
+    bits = bit_expand(V)
+    assert np.array_equal(counts, np.bincount(labels, minlength=9))
+    for g in range(9):
+        assert np.array_equal(sums[g], bits[labels == g].sum(axis=0))
+    # a group past the 16-bit accumulator's range still sums exactly
+    _, sums = sca._grouped_bit_sums(np.zeros(70000, dtype=np.int64), np.full((70000, 1), 0x81, np.uint8), 1)
+    assert sums.tolist() == [[70000, 0, 0, 0, 0, 0, 0, 70000]]
+
+
+def test_dca_rank_full_window_memory_bound(traces_mixed_10k):
+    # the (N, 8W) bit matrix alone would take 116 MB as uint8, 932 MB as float64
+    tracemalloc.start()
+    try:
+        dca_rank(traces_mixed_10k, SboxHypothesis(ell=1, pt_index=0), correct_guess=STD_KEY[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, peak
 
 
 # --- table-output walsh -----------------------------------------------------------
