@@ -251,18 +251,21 @@ def collect_traces(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
 
 # --- trace file format ----------------------------------------------------------
 
-def serialize_traces(ts: TraceSet) -> bytes:
+def _trace_file_parts(ts: TraceSet) -> tuple:
+    """Header, record body and CRC trailer of a trace file; the CRC runs over
+    the header and the body in turn, so they are never joined in memory."""
     n = len(ts)
-    out = bytearray()
-    out += TRACE_MAGIC
-    out += struct.pack("<HIH", FORMAT_VERSION, n, SAMPLE_COUNT)
+    header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, n, SAMPLE_COUNT)
     body = np.empty((n, 16 + 1 + SAMPLE_COUNT), dtype=np.uint8)
     body[:, :16] = ts.plaintexts
     body[:, 16] = ts.set_bits
     body[:, 17:] = ts.samples
-    out += body.tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+    return header, body, struct.pack("<I", zlib.crc32(body, zlib.crc32(header)))
+
+
+def serialize_traces(ts: TraceSet) -> bytes:
+    header, body, crc = _trace_file_parts(ts)
+    return b"".join((header, body.data, crc))
 
 
 def deserialize_traces(data: bytes) -> TraceSet:
@@ -278,9 +281,9 @@ def deserialize_traces(data: bytes) -> TraceSet:
     if len(data) != expected:
         raise FormatError(f"trace file length {len(data)} != {expected}")
     (crc,) = struct.unpack("<I", data[-4:])
-    if crc != zlib.crc32(data[:-4]):
+    if crc != zlib.crc32(memoryview(data)[:-4]):
         raise FormatError("trace file checksum mismatch")
-    body = np.frombuffer(data[12:-4], dtype=np.uint8).reshape(count, rec)
+    body = np.frombuffer(data, dtype=np.uint8, count=count * rec, offset=12).reshape(count, rec)
     return TraceSet(
         plaintexts=body[:, :16].copy(),
         set_bits=body[:, 16].copy(),
@@ -289,8 +292,11 @@ def deserialize_traces(data: bytes) -> TraceSet:
 
 
 def save_traces(ts: TraceSet, path) -> None:
+    header, body, crc = _trace_file_parts(ts)
     with open(path, "wb") as fh:
-        fh.write(serialize_traces(ts))
+        fh.write(header)
+        fh.write(body.data)
+        fh.write(crc)
 
 
 def load_traces(path) -> TraceSet:

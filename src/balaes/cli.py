@@ -249,7 +249,7 @@ def _analyze_walsh_ro(args) -> int:
     rk = RoundKeys.from_key(key)
     known = rk.khat[0][0][0]
     correct = rk.khat[0][1][0]
-    grid = sca.walsh_round_output_all(traces, known)
+    grid = sca.walsh_round_output_all(traces)
     rows = [[g, i + 1, ip + 1, int(grid[g, i, ip])]
             for g in range(256) for i in range(8) for ip in range(8) if grid[g, i, ip]]
     summary = {

@@ -9,7 +9,12 @@ so that one hypothesis bit is a fixed function of the group label; the traces
 are sorted by label once and every bit plane is summed per group
 (`_grouped_bit_sums`). All 256 candidates are then scored from the per-group
 sums by one matrix product, which is exact in float64 because it only adds
-integers. Memory scales with 256 x 8W, not N x 8W."""
+integers. Memory scales with 256 x 8W, not N x 8W.
+
+The round-output analyses also score all 256 candidates at once. walsh-ro is
+one product of sign matrices (tablegen.round_output_walsh); collision and
+cluster scores come from a 2-D XOR convolution of per-(a, p5) count and bit
+grids, a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms."""
 
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ from .binmat import (
     valid_g_rows,
 )
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
+from .tablegen import round_output_walsh
 
 _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
 _MUL_NP = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c in (1, 2, 3)}
@@ -45,23 +51,19 @@ def walsh(fbits, omega: int) -> int:
     return total
 
 
-def fwht_signs(signs: np.ndarray) -> np.ndarray:
-    """Fast transform of (-1)^f over all 256 masks; entry omega equals walsh(f, omega)."""
-    v = signs.astype(np.int64).copy()
-    h = 1
-    while h < 256:
-        for start in range(0, 256, h * 2):
-            a = v[start : start + h].copy()
-            b = v[start + h : start + 2 * h].copy()
-            v[start : start + h] = a + b
-            v[start + h : start + 2 * h] = a - b
-        h *= 2
-    return v
+def _walsh_hadamard_matrix() -> np.ndarray:
+    """(256, 256) float64 matrix of (-1)^parity(x & y), its own inverse up to 1/256."""
+    h = np.ones((1, 1))
+    for _ in range(8):
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def walsh_spectrum(fbits) -> np.ndarray:
+    """Walsh transform of a 256-point boolean function over all 256 masks;
+    entry omega equals walsh(f, omega)."""
     signs = 1 - 2 * np.asarray(fbits, dtype=np.int64)
-    return fwht_signs(signs)
+    return _walsh_hadamard_matrix().astype(np.int64) @ signs
 
 
 def delta_imbalance(f_family) -> int:
@@ -220,36 +222,12 @@ def _grid_round_output_bytes(traces: TraceSet) -> np.ndarray:
     return grid.reshape(256, 256).astype(np.uint8)
 
 
-def _gamma_grid(known_k0: int, guess: int) -> np.ndarray:
-    s2 = _MUL_NP[2][_SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(known_k0)]]
-    s3 = _MUL_NP[3][_SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
-    return s2[:, None] ^ s3[None, :]
-
-
-def walsh_round_output(traces: TraceSet, known_k0: int, guess: int, i: int, iprime: int) -> int:
-    """Per-first-byte magnitudes of the inner Walsh sums over the second byte,
-    accumulated: zero at the correct guess for a balanced single-set run."""
-    c = _grid_round_output_bytes(traces)
-    gamma = _gamma_grid(known_k0, guess)
-    cbit = (c >> (7 - i)) & 1
-    gbit = (gamma >> (7 - iprime)) & 1
-    inner = 256 - 2 * (cbit ^ gbit).sum(axis=1, dtype=np.int64)
-    return int(np.abs(inner).sum())
-
-
-def walsh_round_output_all(traces: TraceSet, known_k0: int) -> np.ndarray:
-    """(guess, i, iprime) grid of the round-output Walsh statistic."""
-    c = _grid_round_output_bytes(traces)
-    cbits = ((c[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
-    out = np.zeros((256, 8, 8), dtype=np.int64)
-    for guess in range(256):
-        gamma = _gamma_grid(known_k0, guess)
-        gbits = ((gamma[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
-        for i in range(8):
-            x = cbits[i]
-            inner = 256 - 2 * (x[None, :, :] ^ gbits).sum(axis=2)
-            out[guess, i] = np.abs(inner).sum(axis=1)
-    return out
+def walsh_round_output_all(traces: TraceSet) -> np.ndarray:
+    """(guess, i, iprime) grid of the round-output Walsh statistic of a
+    complete two-byte grid campaign: zero at the correct guess for a balanced
+    single-set run.  One sign-matrix product covers every guess (see
+    tablegen.round_output_walsh)."""
+    return round_output_walsh(_grid_round_output_bytes(traces))
 
 
 # --- DCA ------------------------------------------------------------------------
@@ -405,48 +383,38 @@ def _round_output_samples(traces: TraceSet) -> np.ndarray:
 def collision_and_sse_scores(traces: TraceSet, known_k0: int):
     """For every candidate: the collision-consistency score (maximal when each
     hypothesis cluster holds one constant encoded byte) and the cluster
-    sum-of-squared-error (minimal in the same situation)."""
+    sum-of-squared-error (minimal in the same situation).
+
+    Cluster v of guess g holds the traces with 2 * S(p0 ^ k0) ^ 3 * S(p5 ^ g)
+    = v.  With traces counted in a grid N[a, p5] over a = 2 * S(p0 ^ k0) (and
+    likewise each encoded bit summed in a grid M_i), the cluster size is
+    n_v(g) = sum over u of N[v ^ 3 * S(u), u ^ g]: a 2-D XOR convolution of the
+    grid with the indicator D[w, u] = [w = 3 * S(u)].  A Walsh-Hadamard
+    transform on each axis turns it into a pointwise product, giving all
+    guesses and clusters of the 9 grids at once.  float64 holds every integer
+    on the way exactly while fewer than 2^29 traces are scored."""
     c = _round_output_samples(traces)
-    cbits = ((c[:, None] >> (7 - np.arange(8))) & 1).astype(np.float64)  # (N, 8)
-    p0 = traces.plaintexts[:, 0]
-    p5 = traces.plaintexts[:, 5]
-    coll = np.zeros(256, dtype=np.float64)
+    a = _MUL_NP[2][_SBOX_NP[traces.plaintexts[:, 0] ^ np.uint8(known_k0)]]
+    cell = a.astype(np.int64) * 256 + traces.plaintexts[:, 5]
+    grids = np.stack([np.bincount(cell, minlength=65536)]
+                     + [np.bincount(cell, weights=(c >> (7 - i)) & 1, minlength=65536) for i in range(8)])
+    grids = grids.astype(np.float64).reshape(9, 256, 256)
+    h = _walsh_hadamard_matrix()
+    d = np.zeros((256, 256))
+    d[_MUL_NP[3][_SBOX_NP], np.arange(256)] = 1.0
+    conv = h @ ((h @ grids @ h) * (h @ d @ h)) @ h / 65536.0  # (channel, cluster v, guess g)
+    conv = np.rint(conv).astype(np.int64)
+    counts = np.ascontiguousarray(conv[0].T)  # (g, v)
+    sums = np.ascontiguousarray(conv[1:].transpose(2, 1, 0))  # (g, v, bit)
+    coll = np.abs(counts[:, :, None] - 2 * sums).sum(axis=(1, 2)).astype(np.float64)
+    counts, sums = counts.astype(np.float64), sums.astype(np.float64)
     sse = np.zeros(256, dtype=np.float64)
     for guess in range(256):
-        hyp = _MUL_NP[2][_SBOX_NP[p0 ^ np.uint8(known_k0)]] ^ _MUL_NP[3][_SBOX_NP[p5 ^ np.uint8(guess)]]
-        n_v = np.bincount(hyp, minlength=256).astype(np.float64)
-        s = np.stack(
-            [np.bincount(hyp, weights=cbits[:, i], minlength=256) for i in range(8)], axis=1
-        )  # (256 clusters, 8)
-        coll[guess] = np.abs(n_v[:, None] - 2 * s).sum()
+        n_v, s = counts[guess], sums[guess]
         nz = n_v > 0
+        # per guess, so the float sum runs in the order the reports were made with
         sse[guess] = (s[nz] * (n_v[nz, None] - s[nz]) / n_v[nz, None]).sum()
     return coll, sse
-
-
-def collision_score(traces: TraceSet, known_k0: int, guess: int) -> int:
-    c = _round_output_samples(traces)
-    cbits = ((c[:, None] >> (7 - np.arange(8))) & 1).astype(np.float64)
-    hyp = (
-        _MUL_NP[2][_SBOX_NP[traces.plaintexts[:, 0] ^ np.uint8(known_k0)]]
-        ^ _MUL_NP[3][_SBOX_NP[traces.plaintexts[:, 5] ^ np.uint8(guess)]]
-    )
-    n_v = np.bincount(hyp, minlength=256).astype(np.float64)
-    s = np.stack([np.bincount(hyp, weights=cbits[:, i], minlength=256) for i in range(8)], axis=1)
-    return int(np.abs(n_v[:, None] - 2 * s).sum())
-
-
-def cluster_sse_score(traces: TraceSet, known_k0: int, guess: int) -> float:
-    c = _round_output_samples(traces)
-    cbits = ((c[:, None] >> (7 - np.arange(8))) & 1).astype(np.float64)
-    hyp = (
-        _MUL_NP[2][_SBOX_NP[traces.plaintexts[:, 0] ^ np.uint8(known_k0)]]
-        ^ _MUL_NP[3][_SBOX_NP[traces.plaintexts[:, 5] ^ np.uint8(guess)]]
-    )
-    n_v = np.bincount(hyp, minlength=256).astype(np.float64)
-    s = np.stack([np.bincount(hyp, weights=cbits[:, i], minlength=256) for i in range(8)], axis=1)
-    nz = n_v > 0
-    return float((s[nz] * (n_v[nz, None] - s[nz]) / n_v[nz, None]).sum())
 
 
 # --- mutual information -----------------------------------------------------------
@@ -473,6 +441,9 @@ def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.
     return np.clip(mi, 0.0, None)
 
 
+_MI_CHUNK = 1024
+
+
 def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
     """(256, len(bits)) peak mutual information per candidate between its
     hypothesis bit and any bit column of the windowed samples, as in DCA.
@@ -482,9 +453,13 @@ def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
     bits = list(bits)
     out = np.zeros((256, len(bits)))
     for bi, (H, counts, S, sv) in enumerate(_hypothesis_bit_stats(traces, model, window, bits)):
-        p11 = H @ S / n
         p1_ = (H @ counts / n)[:, None]
-        out[:, bi] = _binary_mi(p11, p1_, sv / n).max(axis=1, initial=0.0)
+        # a fixed number of bit columns per _binary_mi call bounds its (4, 256,
+        # columns) temporaries; the running max is the same in any order
+        for lo in range(0, S.shape[1], _MI_CHUNK):
+            cols = slice(lo, lo + _MI_CHUNK)
+            mi = _binary_mi(H @ S[:, cols] / n, p1_, sv[cols] / n)
+            np.maximum(out[:, bi], mi.max(axis=1), out=out[:, bi])
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfcore import MC, RoundKeys, gf_mul, sbox
+from .gfcore import MC, SBOX, RoundKeys, gf_mul, sbox
 from .binmat import EncodingPair, decode_map, encode_map, sample_pair
 from .nibenc import (
     LOWER,
@@ -41,6 +41,8 @@ T10_LOOKUPS = 16
 TOTAL_LOOKUPS = UT_LOOKUPS + TX_LOOKUPS + T10_LOOKUPS
 
 _MUL_MAP = {c: bytes(gf_mul(c, x) for x in range(256)) for c in (1, 2, 3)}
+_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
+_MUL3_NP = np.frombuffer(_MUL_MAP[3], dtype=np.uint8)
 
 
 class GenerationError(RuntimeError):
@@ -465,22 +467,33 @@ def round_output_bytes_grid(ts: TableSet) -> np.ndarray:
     return (cu * 16 + cl).astype(np.uint8)
 
 
+def round_output_walsh(c: np.ndarray, guesses=range(256)) -> np.ndarray:
+    """Round-output Walsh statistic of a (p1, p2) grid c of encoded
+    round-output bytes, one (i, iprime) block per second-row key guess g:
+
+        out[n, i, iprime] = sum over p1 of |sum over p2 of
+                            s(bit i of c[p1, p2]) * s(bit iprime of 3 * S(p2 ^ g_n))|
+
+    with s(b) = (-1)^b and bits MSB first.  The full hypothesis byte is
+    2 * S(p1 ^ k0) ^ 3 * S(p2 ^ g); its first term puts one sign per p1 in
+    front of each inner sum, which the absolute value drops, so the known key
+    byte k0 does not enter.  Every inner sum over every guess is one entry of
+    a single float32 product of (8 * 256, 256) and (256, 8 * guesses) sign
+    matrices, exact because every partial sum is an integer of magnitude at
+    most 256."""
+    shifts = np.arange(7, -1, -1, dtype=np.uint8)
+    guesses = np.asarray(guesses, dtype=np.uint8)
+    hyp = _MUL3_NP[_SBOX_NP[np.arange(256, dtype=np.uint8)[None, :] ^ guesses[:, None]]]
+    csign = 1 - 2 * ((c[None, :, :] >> shifts[:, None, None]) & 1).astype(np.float32)  # (i, p1, p2)
+    hsign = 1 - 2 * ((hyp[:, None, :] >> shifts[None, :, None]) & 1).astype(np.float32)  # (g, i', p2)
+    inner = csign.reshape(8 * 256, 256) @ hsign.reshape(-1, 256).T
+    out = np.abs(inner).reshape(8, 256, guesses.size, 8).sum(axis=1)  # (i, g, i')
+    return out.transpose(1, 0, 2).astype(np.int64)
+
+
 def walsh_round_output_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
     """Round-output Walsh grid (8x8) at the correct second-row key guess."""
-    c = round_output_bytes_grid(ts)
-    k00 = spec.round_keys.khat[0][0][0]
-    k10 = spec.round_keys.khat[0][1][0]
-    s2 = np.array([gf_mul(2, sbox(p ^ k00)) for p in range(256)], dtype=np.uint8)
-    s3 = np.array([gf_mul(3, sbox(p ^ k10)) for p in range(256)], dtype=np.uint8)
-    gamma = s2[:, None] ^ s3[None, :]
-    grid = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        cbit = (c >> (7 - i)) & 1
-        for ip in range(8):
-            gbit = (gamma >> (7 - ip)) & 1
-            inner = 256 - 2 * (cbit ^ gbit).sum(axis=1)
-            grid[i, ip] = np.abs(inner).sum()
-    return grid
+    return round_output_walsh(round_output_bytes_grid(ts), [spec.round_keys.khat[0][1][0]])[0]
 
 
 def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None = None) -> VerifyReport:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from balaes import cipher, sca
+from balaes import cipher, sca, tablegen
 from balaes.cipher import SelectorPolicy, TraceSet, collect_traces, fixed_plaintexts, random_plaintexts
 from balaes.gfcore import RoundKeys, build_s_matrix, sbox
 from balaes.sca import (
@@ -13,14 +13,12 @@ from balaes.sca import (
     baseline_unbalanced_demo,
     bit_expand,
     collision_and_sse_scores,
-    collision_score,
-    cluster_sse_score,
     dca_rank,
     delta_imbalance,
     mia_max,
     tvla,
     walsh,
-    walsh_round_output,
+    walsh_round_output_all,
     walsh_spectrum,
     walsh_ut_from_traces,
     walsh_ut_static,
@@ -126,6 +124,86 @@ def _reference_scores(traces: TraceSet, model, window, bits):
                 dca[guess, bi] = np.abs(r).max()
             mi[guess, bi] = sca._binary_mi(hy / n, sh / n, sv / n).max()
     return dca, mi
+
+
+# Round-output references: the guess-by-guess loops the all-guess kernels
+# replace.  The kernels must reproduce them exactly.
+
+def _hyp_round_output(pts: np.ndarray, known_k0: int, guess: int) -> np.ndarray:
+    return (
+        sca._MUL_NP[2][sca._SBOX_NP[pts[:, 0] ^ np.uint8(known_k0)]]
+        ^ sca._MUL_NP[3][sca._SBOX_NP[pts[:, 5] ^ np.uint8(guess)]]
+    )
+
+
+def _walsh_round_output_reference(traces: TraceSet, known_k0: int) -> np.ndarray:
+    """(guess, i, iprime) round-output Walsh grid over the full hypothesis
+    byte 2 * S(p1 ^ k0) ^ 3 * S(p2 ^ guess), one guess at a time."""
+    c = sca._grid_round_output_bytes(traces)
+    cbits = ((c[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
+    vals = np.arange(256, dtype=np.uint8)
+    s2 = sca._MUL_NP[2][sca._SBOX_NP[vals ^ np.uint8(known_k0)]]
+    out = np.zeros((256, 8, 8), dtype=np.int64)
+    for guess in range(256):
+        gamma = s2[:, None] ^ sca._MUL_NP[3][sca._SBOX_NP[vals ^ np.uint8(guess)]][None, :]
+        gbits = ((gamma[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
+        for i in range(8):
+            inner = 256 - 2 * (cbits[i][None, :, :] ^ gbits).sum(axis=2)
+            out[guess, i] = np.abs(inner).sum(axis=1)
+    return out
+
+
+def _cluster_sums(traces: TraceSet, known_k0: int, guess: int):
+    """Per hypothesis cluster: trace count (256,) and encoded-bit sums (256, 8)."""
+    c = sca._round_output_samples(traces)
+    cbits = ((c[:, None] >> (7 - np.arange(8))) & 1).astype(np.float64)
+    hyp = _hyp_round_output(traces.plaintexts, known_k0, guess)
+    n_v = np.bincount(hyp, minlength=256).astype(np.float64)
+    s = np.stack([np.bincount(hyp, weights=cbits[:, i], minlength=256) for i in range(8)], axis=1)
+    return n_v, s
+
+
+def collision_score(traces: TraceSet, known_k0: int, guess: int) -> int:
+    n_v, s = _cluster_sums(traces, known_k0, guess)
+    return int(np.abs(n_v[:, None] - 2 * s).sum())
+
+
+def cluster_sse_score(traces: TraceSet, known_k0: int, guess: int) -> float:
+    n_v, s = _cluster_sums(traces, known_k0, guess)
+    nz = n_v > 0
+    return float((s[nz] * (n_v[nz, None] - s[nz]) / n_v[nz, None]).sum())
+
+
+def _collision_and_sse_reference(traces: TraceSet, known_k0: int):
+    c = sca._round_output_samples(traces)
+    cbits = ((c[:, None] >> (7 - np.arange(8))) & 1).astype(np.float64)  # (N, 8)
+    coll = np.zeros(256, dtype=np.float64)
+    sse = np.zeros(256, dtype=np.float64)
+    for guess in range(256):
+        hyp = _hyp_round_output(traces.plaintexts, known_k0, guess)
+        n_v = np.bincount(hyp, minlength=256).astype(np.float64)
+        s = np.stack(
+            [np.bincount(hyp, weights=cbits[:, i], minlength=256) for i in range(8)], axis=1
+        )  # (256 clusters, 8)
+        coll[guess] = np.abs(n_v[:, None] - 2 * s).sum()
+        nz = n_v > 0
+        sse[guess] = (s[nz] * (n_v[nz, None] - s[nz]) / n_v[nz, None]).sum()
+    return coll, sse
+
+
+def _perfect_cluster_traces(secret: int) -> TraceSet:
+    """Observations equal to a fixed bijection of the round-output hypothesis
+    byte at k0 = 0 and the secret guess."""
+    rng = random.Random(77)
+    n = 2048
+    pts = np.zeros((n, 16), dtype=np.uint8)
+    pts[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
+    pts[:, 5] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
+    c = sca._SBOX_NP[_hyp_round_output(pts, 0, secret)]
+    samples = np.zeros((n, 22), dtype=np.uint8)
+    samples[:, 20] = c >> 4
+    samples[:, 21] = c & 0xF
+    return _toy_traceset(samples, pts)
 
 
 def _round_output_model(std_spec) -> RoundOutputHypothesis:
@@ -301,6 +379,22 @@ def test_dca_rank_full_window_memory_bound(traces_mixed_10k):
     assert peak < 200e6, peak
 
 
+def test_mia_max_full_window_memory_bound_and_exact(traces_mixed_10k):
+    # over all 8,192 bit columns at once, _binary_mi's temporaries peaked at 440 MB
+    model, bits, n = SboxHypothesis(ell=1, pt_index=0), [0, 7], len(traces_mixed_10k)
+    tracemalloc.start()
+    try:
+        mi = mia_max(traces_mixed_10k, model, bits=bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, peak
+    whole = np.zeros_like(mi)
+    for bi, (H, counts, S, sv) in enumerate(sca._hypothesis_bit_stats(traces_mixed_10k, model, None, bits)):
+        whole[:, bi] = sca._binary_mi(H @ S / n, (H @ counts / n)[:, None], sv / n).max(axis=1, initial=0.0)
+    assert np.array_equal(mi, whole)
+
+
 # --- table-output walsh -----------------------------------------------------------
 
 def test_walsh_ut_static_zero_at_correct_key(std_pair, std_spec):
@@ -345,13 +439,13 @@ def test_walsh_ut_from_traces_unobserved_value_raises(std_pair):
 
 def test_walsh_round_output_correct_zero_wrong_positive(grid_q0, std_spec):
     keys = std_spec.round_keys
-    known = keys.khat[0][0][0]
     correct = keys.khat[0][1][0]
+    grid = walsh_round_output_all(grid_q0)
     for i in (0, 3, 7):
         for ip in (0, 4):
-            assert walsh_round_output(grid_q0, known, correct, i, ip) == 0
+            assert grid[correct, i, ip] == 0
     wrong = (correct + 77) % 256
-    vals = [walsh_round_output(grid_q0, known, wrong, i, 0) for i in range(8)]
+    vals = [grid[wrong, i, 0] for i in range(8)]
     assert all(v >= 0 for v in vals)
     assert max(vals) > 0
 
@@ -359,40 +453,37 @@ def test_walsh_round_output_correct_zero_wrong_positive(grid_q0, std_spec):
 def test_walsh_round_output_incomplete_grid_raises(std_pair):
     ts = collect_traces(std_pair, SelectorPolicy.fixed_q0(), fixed_plaintexts(bytes(16), 4))
     with pytest.raises(ValueError):
-        walsh_round_output(ts, 0, 0, 0, 0)
+        walsh_round_output_all(ts)
+
+
+@pytest.mark.parametrize("campaign", ["grid_q0", "grid_mixed"])
+def test_walsh_round_output_matches_per_guess_reference_exactly(request, std_spec, campaign):
+    traces = request.getfixturevalue(campaign)
+    known = std_spec.round_keys.khat[0][0][0]
+    assert np.array_equal(walsh_round_output_all(traces), _walsh_round_output_reference(traces, known))
+
+
+def test_static_round_output_check_uses_the_trace_kernel(std_pair, std_spec, grid_q0):
+    correct = std_spec.round_keys.khat[0][1][0]
+    static = tablegen.walsh_round_output_grid_static(std_pair.q0, std_spec)
+    assert static.shape == (8, 8)
+    assert np.array_equal(static, walsh_round_output_all(grid_q0)[correct])
 
 
 # --- collision / cluster ------------------------------------------------------------
 
 def test_collision_partition_sizes_sum_to_grid(grid_q0, std_spec):
     known = std_spec.round_keys.khat[0][0][0]
-    from balaes.sca import _MUL_NP, _SBOX_NP
-
     for guess in (0, 131, 255):
-        hyp = (
-            _MUL_NP[2][_SBOX_NP[grid_q0.plaintexts[:, 0] ^ np.uint8(known)]]
-            ^ _MUL_NP[3][_SBOX_NP[grid_q0.plaintexts[:, 5] ^ np.uint8(guess)]]
-        )
+        hyp = _hyp_round_output(grid_q0.plaintexts, known, guess)
         assert np.bincount(hyp, minlength=256).sum() == 65536
 
 
 def test_collision_and_sse_synthetic_perfect_clusters():
-    # observations equal to a fixed bijection of the hypothesis value:
     # perfect collisions, maximal score, zero squared error
-    rng = random.Random(77)
-    n = 2048
-    pts = np.zeros((n, 16), dtype=np.uint8)
-    pts[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
-    pts[:, 5] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
-    from balaes.sca import _MUL_NP, _SBOX_NP
-
     secret = 0x21
-    hyp = _MUL_NP[2][_SBOX_NP[pts[:, 0]]] ^ _MUL_NP[3][_SBOX_NP[pts[:, 5] ^ np.uint8(secret)]]
-    c = _SBOX_NP[hyp]  # arbitrary bijection as the "encoded" observation
-    samples = np.zeros((n, 22), dtype=np.uint8)
-    samples[:, 20] = c >> 4
-    samples[:, 21] = c & 0xF
-    ts = _toy_traceset(samples, pts)
+    ts = _perfect_cluster_traces(secret)
+    n = len(ts)
     assert collision_score(ts, 0, secret) == n * 8
     assert cluster_sse_score(ts, 0, secret) == 0.0
     coll, sse = collision_and_sse_scores(ts, 0)
@@ -410,6 +501,18 @@ def test_collision_q0_vs_mixed(grid_q0, grid_mixed, std_spec):
     coll_m, sse_m = collision_and_sse_scores(grid_mixed, known)
     assert int(np.argmax(coll_m)) != correct
     assert int(np.argmin(sse_m)) != correct
+
+
+@pytest.mark.parametrize("campaign", ["grid_q0", "grid_mixed", "traces_mixed_10k", "perfect_clusters"])
+def test_collision_and_sse_match_per_guess_reference_exactly(request, std_spec, campaign):
+    if campaign == "perfect_clusters":
+        traces, known = _perfect_cluster_traces(0x21), 0
+    else:
+        traces, known = request.getfixturevalue(campaign), std_spec.round_keys.khat[0][0][0]
+    coll, sse = collision_and_sse_scores(traces, known)
+    ref_coll, ref_sse = _collision_and_sse_reference(traces, known)
+    assert np.array_equal(coll, ref_coll)
+    assert np.array_equal(sse, ref_sse)
 
 
 # --- MIA ----------------------------------------------------------------------------
