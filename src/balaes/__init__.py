@@ -50,7 +50,6 @@ from .tablegen import (
 )
 from .cipher import (
     SelectorPolicy,
-    Trace,
     TraceSet,
     collect_traces,
     encrypt,

@@ -1,6 +1,11 @@
 """Protected encryption over a complementary table-set pair, with set-selection
 policies and bit-exact computational trace recording.
 
+Every encryption, single block or campaign, runs the one table walk in
+`tablegen.encrypt_batch_with_tables`; `encrypt` hands it one row.  Set
+selection is `select_set`, which maps an (N, 16) plaintext array to N set
+bits in one call.
+
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
 24 XOR nibbles in (output byte, stage, upper-then-lower) order; then the 16
@@ -126,33 +131,22 @@ class SelectorPolicy:
         return self.variant.replace("fixed-", "")
 
 
-def select_set(policy: SelectorPolicy, pt: bytes, rng: random.Random | None) -> int:
-    if policy.variant == "fixed-q0":
-        return 0
-    if policy.variant == "fixed-q1":
-        return 1
+def select_set(policy: SelectorPolicy, pts: np.ndarray, rng: random.Random | None) -> np.ndarray:
+    """Set bit of each row of an (N, 16) uint8 plaintext array, as (N,) uint8.
+
+    The random policy draws rng.random() once per row, in row order."""
+    n = len(pts)
+    if policy.variant in ("fixed-q0", "fixed-q1"):
+        return np.full(n, policy.variant == "fixed-q1", dtype=np.uint8)
     if policy.variant == "random":
         if rng is None:
             raise ValueError("random policy needs a random source")
-        return 0 if rng.random() < policy.alpha else 1
-    acc = 0
-    for b in pt:
-        acc ^= b
-    return policy.bits[acc % len(policy.bits)]
+        return np.array([rng.random() >= policy.alpha for _ in range(n)], dtype=np.uint8)
+    bits = np.array(policy.bits, dtype=np.uint8)
+    return bits[np.bitwise_xor.reduce(pts, axis=1) % len(bits)]
 
 
 # --- traces -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Trace:
-    plaintext: bytes
-    set_bit: int
-    samples: bytes
-
-    def __post_init__(self):
-        if len(self.samples) != SAMPLE_COUNT:
-            raise ValueError("trace must hold 1456 samples")
-
 
 @dataclass
 class TraceSet:
@@ -164,28 +158,19 @@ class TraceSet:
     def __len__(self) -> int:
         return int(self.plaintexts.shape[0])
 
-    def trace(self, n: int) -> Trace:
-        return Trace(
-            plaintext=bytes(self.plaintexts[n]),
-            set_bit=int(self.set_bits[n]),
-            samples=bytes(self.samples[n]),
-        )
-
 
 @dataclass
 class EncryptResult:
     ciphertext: bytes
     set_bit: int
-    trace: Trace | None
     lookups: int
 
 
 def encrypt(pt: bytes, pair: TableSetPair, policy: SelectorPolicy,
-            rng: random.Random | None = None, record: bool = False) -> EncryptResult:
-    bit = select_set(policy, pt, rng)
-    ct, samples, lookups = encrypt_with_tables(pair.select(bit), pt, record=record)
-    trace = Trace(plaintext=bytes(pt), set_bit=bit, samples=samples) if record else None
-    return EncryptResult(ciphertext=ct, set_bit=bit, trace=trace, lookups=lookups)
+            rng: random.Random | None = None) -> EncryptResult:
+    bit = int(select_set(policy, np.frombuffer(pt, dtype=np.uint8)[None], rng)[0])
+    ct, _, lookups = encrypt_with_tables(pair.select(bit), pt)
+    return EncryptResult(ciphertext=ct, set_bit=bit, lookups=lookups)
 
 
 # --- plaintext sources ---------------------------------------------------------
@@ -233,16 +218,13 @@ def collect_traces(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
     """
     pts = np.asarray(plaintexts, dtype=np.uint8)
     n = pts.shape[0]
-    bits = np.empty(n, dtype=np.uint8)
-    for idx in range(n):
-        bits[idx] = select_set(policy, bytes(pts[idx]), rng)
+    bits = select_set(policy, pts, rng)
     samples = np.empty((n, SAMPLE_COUNT), dtype=np.uint8)
     for bit in (0, 1):
         sel = np.nonzero(bits == bit)[0]
         if sel.size == 0:
             continue
-        _, s = encrypt_batch_with_tables(pair.select(bit), pts[sel], record=True)
-        samples[sel] = s
+        samples[sel] = encrypt_batch_with_tables(pair.select(bit), pts[sel], record=True)[1]
     meta = {"policy": policy.describe(), "count": n}
     if metadata:
         meta.update(metadata)
@@ -284,6 +266,8 @@ def deserialize_traces(data: bytes) -> TraceSet:
     if crc != zlib.crc32(memoryview(data)[:-4]):
         raise FormatError("trace file checksum mismatch")
     body = np.frombuffer(data, dtype=np.uint8, count=count * rec, offset=12).reshape(count, rec)
+    if (body[:, 16] > 1).any():
+        raise FormatError("trace set bit is not 0 or 1")
     return TraceSet(
         plaintexts=body[:, :16].copy(),
         set_bits=body[:, 16].copy(),

@@ -322,92 +322,70 @@ def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced",
 
 # --- network walk ------------------------------------------------------------
 
-def encrypt_with_tables(ts: TableSet, pt: bytes, record: bool = False):
-    """Scalar table walk.  Returns (ciphertext, samples or None, lookup count)."""
-    if len(pt) != 16:
-        raise ValueError("plaintext must be 16 bytes")
-    ut, tx, t10 = ts.ut, ts.tx, ts.t10
-    state = [[pt[i + 4 * j] for j in range(4)] for i in range(4)]
-    samples = bytearray(1456) if record else None
-    pos = 0
-    lookups = 0
-    for r in range(9):
-        inp = [[state[i][(j + i) % 4] for j in range(4)] for i in range(4)]
-        new_state = [[0] * 4 for _ in range(4)]
-        for j in range(4):
-            enc = []
-            for i in range(4):
-                row = ut[r, i, j, inp[i][j]]
-                lookups += 1
-                enc.append(row)
-                if record:
-                    samples[pos : pos + 4] = bytes(row)
-                pos += 4
-            for k in range(4):
-                cu, cl = enc[0][k] >> 4, enc[0][k] & 0xF
-                for s in range(3):
-                    rb = enc[s + 1][k]
-                    cu = tx[r, j, k, s, 0, (cu << 4) | (rb >> 4)]
-                    cl = tx[r, j, k, s, 1, (cl << 4) | (rb & 0xF)]
-                    lookups += 2
-                    if record:
-                        samples[pos] = cu
-                        samples[pos + 1] = cl
-                    pos += 2
-                new_state[k][j] = (int(cu) << 4) | int(cl)
-        state = new_state
-    ct = bytearray(16)
-    for j in range(4):
-        for i in range(4):
-            v = t10[i, j, state[i][(j + i) % 4]]
-            lookups += 1
-            if record:
-                samples[pos] = v
-            pos += 1
-            ct[i + 4 * j] = v
-    return bytes(ct), (bytes(samples) if record else None), lookups
+WALK_CHUNK = 1024  # rows per pass; 2,048 and up were slower on the 65,536-row grid
+
+# The 16 T-box lookups of a round, and the 16 final-round ones, run in the
+# trace's (column j, input row i) order.  Lookup (j, i) reads table (i, j),
+# which starts at row (4i + j) * 256 of the round's flattened tables, with the
+# state byte ShiftRows brings there: plaintext-order byte i + 4 * ((j + i) % 4).
+_J, _I = np.divmod(np.arange(16), 4)
+_TABLE_ROW = ((4 * _I + _J) * 256)[:, None]
+_SHIFT_ROWS = _I + 4 * ((_J + _I) % 4)
+# Packed-XOR table (j, k, stage, half) starts at entry ((j*4 + k)*3 + stage)*2 + half, times 256.
+_XOR_BASE = (np.arange(96).reshape(4, 4, 3, 2) * 256).transpose(0, 2, 1, 3)[..., None]  # (j, s, k, h, 1)
+_NIBBLE_SHIFT = np.array([4, 0], dtype=np.uint8)[:, None]
 
 
 def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = False):
-    """Vectorized table walk over an (N, 16) uint8 plaintext array."""
+    """The table walk over an (N, 16) uint8 plaintext array, WALK_CHUNK rows
+    at a time, the state kept sample-major as a (16, rows) array.
+
+    Per round: one gather for the 16 T-box lookups (each reads a 4-byte table
+    row), then one per XOR stage for all 16 output bytes and both nibble
+    halves.  Returns (ciphertexts (N, 16), samples (N, 1456) or None, lookups),
+    the lookup count summed from the sizes of the gathers' index arrays."""
     pts = np.asarray(pts, dtype=np.uint8)
     n = pts.shape[0]
-    state = [[pts[:, i + 4 * j] for j in range(4)] for i in range(4)]
-    samples = np.empty((n, 1456), dtype=np.uint8) if record else None
-    pos = 0
-    for r in range(9):
-        inp = [[state[i][(j + i) % 4] for j in range(4)] for i in range(4)]
-        new_state = [[None] * 4 for _ in range(4)]
-        for j in range(4):
-            enc = []
-            for i in range(4):
-                rows = ts.ut[r, i, j][inp[i][j]]  # (N, 4)
-                enc.append(rows)
-                if record:
-                    samples[:, pos : pos + 4] = rows
-                pos += 4
-            for k in range(4):
-                cu = enc[0][:, k] >> 4
-                cl = enc[0][:, k] & 0xF
-                for s in range(3):
-                    rb = enc[s + 1][:, k]
-                    cu = ts.tx[r, j, k, s, 0][(cu << 4) | (rb >> 4)]
-                    cl = ts.tx[r, j, k, s, 1][(cl << 4) | (rb & 0xF)]
-                    if record:
-                        samples[:, pos] = cu
-                        samples[:, pos + 1] = cl
-                    pos += 2
-                new_state[k][j] = (cu << 4) | cl
-        state = new_state
+    ut = ts.ut.reshape(9, -1).view(np.uint32)  # one entry per 4-byte table row
+    tx = ts.tx.reshape(9, -1)
+    t10 = ts.t10.reshape(-1)
     cts = np.empty((n, 16), dtype=np.uint8)
-    for j in range(4):
-        for i in range(4):
-            v = ts.t10[i, j][state[i][(j + i) % 4]]
-            if record:
-                samples[:, pos] = v
-            pos += 1
-            cts[:, i + 4 * j] = v
-    return cts, samples
+    samples = np.empty((n, 1456), dtype=np.uint8) if record else None
+    lookups = 0
+    for start in range(0, n, WALK_CHUNK):
+        state = pts[start : start + WALK_CHUNK].T  # (16, m), plaintext byte order
+        m = state.shape[1]
+        trace = np.empty((1456, m), dtype=np.uint8)
+        for r in range(9):
+            rnd = trace[160 * r : 160 * (r + 1)].reshape(4, 40, m)  # (j, sample, m)
+            idx = state[_SHIFT_ROWS] + _TABLE_ROW
+            rows = np.take(ut[r], idx).view(np.uint8).reshape(4, 4, m, 4)  # (j, i, m, k)
+            lookups += idx.size
+            enc = rnd[:, :16].reshape(4, 4, 4, m)  # (j, i, k, m)
+            enc[...] = rows.transpose(0, 1, 3, 2)
+            nib = (enc[:, :, :, None, :] >> _NIBBLE_SHIFT) & 0xF  # (j, i, k, h, m)
+            xor = rnd[:, 16:].reshape(4, 4, 3, 2, m)  # (j, k, s, h, m)
+            acc = nib[:, 0]
+            for s in range(3):
+                idx = (acc << 4) + nib[:, s + 1] + _XOR_BASE[:, s]
+                acc = xor[:, :, s] = np.take(tx[r], idx)
+                lookups += idx.size
+            state = ((acc[:, :, 0] << 4) | acc[:, :, 1]).reshape(16, m)
+        idx = state[_SHIFT_ROWS] + _TABLE_ROW
+        trace[1440:] = np.take(t10, idx)
+        lookups += idx.size
+        cts[start : start + m] = trace[1440:].T
+        if record:
+            samples[start : start + m] = trace.T
+    return cts, samples, lookups
+
+
+def encrypt_with_tables(ts: TableSet, pt: bytes, record: bool = False):
+    """One block through the table walk: (ciphertext, samples or None, lookups)."""
+    if len(pt) != 16:
+        raise ValueError("plaintext must be 16 bytes")
+    cts, samples, lookups = encrypt_batch_with_tables(ts, np.frombuffer(pt, dtype=np.uint8)[None], record)
+    return cts[0].tobytes(), (samples[0].tobytes() if record else None), lookups
 
 
 # --- verification ------------------------------------------------------------
@@ -520,7 +498,7 @@ def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None 
 
     rng = rng or random.Random(0xBA1A)
     pts = np.frombuffer(rng.randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
-    cts, _ = encrypt_batch_with_tables(ts, pts)
+    cts, _, _ = encrypt_batch_with_tables(ts, pts)
     ok = True
     for n in range(256):
         if bytes(cts[n]) != reference_encrypt(bytes(pts[n]), spec.key):
@@ -586,6 +564,8 @@ def deserialize_tableset(data: bytes) -> TableSet:
     (crc,) = struct.unpack("<I", data[-4:])
     if crc != zlib.crc32(data[:-4]):
         raise FormatError("table file checksum mismatch")
+    if set_id not in (0, 1):
+        raise FormatError(f"table set id {set_id} is not 0 or 1")
     off = 8
     ut = np.empty((9, 4, 4, 256, 4), dtype=np.uint8)
     for r in range(9):
@@ -654,6 +634,11 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
     (crc,) = struct.unpack("<I", data[-4:])
     if crc != zlib.crc32(data[:-4]):
         raise FormatError("spec file checksum mismatch")
+    if mode not in (0, 1):
+        raise FormatError(f"unknown spec xor-boundary mode {mode}")
+    # Every field after the seed and key is a BitMat4 row or a codec partner: one nibble each.
+    if max(data[32:-4]) > 0xF:
+        raise FormatError("spec matrix row or codec partner is not a nibble")
     off = 8
     (seed,) = struct.unpack("<Q", data[off : off + 8])
     off += 8

@@ -23,7 +23,7 @@ from balaes.cipher import (
     xor_sample_index,
 )
 from balaes.gfcore import reference_encrypt
-from balaes.tablegen import FormatError
+from balaes.tablegen import FormatError, encrypt_with_tables
 
 from conftest import STD_KEY
 
@@ -50,23 +50,52 @@ def test_policy_parsing_and_description():
 
 def test_select_set_fixed_and_pt_derived():
     rng = random.Random(0)
-    assert select_set(SelectorPolicy.fixed_q0(), bytes(16), rng) == 0
-    assert select_set(SelectorPolicy.fixed_q1(), bytes(16), rng) == 1
+    zero_pt = np.zeros((1, 16), dtype=np.uint8)
+    assert select_set(SelectorPolicy.fixed_q0(), zero_pt, rng).tolist() == [0]
+    assert select_set(SelectorPolicy.fixed_q1(), zero_pt, rng).tolist() == [1]
     zeros = SelectorPolicy(variant="pt-derived", bits=(0,) * 8)
-    for _ in range(50):
-        assert select_set(zeros, rng.randbytes(16), rng) == 0
+    assert select_set(zeros, random_plaintexts(50, rng), rng).tolist() == [0] * 50
     # xor-sum indexing: pt with byte-xor 1 picks bits[1 % n]
     pol = SelectorPolicy(variant="pt-derived", bits=(0, 1, 0))
-    pt = bytes([1] + [0] * 15)
-    assert select_set(pol, pt, None) == pol.bits[1 % 3]
+    pt = np.array([[1] + [0] * 15], dtype=np.uint8)
+    assert select_set(pol, pt, None).tolist() == [pol.bits[1 % 3]]
+
+
+def _select_set_per_row(policy, pts, rng):
+    """The per-plaintext selection loop, kept as the reference for select_set."""
+    bits = []
+    for pt in pts:
+        if policy.variant in ("fixed-q0", "fixed-q1"):
+            bits.append(int(policy.variant == "fixed-q1"))
+        elif policy.variant == "random":
+            bits.append(0 if rng.random() < policy.alpha else 1)
+        else:
+            acc = 0
+            for b in pt.tolist():
+                acc ^= b
+            bits.append(policy.bits[acc % len(policy.bits)])
+    return bits
+
+
+@pytest.mark.parametrize("text", ["q0", "q1", "random:0.5", "random:0.3", "pt-derived:16", "pt-derived:5"])
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_select_set_matches_per_row_reference(text, n):
+    policy = SelectorPolicy.parse(text)
+    pts = random_plaintexts(n, random.Random(n))
+    rng, ref_rng = random.Random(8), random.Random(8)
+    bits = select_set(policy, pts, rng)
+    assert bits.dtype == np.uint8 and bits.shape == (n,)
+    assert bits.tolist() == _select_set_per_row(policy, pts, ref_rng)
+    assert rng.random() == ref_rng.random()  # same number of draws
 
 
 def test_random_policy_fraction_close_to_alpha():
     rng = random.Random(97)
     n = 100000
-    ones = sum(select_set(SelectorPolicy.random_bit(0.5), bytes(16), rng) for _ in range(n))
+    pts = np.zeros((n, 16), dtype=np.uint8)
+    ones = int(select_set(SelectorPolicy.random_bit(0.5), pts, rng).sum())
     assert 0.49 <= ones / n <= 0.51
-    ones = sum(select_set(SelectorPolicy.random_bit(0.9), bytes(16), rng) for _ in range(n))
+    ones = int(select_set(SelectorPolicy.random_bit(0.9), pts, rng).sum())
     assert abs(ones / n - 0.1) < 0.01
 
 
@@ -85,14 +114,16 @@ def test_sample_index_layout_constants():
 
 def test_encrypt_result_fields(std_pair):
     rng = random.Random(1)
-    res = encrypt(FIPS_PT, std_pair, SelectorPolicy.fixed_q0(), rng, record=True)
+    res = encrypt(FIPS_PT, std_pair, SelectorPolicy.fixed_q0(), rng)
+    samples = encrypt_with_tables(std_pair.select(res.set_bit), FIPS_PT, record=True)[1]
     assert res.ciphertext == reference_encrypt(FIPS_PT, STD_KEY)
     assert res.set_bit == 0
     assert res.lookups == 1024
-    assert len(res.trace.samples) == SAMPLE_COUNT
-    res1 = encrypt(FIPS_PT, std_pair, SelectorPolicy.fixed_q1(), rng, record=True)
+    assert len(samples) == SAMPLE_COUNT
+    res1 = encrypt(FIPS_PT, std_pair, SelectorPolicy.fixed_q1(), rng)
+    samples1 = encrypt_with_tables(std_pair.select(res1.set_bit), FIPS_PT, record=True)[1]
     assert res1.ciphertext == res.ciphertext
-    assert res1.trace.samples != res.trace.samples
+    assert samples1 != samples
 
 
 def test_ciphertext_is_policy_invariant(std_pair):
@@ -112,21 +143,21 @@ def test_ciphertext_is_policy_invariant(std_pair):
 
 def test_trace_determinism(std_pair):
     pt = bytes(range(16))
-    a = encrypt(pt, std_pair, SelectorPolicy.fixed_q0(), None, record=True)
-    b = encrypt(pt, std_pair, SelectorPolicy.fixed_q0(), None, record=True)
-    assert a.trace.samples == b.trace.samples
+    a = encrypt_with_tables(std_pair.select(0), pt, record=True)[1]
+    b = encrypt_with_tables(std_pair.select(0), pt, record=True)[1]
+    assert a == b
 
 
 def test_t10_samples_equal_ciphertext(std_pair):
-    res = encrypt(FIPS_PT, std_pair, SelectorPolicy.fixed_q0(), None, record=True)
-    tail = res.trace.samples[1440:]
-    assert tail == res.ciphertext
+    ct, samples, _ = encrypt_with_tables(std_pair.select(0), FIPS_PT, record=True)
+    tail = samples[1440:]
+    assert tail == ct
 
 
 def test_q1_trace_is_complement_of_q0(std_pair):
     pt = bytes(range(16))
-    t0 = encrypt(pt, std_pair, SelectorPolicy.fixed_q0(), None, record=True).trace.samples
-    t1 = encrypt(pt, std_pair, SelectorPolicy.fixed_q1(), None, record=True).trace.samples
+    t0 = encrypt_with_tables(std_pair.select(0), pt, record=True)[1]
+    t1 = encrypt_with_tables(std_pair.select(1), pt, record=True)[1]
     # table-output byte samples complement over 8 bits, nibble samples over 4
     idx_byte = ut_sample_index(3, 1, 2, 3)
     assert t0[idx_byte] ^ t1[idx_byte] == 0xFF
@@ -155,8 +186,8 @@ def test_collect_traces_shapes_and_order(std_pair):
     assert np.array_equal(ts.plaintexts, pts)
     # per-trace recompute: the recorded samples match a direct run
     n = 57
-    res = encrypt(bytes(pts[n]), std_pair, SelectorPolicy.fixed_q1() if ts.set_bits[n] else SelectorPolicy.fixed_q0(), None, record=True)
-    assert bytes(ts.samples[n]) == res.trace.samples
+    samples = encrypt_with_tables(std_pair.select(int(ts.set_bits[n])), bytes(pts[n]), record=True)[1]
+    assert bytes(ts.samples[n]) == samples
 
 
 def test_fixed_source_traces(std_pair):
@@ -188,7 +219,3 @@ def test_trace_file_errors(std_pair):
     with pytest.raises(FormatError):
         deserialize_traces(b"NOPE" + bytes(blob[4:]))
 
-
-def test_trace_object_validation(std_pair):
-    with pytest.raises(ValueError):
-        cipher.Trace(plaintext=bytes(16), set_bit=0, samples=bytes(10))

@@ -1,4 +1,7 @@
 import json
+import shutil
+import struct
+import zlib
 
 import pytest
 
@@ -91,9 +94,6 @@ def test_trace_determinism(gen_dir, tmp_path, trace_file):
 
 
 def test_verify_passes_and_detects_corruption(gen_dir, tmp_path, capfd):
-    import struct
-    import zlib
-
     rc = main(["verify", "--tables", str(gen_dir), "--spec", str(gen_dir / "enc.spec")])
     assert rc == 0
     summary = json.loads(capfd.readouterr().out)
@@ -193,6 +193,8 @@ def test_bench_reports_timing(gen_dir, capfd):
     summary = json.loads(capfd.readouterr().out)
     assert summary["mean_block_us"] > 0
     assert "19 us" in summary["note"]
+    # measured lookups per block times the measured block rate
+    assert summary["lookups_per_second"] == pytest.approx(1024 * 1e6 / summary["mean_block_us"], rel=1e-4)
 
 
 def test_usage_error_unknown_kind(gen_dir, capfd):
@@ -234,3 +236,50 @@ def test_analyze_walsh_ut_trace_mode(gen_dir, trace_file, capfd):
     summary = json.loads(capfd.readouterr().out)
     assert summary["mode"] == "traces"
     assert summary["correct_all_zero"] is True
+
+
+# --- malformed fields behind a valid checksum: FormatError, exit 3 ---------------
+
+def _write_crc_fixed(path, blob: bytearray) -> None:
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("offset, value", [
+    (6, 7),  # xor-boundary mode byte: only 0 (balanced) and 1 (identity) exist
+    (32, 0x1F),  # first BitMat4 row of the first linear pair
+    (32 + 9 * 16 * 8, 0x10),  # first codec partner
+], ids=["mode", "bitmat-row", "codec-partner"])
+def test_malformed_spec_field_is_format_error(gen_dir, tmp_path, capfd, offset, value):
+    blob = bytearray((gen_dir / "enc.spec").read_bytes())
+    blob[offset] = value
+    _write_crc_fixed(tmp_path / "enc.spec", blob)
+    rc = main(["verify", "--tables", str(gen_dir), "--spec", str(tmp_path / "enc.spec")])
+    assert rc == 3
+
+
+def test_table_set_id_outside_0_1_is_format_error(gen_dir, tmp_path, capfd):
+    blob = bytearray((gen_dir / "q0.tbl").read_bytes())
+    blob[6] = 2  # set id
+    _write_crc_fixed(tmp_path / "q0.tbl", blob)
+    shutil.copy(gen_dir / "q1.tbl", tmp_path / "q1.tbl")
+    rc = main(["encrypt", "--tables", str(tmp_path), "--pt", FIPS_PT])
+    assert rc == 3
+
+
+def test_trace_set_bit_outside_0_1_is_format_error(trace_file, tmp_path, capfd):
+    blob = bytearray(trace_file.read_bytes())
+    blob[12 + 16] = 2  # set bit of the first record, after its plaintext
+    _write_crc_fixed(tmp_path / "bad.btr", blob)
+    rc = main(["analyze", "--kind", "cpa", "--traces", str(tmp_path / "bad.btr"), "--key", FIPS_KEY,
+               "--pt-index", "0", "--window", "0:40"])
+    assert rc == 3
+
+
+def test_swapped_table_pair_is_format_error(gen_dir, tmp_path, capfd):
+    shutil.copy(gen_dir / "q0.tbl", tmp_path / "q1.tbl")
+    shutil.copy(gen_dir / "q1.tbl", tmp_path / "q0.tbl")
+    rc = main(["trace", "--tables", str(tmp_path), "--source", "random", "--count", "10",
+               "--policy", "random:0.5", "--seed", "1", "--out", str(tmp_path / "t.btr")])
+    assert rc == 3
+    assert "q0.tbl" in capfd.readouterr().err

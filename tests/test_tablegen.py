@@ -135,10 +135,10 @@ def test_build_is_deterministic():
 def test_functional_equality_random_plaintexts(std_pair):
     rng = random.Random(61)
     pts = np.frombuffer(rng.randbytes(1000 * 16), dtype=np.uint8).reshape(1000, 16)
-    cts, _ = encrypt_batch_with_tables(std_pair.q0, pts)
+    cts, _, _ = encrypt_batch_with_tables(std_pair.q0, pts)
     for n in range(0, 1000, 37):
         assert bytes(cts[n]) == reference_encrypt(bytes(pts[n]), STD_KEY)
-    cts1, _ = encrypt_batch_with_tables(std_pair.q1, pts)
+    cts1, _, _ = encrypt_batch_with_tables(std_pair.q1, pts)
     assert np.array_equal(cts, cts1)
 
 
@@ -288,11 +288,59 @@ def test_identity_xor_boundary_mode_still_encrypts():
     assert not grid.any()
 
 
+def _reference_walk(ts, pts):
+    """The scalar table walk, one lookup at a time, over each row of an
+    (N, 16) plaintext array: (ciphertexts, samples, lookups) like the batch walk."""
+    ut, tx, t10 = ts.ut.tolist(), ts.tx.tolist(), ts.t10.tolist()
+    cts = np.empty((len(pts), 16), dtype=np.uint8)
+    samples = np.empty((len(pts), 1456), dtype=np.uint8)
+    lookups = 0
+    for n, pt in enumerate(pts.tolist()):
+        state = [[pt[i + 4 * j] for j in range(4)] for i in range(4)]
+        trace = []
+        for r in range(9):
+            inp = [[state[i][(j + i) % 4] for j in range(4)] for i in range(4)]
+            new_state = [[0] * 4 for _ in range(4)]
+            for j in range(4):
+                enc = []
+                for i in range(4):
+                    row = ut[r][i][j][inp[i][j]]
+                    lookups += 1
+                    enc.append(row)
+                    trace += row
+                for k in range(4):
+                    cu, cl = enc[0][k] >> 4, enc[0][k] & 0xF
+                    for s in range(3):
+                        rb = enc[s + 1][k]
+                        cu = tx[r][j][k][s][0][(cu << 4) | (rb >> 4)]
+                        cl = tx[r][j][k][s][1][(cl << 4) | (rb & 0xF)]
+                        lookups += 2
+                        trace += (cu, cl)
+                    new_state[k][j] = (cu << 4) | cl
+            state = new_state
+        for j in range(4):
+            for i in range(4):
+                v = t10[i][j][state[i][(j + i) % 4]]
+                lookups += 1
+                trace.append(v)
+                cts[n, i + 4 * j] = v
+        samples[n] = trace
+    return cts, samples, lookups
+
+
 def test_batch_matches_scalar(std_pair):
-    rng = random.Random(62)
-    pts = np.frombuffer(rng.randbytes(20 * 16), dtype=np.uint8).reshape(20, 16)
-    cts, samples = encrypt_batch_with_tables(std_pair.q0, pts, record=True)
-    for n in range(20):
-        ct, s, _ = encrypt_with_tables(std_pair.q0, bytes(pts[n]), record=True)
-        assert ct == bytes(cts[n])
-        assert s == bytes(samples[n])
+    identity_boundary = build_table_pair(bytes(range(16)), 5, xor_boundary_mode="identity", verify=False)[0]
+    pts = np.frombuffer(random.Random(62).randbytes(2500 * 16), dtype=np.uint8).reshape(2500, 16)
+    for ts in (std_pair.q0, std_pair.q1, identity_boundary.q0, identity_boundary.q1):
+        ref_cts, ref_samples, ref_lookups = _reference_walk(ts, pts)
+        per_row = ref_lookups // len(pts)
+        # around the walk's 1,024-row chunks, and an empty campaign
+        for n in (0, 1, 1023, 1025, 2500):
+            cts, samples, lookups = encrypt_batch_with_tables(ts, pts[:n], record=True)
+            assert np.array_equal(cts, ref_cts[:n])
+            assert np.array_equal(samples, ref_samples[:n])
+            assert lookups == per_row * n
+            assert np.array_equal(encrypt_batch_with_tables(ts, pts[:n])[0], cts)
+        for n in (0, 7, 2499):
+            ct, s, lookups = encrypt_with_tables(ts, bytes(pts[n]), record=True)
+            assert ct == bytes(ref_cts[n]) and s == bytes(ref_samples[n]) and lookups == per_row
