@@ -143,7 +143,7 @@ def select_set(policy: SelectorPolicy, pts: np.ndarray, rng: random.Random | Non
             raise ValueError("random policy needs a random source")
         return np.array([rng.random() >= policy.alpha for _ in range(n)], dtype=np.uint8)
     bits = np.array(policy.bits, dtype=np.uint8)
-    return bits[np.bitwise_xor.reduce(pts, axis=1) % len(bits)]
+    return bits[np.bitwise_xor.reduce(pts, axis=1).astype(np.intp) % len(bits)]
 
 
 # --- traces -------------------------------------------------------------------

@@ -77,7 +77,10 @@ def _select_set_per_row(policy, pts, rng):
     return bits
 
 
-@pytest.mark.parametrize("text", ["q0", "q1", "random:0.5", "random:0.3", "pt-derived:16", "pt-derived:5"])
+@pytest.mark.parametrize("text", [
+    "q0", "q1", "random:0.5", "random:0.3",
+    "pt-derived:1", "pt-derived:5", "pt-derived:16", "pt-derived:256",
+])
 @pytest.mark.parametrize("n", [0, 1, 300])
 def test_select_set_matches_per_row_reference(text, n):
     policy = SelectorPolicy.parse(text)

@@ -3,8 +3,10 @@ import shutil
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
+from balaes.cipher import load_traces
 from balaes.cli import main
 
 from conftest import STD_KEY
@@ -63,6 +65,21 @@ def test_encrypt_fips_vector(gen_dir, capfd):
     assert capfd.readouterr().out.strip() == FIPS_CT
 
 
+@pytest.mark.parametrize("policy", ["pt-derived:1", "pt-derived:256"])
+def test_pt_derived_length_extremes(gen_dir, tmp_path, capfd, policy):
+    rc = main(["encrypt", "--tables", str(gen_dir), "--pt", FIPS_PT, "--policy", policy])
+    assert rc == 0
+    assert capfd.readouterr().out.strip() == FIPS_CT
+    out = tmp_path / "t.btr"
+    rc = main(["trace", "--tables", str(gen_dir), "--source", "random", "--count", "50",
+               "--policy", policy, "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    ts = load_traces(out)
+    n = int(policy.split(":")[1])
+    expected = [(int(np.bitwise_xor.reduce(pt)) % n) % 2 for pt in ts.plaintexts]
+    assert ts.set_bits.tolist() == expected
+
+
 def test_encrypt_malformed_plaintext(gen_dir, capfd):
     rc = main(["encrypt", "--tables", str(gen_dir), "--pt", "zz", "--policy", "q0"])
     assert rc == 2
@@ -76,8 +93,6 @@ def test_missing_table_file_is_io_error(tmp_path, capfd):
 
 
 def test_trace_file_shape(trace_file, capfd):
-    from balaes.cipher import load_traces
-
     ts = load_traces(trace_file)
     assert len(ts) == 3000
     assert ts.samples.shape == (3000, 1456)
