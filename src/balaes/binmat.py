@@ -1,10 +1,20 @@
-"""GF(2) matrix machinery behind the balanced byte encoding.
+"""GF(2) matrix machinery behind the balanced byte encoding, and the one
+Walsh-grid kernel every balance check runs on.
 
 The encoding is the shear map Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H built from
 4x4 bit blocks f and g. A (f, g) pair is admissible when no row of the
 assembled 8x8 matrix selects a row combination whose XOR collapses onto a
 single row of any coefficient-multiplied SubBytes bit matrix; those forbidden
-combinations form the blacklist derived here by brute force.
+combinations form the blacklist derived here by brute force. Because idx_of
+is a bijection between 8-bit rows and index sets, the blacklist is also a
+256-entry table over row values, which is what BlacklistW.forbids reads.
+
+The paper's balance claim is that every first-order Walsh sum between a
+table output bit and a key-dependent hypothesis bit is zero. walsh_grid(a, b)
+computes all of them for two stacks of 256-entry byte tables at once, as one
+product of +-1 sign matrices; the static table checks (tablegen), the codec
+and pair checks here and in nibenc, and the trace-mode and baseline analyses
+(sca) all call it.
 
 Bit vectors are stored as ints with position 1 at the most significant bit of
 their width (4 or 8)."""
@@ -15,7 +25,9 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .gfcore import build_s_matrix
+import numpy as np
+
+from .gfcore import build_s_matrix, coeff_sbox_table
 
 
 @dataclass(frozen=True)
@@ -175,9 +187,10 @@ class BlacklistW:
 
     by_group: dict  # (ell, ellp, iprime) -> frozenset of 1-based indices
     flat: frozenset  # union of all index sets
+    rows: tuple  # rows[v] is True when the 8-bit row v selects a set in flat
 
     def forbids(self, row8: int) -> bool:
-        return idx_of(row8) in self.flat
+        return self.rows[row8]
 
 
 @functools.lru_cache(maxsize=1)
@@ -201,7 +214,7 @@ def derive_blacklist_W() -> BlacklistW:
                     by_group[(ell, ellp, iprime)] = J
     flat = frozenset(by_group.values())
     _cross_check_transcription(by_group)
-    return BlacklistW(by_group=by_group, flat=flat)
+    return BlacklistW(by_group=by_group, flat=flat, rows=tuple(idx_of(v) in flat for v in range(256)))
 
 
 def _cross_check_transcription(by_group: dict) -> None:
@@ -222,7 +235,7 @@ def derive_blacklist_F() -> tuple:
     out = []
     for i in range(4):
         e_i = 1 << (7 - i)
-        bad = frozenset(b for b in range(16) if idx_of(e_i | b) in W.flat)
+        bad = frozenset(b for b in range(16) if W.forbids(e_i | b))
         out.append(bad)
     result = tuple(out)
     if tuple(set(s) for s in result) != tuple(set(s) for s in _TRANSCRIBED_F_ROWSETS):
@@ -256,17 +269,15 @@ def sample_f(rng: random.Random) -> BitMat4:
     return BitMat4(rows=tuple(rows))
 
 
+@functools.lru_cache(maxsize=None)
 def valid_g_rows(f: BitMat4) -> tuple:
     """For each row i, the g-row values keeping row 4+i of M off the blacklist."""
     W = derive_blacklist_W()
-    out = []
-    for i in range(4):
-        e_i = 1 << (3 - i)
-        good = tuple(
-            gr for gr in range(16) if idx_of((gr << 4) | (e_i ^ row_times_mat(gr, f))) not in W.flat
-        )
-        out.append(good)
-    return tuple(out)
+    g_times_f = [row_times_mat(gr, f) for gr in range(16)]
+    return tuple(
+        tuple(gr for gr in range(16) if not W.forbids((gr << 4) | ((1 << (3 - i)) ^ g_times_f[gr])))
+        for i in range(4)
+    )
 
 
 def sample_g(rng: random.Random, f: BitMat4) -> BitMat4:
@@ -305,48 +316,51 @@ def count_valid_pairs() -> int:
     return total
 
 
-def mean_valid_g_rows() -> tuple:
-    """Average number of admissible g rows per row index, over the whole f family."""
-    sums = [0, 0, 0, 0]
-    n = 0
-    allowed = allowed_f_rows()
-    for r1 in allowed[0]:
-        for r2 in allowed[1]:
-            for r3 in allowed[2]:
-                for r4 in allowed[3]:
-                    n += 1
-                    counts = valid_g_rows(BitMat4(rows=(r1, r2, r3, r4)))
-                    for i in range(4):
-                        sums[i] += len(counts[i])
-    return tuple(s / n for s in sums)
+# --- Walsh grids ---------------------------------------------------------------
+
+_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)  # bit i (MSB first) of v is (v >> _SHIFTS[i]) & 1
 
 
-def walsh_balance_check(pair: EncodingPair, key_byte: int = 0):
+def walsh_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every first-order Walsh sum between two stacks of 256-entry tables.
+
+    a is (A, 256) and b is (B, 256), uint8 values over the same 256 inputs.
+    Entry [n, i, m, i'] of the (A, 8, B, 8) int32 result is the sum over x of
+    (-1)^(bit i of a[n, x] ^ bit i' of b[m, x]), bits MSB first: zero when the
+    two bits are balanced against each other, +-256 when one is the other or
+    its complement.  One float32 product of (8A, 256) and (256, 8B) sign
+    matrices, exact because every entry is an integer of magnitude at most 256."""
+    return (_signs(a) @ _signs(b).T).astype(np.int32).reshape(a.shape[0], 8, b.shape[0], 8)
+
+
+def table_bits(t: np.ndarray) -> np.ndarray:
+    """(T, 256) byte tables to their (T, 8, 256) bits, MSB first."""
+    return (t[:, None, :] >> _SHIFTS[:, None]) & 1
+
+
+def _signs(t: np.ndarray) -> np.ndarray:
+    """(T, 256) byte tables to the (8T, 256) float32 matrix of (-1)^bit."""
+    return (1 - 2 * table_bits(t).astype(np.float32)).reshape(-1, 256)
+
+
+@functools.lru_cache(maxsize=None)
+def coeff_tables(key_byte: int) -> np.ndarray:
+    """(3, 256) uint8 hypothesis tables: row ell - 1 maps x to ell * S(x ^ key_byte)."""
+    tables = b"".join(coeff_sbox_table(ell, key_byte) for ell in (1, 2, 3))
+    return np.frombuffer(tables, dtype=np.uint8).reshape(3, 256)
+
+
+def encoded_coeff_tables(pair: EncodingPair, key_byte: int) -> np.ndarray:
+    """(3, 256) uint8: the coefficient tables under the pair's linear encoding,
+    whose bits are the rows of M . S^ell."""
+    return np.frombuffer(encode_map(pair), dtype=np.uint8)[coeff_tables(key_byte)]
+
+
+def walsh_balance_check(pair: EncodingPair, key_byte: int = 0) -> np.ndarray:
     """Correlation grid between the encoded and plain coefficient matrices.
 
     Entry [i][ip][ell-1][ellp-1] is the signed Walsh sum of row i of M.S^ell
     against row ip of S^ell'; a balanced pair yields the all-zero grid.
     """
-    import numpy as np
-
-    M = assemble_M(pair)
-    smats = {ell: build_s_matrix(ell, key_byte) for ell in (1, 2, 3)}
-    grid = np.zeros((8, 8, 3, 3), dtype=np.int32)
-    for ell in (1, 2, 3):
-        r_rows = []
-        for i in range(8):
-            acc = 0
-            for p in range(8):
-                if (M.rows[i] >> (7 - p)) & 1:
-                    acc ^= smats[ell].rows[p]
-            r_rows.append(acc)
-        for ellp in (1, 2, 3):
-            for i in range(8):
-                for ip in range(8):
-                    hw = (r_rows[i] ^ smats[ellp].rows[ip]).bit_count()
-                    grid[i, ip, ell - 1, ellp - 1] = 256 - 2 * hw
-    return grid
-
-
-def is_balanced_pair(pair: EncodingPair, key_byte: int = 0) -> bool:
-    return not walsh_balance_check(pair, key_byte).any()
+    grid = walsh_grid(encoded_coeff_tables(pair, key_byte), coeff_tables(key_byte))  # (ell, i, ellp, ip)
+    return grid.transpose(1, 3, 0, 2)

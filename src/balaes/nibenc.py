@@ -3,14 +3,22 @@
 A codec exchanges the nibble value 0 with a partner e and fixes everything
 else, hiding zeros at table boundaries without disturbing the first-order
 balance of the linear layer, provided e passes the candidate condition for
-that boundary."""
+that boundary.
+
+Both candidate searches (coefficient-table boundaries and XOR-tree outputs)
+run on one helper: per-nibble-value bit sums of the relevant bit planes, as
+one one-hot matrix product; e qualifies when its sums equal those of 0.
+verify_swap_balance re-checks a chosen codec pair with the Walsh-grid kernel
+binmat.walsh_grid."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .gfcore import build_s_matrix, coeff_sbox_table
-from .binmat import EncodingPair, encode_map
+import numpy as np
+
+from .binmat import EncodingPair, coeff_tables, encode_map, encoded_coeff_tables, table_bits, walsh_grid
 
 UPPER = "upper"
 LOWER = "lower"
@@ -65,27 +73,33 @@ def codec_map(cp: CodecPair) -> bytes:
     return bytes(encode_byte(x, cp) for x in range(256))
 
 
-def _half_nibble(v: int, half: str) -> int:
-    return v >> 4 if half == UPPER else v & 0xF
+def _swap_candidates(tables: np.ndarray, half: str, planes: np.ndarray) -> set:
+    """Partners e whose half-nibble class carries the same bit sums as class 0.
+
+    tables is (L, 256) bytes over 256 inputs x, and planes (256, P) holds P
+    0/1 bit planes over the same inputs.  Per table, the bit sums of every
+    plane over the inputs whose selected half-nibble is v are one (16, 256)
+    one-hot by (256, P) product; e qualifies when its row equals row 0 for all
+    L tables.  Swapping 0 and e then moves inputs between two classes with
+    identical sums, so no Walsh sum against a plane changes.  float32 holds
+    every sum (at most 256) exactly."""
+    nibbles = tables >> 4 if half == UPPER else tables & 0xF
+    onehot = (nibbles[:, None, :] == np.arange(16, dtype=np.uint8)[:, None]).astype(np.float32)
+    sums = onehot @ planes  # (L, 16, P)
+    return set(np.flatnonzero((sums == sums[:, :1]).all(axis=(0, 2))).tolist())
 
 
-def _nibble_masks(values) -> list:
-    """256-bit membership masks per nibble value from a 256-long value list."""
-    masks = [0] * 16
-    for j, v in enumerate(values):
-        masks[v] |= 1 << j
-    return masks
+def _bit_planes(tables: np.ndarray) -> np.ndarray:
+    """(T, 256) byte tables to (256, 8T) float32 bit planes, MSB first per table."""
+    return table_bits(tables).reshape(-1, 256).T.astype(np.float32)
 
 
-def _encoded_coeff_columns(pair: EncodingPair, key_byte: int, ell: int) -> bytes:
-    return coeff_sbox_table(ell, key_byte).translate(encode_map(pair))
+_RAW_PLANES = _bit_planes(np.arange(256, dtype=np.uint8)[None])  # the plain bits of x
 
 
-# Bit masks of the plain byte bits over all 256 byte values; _RAW_ROWS[i] has
-# bit u set when byte u carries bit i (MSB first).
-_RAW_ROWS = tuple(
-    sum(1 << u for u in range(256) if (u >> (7 - i)) & 1) for i in range(8)
-)
+@functools.lru_cache(maxsize=None)
+def _coeff_planes(key_byte: int) -> np.ndarray:
+    return _bit_planes(coeff_tables(key_byte))
 
 
 def find_candidates(pair: EncodingPair, key_byte: int, half: str, ell: int | None = None) -> set:
@@ -99,29 +113,12 @@ def find_candidates(pair: EncodingPair, key_byte: int, half: str, ell: int | Non
     all three.  The identity e = 0 always qualifies and is included in the
     returned set; build-time selection discards it.
     """
-    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
-    ells = (ell,) if ell is not None else (1, 2, 3)
-    result = set(range(16))
-    for l in ells:
-        if l not in (1, 2, 3):
-            raise ValueError("ell must be 1, 2 or 3")
-        nib = [_half_nibble(c, half) for c in _encoded_coeff_columns(pair, key_byte, l)]
-        masks = _nibble_masks(nib)
-        keep = set()
-        for e in result:
-            ok = True
-            for lp in (1, 2, 3):
-                for i in range(8):
-                    row = smats[lp].rows[i]
-                    if (row & masks[0]).bit_count() != (row & masks[e]).bit_count():
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                keep.add(e)
-        result = keep
-    return result
+    if ell is not None and ell not in (1, 2, 3):
+        raise ValueError("ell must be 1, 2 or 3")
+    encoded = encoded_coeff_tables(pair, key_byte)
+    if ell is not None:
+        encoded = encoded[ell - 1 : ell]
+    return _swap_candidates(encoded, half, _coeff_planes(key_byte))
 
 
 def find_round_output_candidates(pair: EncodingPair, half: str) -> set:
@@ -133,28 +130,11 @@ def find_round_output_candidates(pair: EncodingPair, half: str) -> set:
     a coefficient matrix.  Same sum condition, with the identity bit rows in
     place of the coefficient rows.
     """
-    nib = [_half_nibble(c, half) for c in encode_map(pair)]
-    masks = _nibble_masks(nib)
-    out = set()
-    for e in range(16):
-        if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count() for row in _RAW_ROWS):
-            out.add(e)
-    return out
+    return _swap_candidates(np.frombuffer(encode_map(pair), dtype=np.uint8)[None], half, _RAW_PLANES)
 
 
 def verify_swap_balance(pair: EncodingPair, key_byte: int, cp: CodecPair) -> bool:
     """Recompute the full Walsh grid after applying the codec pair to every
     encoded coefficient column; true iff every sum is still zero."""
-    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
-    for ell in (1, 2, 3):
-        cols = [encode_byte(c, cp) for c in _encoded_coeff_columns(pair, key_byte, ell)]
-        for i in range(8):
-            fmask = 0
-            for j, c in enumerate(cols):
-                if (c >> (7 - i)) & 1:
-                    fmask |= 1 << j
-            for lp in (1, 2, 3):
-                for ip in range(8):
-                    if (fmask ^ smats[lp].rows[ip]).bit_count() != 128:
-                        return False
-    return True
+    swapped = np.frombuffer(codec_map(cp), dtype=np.uint8)[encoded_coeff_tables(pair, key_byte)]
+    return not walsh_grid(swapped, coeff_tables(key_byte)).any()

@@ -3,6 +3,10 @@ mono-bit DCA key ranking, collision and cluster scores, bit-level mutual
 information, fixed-versus-random t-tests, and the deliberately-leaky encoding
 demo.
 
+Table-output Walsh sums, in trace mode (walsh_ut_trace_grid) and in the
+baseline demo, are binmat.walsh_grid calls: one +-1 sign-matrix product of the
+observed or encoded tables against the hypothesis tables of every guess.
+
 DCA and MIA see each recorded byte as eight binary columns (MSB first) but
 never build that (N, 8W) bit matrix. Each hypothesis model groups the traces
 so that one hypothesis bit is a fixed function of the group label; the traces
@@ -12,9 +16,9 @@ sums by one matrix product, which is exact in float64 because it only adds
 integers. Memory scales with 256 x 8W, not N x 8W.
 
 The round-output analyses also score all 256 candidates at once. walsh-ro is
-one product of sign matrices (tablegen.round_output_walsh); collision and
-cluster scores come from a 2-D XOR convolution of per-(a, p5) count and bit
-grids, a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms."""
+one Walsh grid (tablegen.round_output_walsh); collision and cluster scores
+come from a 2-D XOR convolution of per-(a, p5) count and bit grids,
+a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms."""
 
 from __future__ import annotations
 
@@ -23,16 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfcore import MC, SBOX, build_s_matrix, gf_mul, pt_index_for_position, position_for_pt_index
+from .gfcore import MC, SBOX, gf_mul, pt_index_for_position, position_for_pt_index
 from .binmat import (
     BitMat4,
     EncodingPair,
+    coeff_tables,
     derive_blacklist_W,
-    linear_encode,
-    idx_of,
-    row_times_mat,
+    encoded_coeff_tables,
     sample_f,
     valid_g_rows,
+    walsh_grid,
 )
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
 from .tablegen import round_output_walsh
@@ -43,14 +47,6 @@ _MUL_NP = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c
 
 # --- Walsh transform ----------------------------------------------------------
 
-def walsh(fbits, omega: int) -> int:
-    """Signed correlation of a 256-point boolean function with x -> parity(x & omega)."""
-    total = 0
-    for x in range(256):
-        total += -1 if (int(fbits[x]) ^ ((x & omega).bit_count() & 1)) else 1
-    return total
-
-
 def _walsh_hadamard_matrix() -> np.ndarray:
     """(256, 256) float64 matrix of (-1)^parity(x & y), its own inverse up to 1/256."""
     h = np.ones((1, 1))
@@ -60,8 +56,8 @@ def _walsh_hadamard_matrix() -> np.ndarray:
 
 
 def walsh_spectrum(fbits) -> np.ndarray:
-    """Walsh transform of a 256-point boolean function over all 256 masks;
-    entry omega equals walsh(f, omega)."""
+    """Walsh transform of a 256-point boolean function over all 256 masks:
+    entry omega is the sum over x of (-1)^(f(x) ^ parity(x & omega))."""
     signs = 1 - 2 * np.asarray(fbits, dtype=np.int64)
     return _walsh_hadamard_matrix().astype(np.int64) @ signs
 
@@ -147,64 +143,27 @@ class RoundOutputHypothesis:
         return 2 * pts[:, m].astype(np.int64) + kb, H
 
 
-# --- static and trace-mode table-output Walsh -----------------------------------
+# --- trace-mode table-output Walsh ----------------------------------------------
 
-def walsh_ut_static(ts, i: int, j: int, out_byte: int, out_bit: int,
-                    ellp: int, iprime: int, guess: int) -> int:
-    """Walsh sum of one round-1 table output bit against one hypothesis bit."""
-    column = ts.ut[0, i, j, :, out_byte]
-    fbits = (column >> (7 - out_bit)) & 1
-    hyp = _MUL_NP[ellp][_SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
-    hbits = (hyp >> (7 - iprime)) & 1
-    return int((1 - 2 * (fbits.astype(np.int64) ^ hbits)).sum())
-
-
-def walsh_ut_from_traces(traces: TraceSet, pt_index: int, out_byte: int, out_bit: int,
-                         ellp: int, iprime: int, guess: int, reps: int = 1) -> float:
-    """Trace-mode variant: one (or reps, averaged) observed table output per
-    input byte value.  Raises if some value was never encrypted."""
-    i, j = position_for_pt_index(pt_index)
-    s_idx = ut_sample_index(1, j, i, out_byte)
-    b = traces.plaintexts[:, pt_index]
-    col = traces.samples[:, s_idx]
-    hyp = _MUL_NP[ellp][_SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
-    hbits = (hyp >> (7 - iprime)) & 1
-    total = 0.0
-    for v in range(256):
-        hits = np.nonzero(b == v)[0][:reps]
-        if hits.size == 0:
-            raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
-        fb = (col[hits] >> (7 - out_bit)) & 1
-        term = float((1 - 2 * fb.astype(np.int64)).mean())
-        total += term * (1 if hbits[v] == 0 else -1)
-    return total
-
-
-def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int, reps: int = 1) -> np.ndarray:
+def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarray:
     """Trace-mode Walsh sums for every candidate at once.
 
-    Returns (guess, out_byte, out_bit, iprime); under a mixed-set campaign the
-    observed outputs come from whichever set each encryption selected, so the
-    correct candidate no longer scores uniformly zero.
+    The first trace with each value of the attacked plaintext byte supplies
+    that input's four observed round-1 table outputs; one Walsh grid of those
+    four tables against the ellp * S(v ^ guess) table of every guess gives
+    the float64 (guess, out_byte, out_bit, iprime) result.  Under a mixed-set
+    campaign the observed outputs come from whichever set each encryption
+    selected, so the correct candidate no longer scores uniformly zero.
+    Raises ValueError if some input value was never encrypted.
     """
     i, j = position_for_pt_index(pt_index)
-    b = traces.plaintexts[:, pt_index]
-    cols = traces.samples[:, [ut_sample_index(1, j, i, k) for k in range(4)]]
-    sign = np.zeros((4, 8, 256))
-    for v in range(256):
-        hits = np.nonzero(b == v)[0][:reps]
-        if hits.size == 0:
-            raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
-        obs = cols[hits]  # (reps, 4)
-        for k in range(4):
-            fb = (obs[:, k][:, None] >> (7 - np.arange(8))) & 1
-            sign[k, :, v] = (1 - 2 * fb.astype(np.float64)).mean(axis=0)
-    hyp = _guess_value_table(ellp)  # (guess, v)
-    out = np.empty((256, 4, 8, 8))
-    for ip in range(8):
-        hsign = 1.0 - 2.0 * ((hyp >> (7 - ip)) & 1)  # (guess, v)
-        out[:, :, :, ip] = np.tensordot(hsign, sign, axes=([1], [2])).reshape(256, 4, 8)
-    return out
+    values, first = np.unique(traces.plaintexts[:, pt_index], return_index=True)
+    if values.size < 256:
+        v = int(np.flatnonzero(values != np.arange(values.size)).min(initial=values.size))
+        raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
+    observed = traces.samples[first][:, [ut_sample_index(1, j, i, k) for k in range(4)]]  # (v, out_byte)
+    grid = walsh_grid(observed.T, _guess_value_table(ellp))  # (out_byte, out_bit, guess, iprime)
+    return grid.transpose(2, 0, 1, 3).astype(np.float64)
 
 
 # --- round-output Walsh -----------------------------------------------------------
@@ -508,7 +467,6 @@ def baseline_unbalanced_demo(seed: int = 0) -> dict:
     Walsh value; wrong candidates show only S-box cross-correlation noise.
     """
     rng = random.Random(seed)
-    W = derive_blacklist_W()
     while True:
         f = sample_f(rng)
         cand = valid_g_rows(f)
@@ -518,29 +476,13 @@ def baseline_unbalanced_demo(seed: int = 0) -> dict:
     bad_pair = EncodingPair(f=f, g=BitMat4(rows=tuple(g_rows)))
     key_byte = rng.randrange(256)
 
-    table = [linear_encode(gf_mul(2, SBOX[p ^ key_byte]), bad_pair) for p in range(256)]
-    smat = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
-
-    grid = np.zeros((8, 3, 8), dtype=np.int32)
-    rows = [0] * 8
-    for p, v in enumerate(table):
-        for i in range(8):
-            if (v >> (7 - i)) & 1:
-                rows[i] |= 1 << p
-    for i in range(8):
-        for lp in (1, 2, 3):
-            for ip in range(8):
-                grid[i, lp - 1, ip] = 256 - 2 * (rows[i] ^ smat[lp].rows[ip]).bit_count()
-
+    table = encoded_coeff_tables(bad_pair, key_byte)[1:2]  # linear encoding of 2 * S(p ^ key_byte)
+    grid = walsh_grid(table, coeff_tables(key_byte))[0]  # (i, ellp, iprime)
     leaks = [(int(i) + 1, int(lp) + 1, int(ip) + 1) for i, lp, ip in np.argwhere(np.abs(grid) == 256)]
 
-    wrong = []
-    for guess in range(256):
-        if guess == key_byte:
-            continue
-        srow = build_s_matrix(1, guess).rows[0]
-        wrong.append(abs(256 - 2 * (rows[7] ^ srow).bit_count()))
-    wrong = np.array(wrong, dtype=np.float64)
+    # table bit 8 against hypothesis bit 1 of S(p ^ guess), every wrong guess
+    wrong = np.abs(walsh_grid(table, _guess_value_table(1))[0, 7, :, 0])
+    wrong = np.delete(wrong, key_byte).astype(np.float64)
 
     return {
         "pair": bad_pair,
@@ -552,5 +494,5 @@ def baseline_unbalanced_demo(seed: int = 0) -> dict:
         "wrong_mean": float(wrong.mean()),
         "wrong_max": float(wrong.max()),
         "wrong_sd": float(wrong.std()),
-        "forbidden_row_in_blacklist": idx_of((0 << 4) | 0b0001) in W.flat,
+        "forbidden_row_in_blacklist": derive_blacklist_W().forbids((0 << 4) | 0b0001),
     }

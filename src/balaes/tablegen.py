@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gfcore import MC, SBOX, RoundKeys, gf_mul, sbox
-from .binmat import EncodingPair, decode_map, encode_map, sample_pair
+from .binmat import (
+    BitMat4,
+    EncodingPair,
+    assemble_M,
+    coeff_tables,
+    decode_map,
+    derive_blacklist_W,
+    encode_map,
+    sample_pair,
+    walsh_grid,
+)
 from .nibenc import (
     LOWER,
     UPPER,
@@ -397,33 +407,13 @@ class VerifyReport:
     failures: list
 
 
-def _bit_rows_of_column(values, bit_count: int = 8) -> list:
-    """values: 256 ints; returns bit_count ints whose bit j mirrors value j."""
-    rows = [0] * bit_count
-    for j, v in enumerate(values):
-        for i in range(bit_count):
-            if (v >> (bit_count - 1 - i)) & 1:
-                rows[i] |= 1 << j
-    return rows
-
-
 def walsh_ut_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
     """Signed Walsh sums of every round-1 table output bit against every
     hypothesis bit at the correct key: (i, j, k, bit, ellp, iprime) grid."""
-    from .gfcore import build_s_matrix
-
-    grid = np.zeros((4, 4, 4, 8, 3, 8), dtype=np.int32)
+    grid = np.empty((4, 4, 4, 8, 3, 8), dtype=np.int32)
     for i in range(4):
         for j in range(4):
-            kb = spec.round_keys.khat[0][i][j]
-            smats = {lp: build_s_matrix(lp, kb) for lp in (1, 2, 3)}
-            for k in range(4):
-                rows = _bit_rows_of_column([int(v) for v in ts.ut[0, i, j, :, k]])
-                for bit in range(8):
-                    for lp in (1, 2, 3):
-                        for ip in range(8):
-                            hw = (rows[bit] ^ smats[lp].rows[ip]).bit_count()
-                            grid[i, j, k, bit, lp - 1, ip] = 256 - 2 * hw
+            grid[i, j] = walsh_grid(ts.ut[0, i, j].T, coeff_tables(spec.round_keys.khat[0][i][j]))
     return grid
 
 
@@ -456,17 +446,11 @@ def round_output_walsh(c: np.ndarray, guesses=range(256)) -> np.ndarray:
     2 * S(p1 ^ k0) ^ 3 * S(p2 ^ g); its first term puts one sign per p1 in
     front of each inner sum, which the absolute value drops, so the known key
     byte k0 does not enter.  Every inner sum over every guess is one entry of
-    a single float32 product of (8 * 256, 256) and (256, 8 * guesses) sign
-    matrices, exact because every partial sum is an integer of magnitude at
-    most 256."""
-    shifts = np.arange(7, -1, -1, dtype=np.uint8)
+    a single Walsh grid: row p1 of c is one table over p2 for binmat.walsh_grid."""
     guesses = np.asarray(guesses, dtype=np.uint8)
     hyp = _MUL3_NP[_SBOX_NP[np.arange(256, dtype=np.uint8)[None, :] ^ guesses[:, None]]]
-    csign = 1 - 2 * ((c[None, :, :] >> shifts[:, None, None]) & 1).astype(np.float32)  # (i, p1, p2)
-    hsign = 1 - 2 * ((hyp[:, None, :] >> shifts[None, :, None]) & 1).astype(np.float32)  # (g, i', p2)
-    inner = csign.reshape(8 * 256, 256) @ hsign.reshape(-1, 256).T
-    out = np.abs(inner).reshape(8, 256, guesses.size, 8).sum(axis=1)  # (i, g, i')
-    return out.transpose(1, 0, 2).astype(np.int64)
+    inner = walsh_grid(c, hyp)  # (p1, i, g, i')
+    return np.abs(inner, out=inner).sum(axis=0, dtype=np.int64).transpose(1, 0, 2)
 
 
 def walsh_round_output_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
@@ -621,7 +605,9 @@ _SPEC_PAYLOAD = 8 + 16 + 9 * 16 * 8 + 9 * 64 * 2 + 9 * 48 * 2
 
 
 def deserialize_spec(data: bytes) -> EncodingSpec:
-    from .binmat import BitMat4
+    """Parse a spec file; any malformed field, or a linear pair that
+    build_spec could not have sampled (a row of its assembled matrix on the
+    blacklist), raises FormatError."""
 
     if len(data) < 12 or data[:4] != SPEC_MAGIC:
         raise FormatError("bad magic for spec file")
@@ -652,6 +638,11 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
                 g = BitMat4(rows=tuple(data[off + 4 : off + 8]))
                 pairs[(r, j, k)] = EncodingPair(f=f, g=g)
                 off += 8
+    W = derive_blacklist_W()
+    for (r, j, k), pair in pairs.items():
+        for row in assemble_M(pair).rows:
+            if W.forbids(row):
+                raise FormatError(f"spec linear pair r={r} j={j} k={k} has blacklisted matrix row {row:08b}")
     ut_codecs = {}
     for r in range(1, 10):
         for j in range(4):

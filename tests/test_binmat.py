@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from balaes.binmat import (
@@ -14,17 +15,17 @@ from balaes.binmat import (
     encode_map,
     f_family_size,
     idx_of,
-    is_balanced_pair,
     linear_decode,
     linear_encode,
     mat_vec_mul,
-    mean_valid_g_rows,
     sample_f,
     sample_g,
     sample_pair,
     valid_g_rows,
     walsh_balance_check,
+    walsh_grid,
 )
+from balaes.gfcore import build_s_matrix
 
 
 def vec4(b1, b2, b3, b4):
@@ -121,6 +122,22 @@ def test_sample_g_rows_satisfy_blacklist_condition():
             assert idx_of(row) not in W.flat
 
 
+def mean_valid_g_rows() -> tuple:
+    """Average number of admissible g rows per row index, over the whole f family."""
+    sums = [0, 0, 0, 0]
+    n = 0
+    allowed = allowed_f_rows()
+    for r1 in allowed[0]:
+        for r2 in allowed[1]:
+            for r3 in allowed[2]:
+                for r4 in allowed[3]:
+                    n += 1
+                    counts = valid_g_rows(BitMat4(rows=(r1, r2, r3, r4)))
+                    for i in range(4):
+                        sums[i] += len(counts[i])
+    return tuple(s / n for s in sums)
+
+
 def test_valid_g_row_means_match_brute_force_average():
     means = mean_valid_g_rows()
     expected = (13.870, 13.703, 13.518, 13.664)  # frozen from the exhaustive scan
@@ -200,7 +217,7 @@ def test_walsh_balance_check_zero_for_sampled_pairs():
     rng = random.Random(29)
     for _ in range(20):
         pair = sample_pair(rng)
-        assert is_balanced_pair(pair, key_byte=rng.randrange(256))
+        assert not walsh_balance_check(pair, key_byte=rng.randrange(256)).any()
 
 
 def test_walsh_balance_check_detects_forbidden_row():
@@ -234,3 +251,86 @@ def test_sample_g_never_exhausts_for_family_members():
         counts = [len(c) for c in valid_g_rows(f)]
         assert all(c > 0 for c in counts)
         assert all(c <= 16 for c in counts)
+
+
+def test_forbids_reads_the_index_set_blacklist():
+    W = derive_blacklist_W()
+    assert [W.forbids(v) for v in range(256)] == [idx_of(v) in W.flat for v in range(256)]
+    assert sum(W.rows) == len(W.flat)  # idx_of is a bijection between rows and index sets
+
+
+def test_valid_g_rows_cached_per_f():
+    f = sample_f(random.Random(43))
+    assert valid_g_rows(f) is valid_g_rows(BitMat4(rows=f.rows))
+
+
+# --- Walsh grid -----------------------------------------------------------------
+# Brute-force reference: each table bit as a 256-bit integer (bit x mirrors
+# input x), each Walsh sum as 256 - 2 * popcount of the XOR of two of them.
+
+def _bit_rows_of_column(values, bit_count: int = 8) -> list:
+    """values: 256 ints; returns bit_count ints whose bit j mirrors value j."""
+    rows = [0] * bit_count
+    for j, v in enumerate(values):
+        for i in range(bit_count):
+            if (v >> (bit_count - 1 - i)) & 1:
+                rows[i] |= 1 << j
+    return rows
+
+
+def _reference_walsh_grid(a, b) -> np.ndarray:
+    ra = [_bit_rows_of_column([int(v) for v in t]) for t in a]
+    rb = [_bit_rows_of_column([int(v) for v in t]) for t in b]
+    out = np.empty((len(a), 8, len(b), 8), dtype=np.int32)
+    for n, rows_a in enumerate(ra):
+        for m, rows_b in enumerate(rb):
+            for i in range(8):
+                for ip in range(8):
+                    out[n, i, m, ip] = 256 - 2 * (rows_a[i] ^ rows_b[ip]).bit_count()
+    return out
+
+
+def test_walsh_grid_matches_popcount_reference():
+    gen = np.random.default_rng(60)
+    a = np.concatenate([gen.integers(0, 256, (5, 256), dtype=np.uint8),
+                        np.zeros((1, 256), dtype=np.uint8), np.full((1, 256), 0xFF, dtype=np.uint8),
+                        np.arange(256, dtype=np.uint8)[None]])
+    b = np.concatenate([gen.integers(0, 256, (3, 256), dtype=np.uint8),
+                        np.full((1, 256), 0xFF, dtype=np.uint8), np.zeros((1, 256), dtype=np.uint8)])
+    grid = walsh_grid(a, b)
+    assert grid.dtype == np.int32 and grid.shape == (8, 8, 5, 8)
+    assert np.array_equal(grid, _reference_walsh_grid(a, b))
+    assert np.array_equal(walsh_grid(b, a), grid.transpose(2, 3, 0, 1))
+    # constant columns: all-0x00 against all-0xFF is -256 everywhere, against itself +256
+    assert (grid[5, :, 3, :] == -256).all() and (grid[6, :, 4, :] == -256).all()
+    assert (grid[5, :, 4, :] == 256).all() and (grid[6, :, 3, :] == 256).all()
+
+
+def _reference_walsh_balance_check(pair, key_byte: int) -> np.ndarray:
+    M = assemble_M(pair)
+    smats = {ell: build_s_matrix(ell, key_byte) for ell in (1, 2, 3)}
+    grid = np.zeros((8, 8, 3, 3), dtype=np.int32)
+    for ell in (1, 2, 3):
+        r_rows = []
+        for i in range(8):
+            acc = 0
+            for p in range(8):
+                if (M.rows[i] >> (7 - p)) & 1:
+                    acc ^= smats[ell].rows[p]
+            r_rows.append(acc)
+        for ellp in (1, 2, 3):
+            for i in range(8):
+                for ip in range(8):
+                    grid[i, ip, ell - 1, ellp - 1] = 256 - 2 * (r_rows[i] ^ smats[ellp].rows[ip]).bit_count()
+    return grid
+
+
+def test_walsh_balance_check_matches_popcount_reference():
+    rng = random.Random(61)
+    pairs = [sample_pair(rng) for _ in range(20)]
+    pairs += [EncodingPair.identity(), EncodingPair(f=BitMat4.identity(), g=BitMat4(rows=(1, 2, 3, 0)))]
+    for pair in pairs:
+        key_byte = rng.randrange(256)
+        grid = walsh_balance_check(pair, key_byte)
+        assert grid.dtype == np.int32 and grid.shape == (8, 8, 3, 3)
+        assert np.array_equal(grid, _reference_walsh_balance_check(pair, key_byte))

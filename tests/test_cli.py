@@ -273,6 +273,18 @@ def test_malformed_spec_field_is_format_error(gen_dir, tmp_path, capfd, offset, 
     assert rc == 3
 
 
+@pytest.mark.parametrize("pair_index, row", [(0, 0), (37, 2), (143, 3)])
+def test_spec_with_blacklisted_f_row_is_format_error(gen_dir, tmp_path, capfd, pair_index, row):
+    # f row 0b0000 makes row `row` of the assembled matrix the single index
+    # {row + 1}, which the blacklist forbids; build_spec never samples it
+    blob = bytearray((gen_dir / "enc.spec").read_bytes())
+    blob[32 + 8 * pair_index + row] = 0b0000
+    _write_crc_fixed(tmp_path / "enc.spec", blob)
+    rc = main(["verify", "--tables", str(gen_dir), "--spec", str(tmp_path / "enc.spec")])
+    assert rc == 3
+    assert "blacklisted matrix row" in capfd.readouterr().err
+
+
 def test_table_set_id_outside_0_1_is_format_error(gen_dir, tmp_path, capfd):
     blob = bytearray((gen_dir / "q0.tbl").read_bytes())
     blob[6] = 2  # set id

@@ -66,3 +66,57 @@ def test_trace_file_matches_golden_digest(golden_tables, tmp_path, label, capfd)
                "--policy", policy, "--seed", str(seed), "--out", str(out)])
     assert rc == 0
     assert _sha256(out) == digest
+
+
+# Analysis reports (`analyze --out`, which writes PREFIX.json and PREFIX.csv),
+# recorded before every 256-point Walsh sum moved onto `binmat.walsh_grid`.
+# Traced reports read a 3,000-row random:0.5 campaign (seed 12) or a
+# random:0.5 grid campaign (seed 13) made from the golden tables.
+KEY_ARGS = ["--key", STD_KEY.hex()]
+
+# label: (analyze options, digest of the .json report, digest of the .csv report)
+REPORT_CASES = {
+    "walsh-ut-static": (["--kind", "walsh-ut", "--tables", "{tables}", "--spec", "{tables}/enc.spec"],
+                        "84b42de1e2898416dbf5abb870fc5782ca8dc800870d9ec17e1c65b1d40ccc3b",
+                        "c8cb3fb9dcaf46ec4d2fcbbfd68ffff5b9adf52fc66d6bbcb7058b62051837f6"),
+    "walsh-ut-traces-ell1": (["--kind", "walsh-ut", "--traces", "{mixed}", "--pt-index", "0", "--ell", "1",
+                              *KEY_ARGS],
+                             "d7d5a59795692fa9e0dd1db4b13f7811a17e755fa88b05cb7224a389a6d4daff",
+                             "58a0f3f202589eb7304ab6fd3dd0d45a8ad3bfc4eded5a2d0440a4623092aac3"),
+    "walsh-ut-traces-ell2": (["--kind", "walsh-ut", "--traces", "{mixed}", "--pt-index", "5", "--ell", "2",
+                              *KEY_ARGS],
+                             "dbd620cc61318b59bc0a06c08f62d6cb62a91d04c24d3fb0f950cabab64b827d",
+                             "6a5d87a0419af2e089e3fb3851e65de7066ba2f6eb9154428451ce6e7c695d22"),
+    "walsh-ut-traces-ell3": (["--kind", "walsh-ut", "--traces", "{mixed}", "--pt-index", "10", "--ell", "3",
+                              *KEY_ARGS],
+                             "d7075d74b02b09d37e6b65ddf845502480a989c8407853792bc8846896fbd646",
+                             "6a9e484be476a9b605d4e4ff4f859098368084cd16e005860a04a1bf3f334946"),
+    "baseline-seed0": (["--kind", "baseline", "--seed", "0"],
+                       "68df1633bbfb255607627cd1f236097e96257729e71c2c1660e85486fa97e3a9",
+                       "9d0ff306be8952a01a421e46f7b827a18b05550c6315c04ff08b09a343f4ae36"),
+    "baseline-seed3": (["--kind", "baseline", "--seed", "3"],
+                       "de391cfa3919c24b7152f64bdb8963b7355fede1eb90e0173f8aeb758157dc5d",
+                       "9d0ff306be8952a01a421e46f7b827a18b05550c6315c04ff08b09a343f4ae36"),
+    "walsh-ro-grid": (["--kind", "walsh-ro", "--traces", "{grid}", *KEY_ARGS],
+                      "28c50401bd95cc85e1ac22d7d76b077c708af3bf0381131c37e958eeb1716b42",
+                      "fe6c6f32d3333d354d3005ae8bfc40239b4f9bdafe2ba4364951d060594e6b00"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_campaigns(golden_tables, tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_campaigns")
+    for name, source, count, seed in (("mixed", "random", "3000", "12"), ("grid", "grid", "0", "13")):
+        rc = main(["trace", "--tables", str(golden_tables), "--source", source, "--count", count,
+                   "--policy", "random:0.5", "--seed", seed, "--out", str(d / f"{name}.btr")])
+        assert rc == 0
+    return {"tables": str(golden_tables), "mixed": str(d / "mixed.btr"), "grid": str(d / "grid.btr")}
+
+
+@pytest.mark.parametrize("label", sorted(REPORT_CASES))
+def test_analysis_report_matches_golden_digest(golden_campaigns, tmp_path, label, capfd):
+    options, json_digest, csv_digest = REPORT_CASES[label]
+    prefix = tmp_path / label
+    rc = main(["analyze", *(o.format(**golden_campaigns) for o in options), "--out", str(prefix)])
+    assert rc == 0
+    assert (_sha256(prefix.with_suffix(".json")), _sha256(prefix.with_suffix(".csv"))) == (json_digest, csv_digest)

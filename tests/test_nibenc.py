@@ -3,9 +3,8 @@ import statistics
 
 import pytest
 
-from balaes.binmat import sample_pair
-from balaes.gfcore import coeff_sbox_table
-from balaes.binmat import encode_map
+from balaes.binmat import encode_map, sample_pair
+from balaes.gfcore import build_s_matrix, coeff_sbox_table
 from balaes.nibenc import (
     LOWER,
     UPPER,
@@ -18,6 +17,87 @@ from balaes.nibenc import (
     find_round_output_candidates,
     verify_swap_balance,
 )
+
+
+# --- bitmask references ------------------------------------------------------------
+# The searches and the swap check as 256-bit integer masks and popcounts, one
+# candidate at a time; the one-hot sums and the Walsh grid must agree exactly.
+
+def _nibble_masks(values) -> list:
+    """256-bit membership masks per nibble value from a 256-long value list."""
+    masks = [0] * 16
+    for j, v in enumerate(values):
+        masks[v] |= 1 << j
+    return masks
+
+
+def _half_nibble(v: int, half: str) -> int:
+    return v >> 4 if half == UPPER else v & 0xF
+
+
+# _RAW_ROWS[i] has bit u set when byte u carries bit i (MSB first)
+_RAW_ROWS = tuple(sum(1 << u for u in range(256) if (u >> (7 - i)) & 1) for i in range(8))
+
+
+def _reference_candidates(pair, key_byte: int, half: str, ell=None) -> set:
+    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
+    result = set(range(16))
+    for l in (ell,) if ell is not None else (1, 2, 3):
+        cols = coeff_sbox_table(l, key_byte).translate(encode_map(pair))
+        masks = _nibble_masks([_half_nibble(c, half) for c in cols])
+        result = {e for e in result
+                  if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count()
+                         for lp in (1, 2, 3) for row in smats[lp].rows)}
+    return result
+
+
+def _reference_round_output_candidates(pair, half: str) -> set:
+    masks = _nibble_masks([_half_nibble(c, half) for c in encode_map(pair)])
+    return {e for e in range(16)
+            if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count() for row in _RAW_ROWS)}
+
+
+def _reference_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
+    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
+    for ell in (1, 2, 3):
+        cols = [encode_byte(c, cp) for c in coeff_sbox_table(ell, key_byte).translate(encode_map(pair))]
+        for i in range(8):
+            fmask = sum(1 << j for j, c in enumerate(cols) if (c >> (7 - i)) & 1)
+            if any((fmask ^ row).bit_count() != 128 for lp in (1, 2, 3) for row in smats[lp].rows):
+                return False
+    return True
+
+
+def test_candidate_searches_match_bitmask_reference():
+    rng = random.Random(57)
+    for _ in range(300):
+        pair = sample_pair(rng)
+        for half in (UPPER, LOWER):
+            assert find_round_output_candidates(pair, half) == _reference_round_output_candidates(pair, half)
+            for key_byte in (0x00, 0x5A, 0xFF):
+                for ell in (1, 2, 3, None):
+                    assert find_candidates(pair, key_byte, half, ell) == _reference_candidates(
+                        pair, key_byte, half, ell)
+
+
+def test_find_candidates_rejects_unknown_coefficient():
+    pair = sample_pair(random.Random(58))
+    for ell in (0, 4):
+        with pytest.raises(ValueError, match="ell must be 1, 2 or 3"):
+            find_candidates(pair, 0, UPPER, ell)
+
+
+def test_verify_swap_balance_matches_bitmask_reference():
+    rng = random.Random(59)
+    for _ in range(40):
+        pair = sample_pair(rng)
+        key_byte = rng.randrange(256)
+        hi, lo = find_candidates(pair, key_byte, UPPER), find_candidates(pair, key_byte, LOWER)
+        # candidate pairs, identity halves and non-candidates
+        for e_hi, e_lo in ((min(hi - {0}, default=0), max(lo)), (0, rng.randrange(16)), (rng.randrange(16), 0),
+                           (rng.randrange(16), rng.randrange(16))):
+            cp = CodecPair.of(e_hi, e_lo)
+            assert verify_swap_balance(pair, key_byte, cp) == _reference_swap_balance(pair, key_byte, cp)
 
 
 def test_codec_is_zero_swap_involution():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from balaes import cipher, sca, tablegen
+from balaes.binmat import sample_pair, walsh_balance_check, walsh_grid
 from balaes.cipher import SelectorPolicy, TraceSet, collect_traces, fixed_plaintexts, random_plaintexts
-from balaes.gfcore import RoundKeys, build_s_matrix, sbox
+from balaes.gfcore import RoundKeys, build_s_matrix, position_for_pt_index, sbox
 from balaes.sca import (
     RoundOutputHypothesis,
     SboxHypothesis,
@@ -17,11 +19,8 @@ from balaes.sca import (
     delta_imbalance,
     mia_max,
     tvla,
-    walsh,
     walsh_round_output_all,
     walsh_spectrum,
-    walsh_ut_from_traces,
-    walsh_ut_static,
 )
 
 from conftest import STD_KEY
@@ -204,6 +203,41 @@ def _perfect_cluster_traces(secret: int) -> TraceSet:
     samples[:, 20] = c >> 4
     samples[:, 21] = c & 0xF
     return _toy_traceset(samples, pts)
+
+
+def walsh(fbits, omega: int) -> int:
+    """Signed correlation of a 256-point boolean function with x -> parity(x & omega)."""
+    total = 0
+    for x in range(256):
+        total += -1 if (int(fbits[x]) ^ ((x & omega).bit_count() & 1)) else 1
+    return total
+
+
+def walsh_ut_from_traces(traces: TraceSet, pt_index: int, out_byte: int, out_bit: int,
+                         ellp: int, iprime: int, guess: int, reps: int = 1) -> float:
+    """One trace-mode Walsh sum: one (or reps, averaged) observed table output
+    per input byte value.  Raises if some value was never encrypted."""
+    i, j = position_for_pt_index(pt_index)
+    s_idx = cipher.ut_sample_index(1, j, i, out_byte)
+    b = traces.plaintexts[:, pt_index]
+    col = traces.samples[:, s_idx]
+    hyp = sca._MUL_NP[ellp][sca._SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
+    hbits = (hyp >> (7 - iprime)) & 1
+    total = 0.0
+    for v in range(256):
+        hits = np.nonzero(b == v)[0][:reps]
+        if hits.size == 0:
+            raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
+        fb = (col[hits] >> (7 - out_bit)) & 1
+        term = float((1 - 2 * fb.astype(np.int64)).mean())
+        total += term * (1 if hbits[v] == 0 else -1)
+    return total
+
+
+def _ut_walsh_grid(ts, i: int, j: int, ellp: int) -> np.ndarray:
+    """(out_byte, out_bit, guess, iprime) Walsh sums of round-1 table (i, j)
+    against ellp * S(x ^ guess) for every guess."""
+    return walsh_grid(ts.ut[0, i, j].T, sca._guess_value_table(ellp))
 
 
 def _round_output_model(std_spec) -> RoundOutputHypothesis:
@@ -401,18 +435,16 @@ def test_walsh_ut_static_zero_at_correct_key(std_pair, std_spec):
     keys = std_spec.round_keys
     for i, j in ((0, 0), (2, 1), (3, 3)):
         guess = keys.khat[0][i][j]
-        for k in range(4):
-            for ellp in (1, 2, 3):
-                assert walsh_ut_static(std_pair.q0, i, j, k, 0, ellp, 0, guess) == 0
+        for ellp in (1, 2, 3):
+            grid = _ut_walsh_grid(std_pair.q0, i, j, ellp)
+            for k in range(4):
+                assert grid[k, 0, guess, 0] == 0
 
 
 def test_walsh_ut_static_wrong_keys_mostly_nonzero(std_pair, std_spec):
     keys = std_spec.round_keys
-    vals = [
-        abs(walsh_ut_static(std_pair.q0, 0, 0, 0, 0, 1, 0, g))
-        for g in range(256)
-        if g != keys.khat[0][0][0]
-    ]
+    grid = _ut_walsh_grid(std_pair.q0, 0, 0, 1)
+    vals = [abs(grid[0, 0, g, 0]) for g in range(256) if g != keys.khat[0][0][0]]
     assert np.mean(vals) > 4
     assert max(vals) <= 64
 
@@ -420,19 +452,41 @@ def test_walsh_ut_static_wrong_keys_mostly_nonzero(std_pair, std_spec):
 def test_walsh_ut_from_traces_matches_static(std_pair, std_spec, traces_q0_10k):
     keys = std_spec.round_keys
     guess = keys.khat[0][0][0]
-    w_static = walsh_ut_static(std_pair.q0, 0, 0, 1, 2, 2, 3, guess)
+    grid = _ut_walsh_grid(std_pair.q0, 0, 0, 2)
+    w_static = grid[1, 2, guess, 3]
     w_trace = walsh_ut_from_traces(traces_q0_10k, 0, 1, 2, 2, 3, guess)
     assert w_trace == w_static == 0
     wrong = (guess + 1) % 256
-    assert walsh_ut_from_traces(traces_q0_10k, 0, 1, 2, 2, 3, wrong) == walsh_ut_static(
-        std_pair.q0, 0, 0, 1, 2, 2, 3, wrong
-    )
+    assert walsh_ut_from_traces(traces_q0_10k, 0, 1, 2, 2, 3, wrong) == grid[1, 2, wrong, 3]
 
 
 def test_walsh_ut_from_traces_unobserved_value_raises(std_pair):
     ts = collect_traces(std_pair, SelectorPolicy.fixed_q0(), fixed_plaintexts(bytes(16), 5))
     with pytest.raises(ValueError):
         walsh_ut_from_traces(ts, 0, 0, 0, 1, 1, 0)
+
+
+@pytest.mark.parametrize("campaign, pt_index, ellp", [("traces_q0_10k", 5, 2), ("traces_mixed_10k", 0, 3)])
+def test_walsh_ut_trace_grid_matches_reference_exactly(request, campaign, pt_index, ellp):
+    traces = request.getfixturevalue(campaign)
+    grid = sca.walsh_ut_trace_grid(traces, pt_index, ellp)
+    assert grid.dtype == np.float64 and grid.shape == (256, 4, 8, 8)
+    # every guess, each at one (out_byte, out_bit, iprime) cell; the guesses cycle through all 256 cells
+    for g in range(256):
+        k, bit, ip = g % 4, (g // 4) % 8, g // 32
+        assert grid[g, k, bit, ip] == walsh_ut_from_traces(traces, pt_index, k, bit, ellp, ip, g)
+
+
+@pytest.mark.parametrize("missing", [0x00, 0x37, 0xFF])
+def test_walsh_ut_trace_grid_unobserved_value_raises_reference_message(std_pair, missing):
+    pts = random_plaintexts(3000, random.Random(missing))
+    pts[pts[:, 3] == missing, 3] ^= 0x01  # value `missing` never reaches byte 3
+    traces = collect_traces(std_pair, SelectorPolicy.fixed_q0(), pts)
+    with pytest.raises(ValueError) as ref:
+        walsh_ut_from_traces(traces, 3, 0, 0, 1, 0, 0)
+    with pytest.raises(ValueError) as got:
+        sca.walsh_ut_trace_grid(traces, 3, 1)
+    assert str(got.value) == str(ref.value) == f"input byte value {missing:#04x} unobserved at pt index 3"
 
 
 # --- round-output walsh -----------------------------------------------------------
@@ -621,10 +675,37 @@ def test_baseline_demo_leak_and_wrong_key_stats():
 
 
 def test_baseline_demo_restored_by_valid_pair():
-    from balaes.binmat import is_balanced_pair, sample_pair
-
     rng = random.Random(82)
-    assert is_balanced_pair(sample_pair(rng), key_byte=0x42)
+    assert not walsh_balance_check(sample_pair(rng), key_byte=0x42).any()
+
+
+# Recorded from the per-row popcount implementation; the grid by its SHA-256.
+BASELINE_DEMOS = {
+    0: {"f": (13, 1, 8, 12), "g": (14, 15, 5, 0), "key_byte": 244},
+    3: {"f": (7, 4, 11, 2), "g": (10, 1, 10, 0), "key_byte": 132},
+}
+BASELINE_GRID_SHA256 = "842eaeef8d045f3fdc2f2d8f28f2d14d407a03089f4c95a99c4d207eece6aac3"
+
+
+@pytest.mark.parametrize("seed", sorted(BASELINE_DEMOS))
+def test_baseline_demo_matches_recorded_dict(seed):
+    demo = baseline_unbalanced_demo(seed)
+    grid = demo.pop("grid")
+    assert grid.dtype == np.int32 and grid.shape == (8, 3, 8)
+    assert hashlib.sha256(grid.tobytes()).hexdigest() == BASELINE_GRID_SHA256
+    rec = BASELINE_DEMOS[seed]
+    pair = demo.pop("pair")
+    assert (pair.f.rows, pair.g.rows) == (rec["f"], rec["g"])
+    assert demo == {
+        "key_byte": rec["key_byte"],
+        "leak_coords": [(8, 1, 1), (8, 2, 8)],
+        "leak_value": 256,
+        "expected_leak": (8, 1, 1),
+        "wrong_mean": 13.803921568627452,
+        "wrong_max": 32.0,
+        "wrong_sd": 8.630587665091463,
+        "forbidden_row_in_blacklist": True,
+    }
 
 
 def test_bit_expand_layout():
@@ -640,7 +721,7 @@ def test_walsh_ut_trace_grid_single_set_vs_mixed(traces_q0_10k, traces_mixed_10k
     grid_q0 = sca.walsh_ut_trace_grid(traces_q0_10k, 0, ellp=1)
     assert not grid_q0[correct].any()
     # spot agreement with the scalar trace-mode transform
-    w = sca.walsh_ut_from_traces(traces_q0_10k, 0, 2, 3, 1, 5, 0x31)
+    w = walsh_ut_from_traces(traces_q0_10k, 0, 2, 3, 1, 5, 0x31)
     assert grid_q0[0x31, 2, 3, 5] == w
     grid_mx = sca.walsh_ut_trace_grid(traces_mixed_10k, 0, ellp=1)
     assert grid_mx[correct].any()  # mixing removes the uniform zero signature

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from balaes import tablegen
+from balaes import cipher, tablegen
 from balaes.binmat import linear_decode
-from balaes.gfcore import MC, RoundKeys, gf_mul, reference_encrypt, sbox
+from balaes.gfcore import MC, RoundKeys, build_s_matrix, gf_mul, reference_encrypt, sbox
 from balaes.nibenc import CodecPair, NibbleCodec, decode_byte, find_candidates
 from balaes.tablegen import (
     FormatError,
@@ -20,6 +20,7 @@ from balaes.tablegen import (
     gen_xor_table,
     identity_spec,
     pack_nibble_table,
+    round_output_bytes_grid,
     serialize_spec,
     serialize_tableset,
     size_and_lookup_report,
@@ -164,6 +165,53 @@ def test_q1_complement_structure(std_pair):
 def test_q1_round1_walsh_grid_also_zero(std_pair, std_spec):
     grid = walsh_ut_grid_static(std_pair.q1, std_spec)
     assert not grid.any()
+
+
+def _bit_rows_of_column(values, bit_count: int = 8) -> list:
+    """values: 256 ints; returns bit_count ints whose bit j mirrors value j."""
+    rows = [0] * bit_count
+    for j, v in enumerate(values):
+        for i in range(bit_count):
+            if (v >> (bit_count - 1 - i)) & 1:
+                rows[i] |= 1 << j
+    return rows
+
+
+def _reference_walsh_ut_grid(ts, spec) -> np.ndarray:
+    """walsh_ut_grid_static by popcounts of 256-bit integer bit rows."""
+    grid = np.zeros((4, 4, 4, 8, 3, 8), dtype=np.int32)
+    for i in range(4):
+        for j in range(4):
+            smats = {lp: build_s_matrix(lp, spec.round_keys.khat[0][i][j]) for lp in (1, 2, 3)}
+            for k in range(4):
+                rows = _bit_rows_of_column([int(v) for v in ts.ut[0, i, j, :, k]])
+                for bit in range(8):
+                    for lp in (1, 2, 3):
+                        for ip in range(8):
+                            grid[i, j, k, bit, lp - 1, ip] = 256 - 2 * (rows[bit] ^ smats[lp].rows[ip]).bit_count()
+    return grid
+
+
+def test_walsh_ut_grid_static_matches_popcount_reference(std_pair, std_spec):
+    # the identity encoding leaves round-1 outputs unbalanced: many nonzero sums
+    spec = identity_spec(STD_KEY)
+    plain = tablegen.generate_tableset(spec)
+    for ts, sp in ((std_pair.q0, std_spec), (std_pair.q1, std_spec), (plain, spec)):
+        grid = walsh_ut_grid_static(ts, sp)
+        assert grid.dtype == np.int32 and grid.shape == (4, 4, 4, 8, 3, 8)
+        assert np.array_equal(grid, _reference_walsh_ut_grid(ts, sp))
+    assert np.abs(walsh_ut_grid_static(plain, spec)).max() == 256
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_round_output_bytes_grid_equals_the_walk(std_pair, bit):
+    # the hand-unrolled column-0 walk behind the static round-output check
+    # must read what the table walk records on the (p0, p5) grid
+    pts = cipher.grid_plaintexts()
+    _, samples, _ = encrypt_batch_with_tables(std_pair.select(bit), pts, record=True)
+    u_idx, l_idx = cipher.round_output_sample_indices(1, 0, 0)
+    walked = ((samples[:, u_idx] << 4) | samples[:, l_idx]).reshape(256, 256)
+    assert np.array_equal(round_output_bytes_grid(std_pair.select(bit)), walked)
 
 
 def test_verify_passes_fresh_build(std_pair, std_spec):
