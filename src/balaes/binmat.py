@@ -1,5 +1,9 @@
-"""GF(2) matrix machinery behind the balanced byte encoding, and the one
-Walsh-grid kernel every balance check runs on.
+"""GF(2) matrix machinery behind the balanced byte encoding, the coefficient
+tables, and the one Walsh-grid kernel every balance check runs on.
+
+COEFF holds every coefficient table ell * S(x ^ k) the program uses: the
+blacklist derivation, the candidate searches (nibenc), the static table checks
+(tablegen) and every hypothesis of the analyses (sca) read it.
 
 The encoding is the shear map Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H built from
 4x4 bit blocks f and g. A (f, g) pair is admissible when no row of the
@@ -12,9 +16,8 @@ is a bijection between 8-bit rows and index sets, the blacklist is also a
 The paper's balance claim is that every first-order Walsh sum between a
 table output bit and a key-dependent hypothesis bit is zero. walsh_grid(a, b)
 computes all of them for two stacks of 256-entry byte tables at once, as one
-product of +-1 sign matrices; the static table checks (tablegen), the codec
-and pair checks here and in nibenc, and the trace-mode and baseline analyses
-(sca) all call it.
+product of +-1 sign matrices; the static table checks (tablegen) and the
+trace-mode and baseline analyses (sca) call it.
 
 Bit vectors are stored as ints with position 1 at the most significant bit of
 their width (4 or 8)."""
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfcore import build_s_matrix, coeff_sbox_table
+from .gfcore import MUL2, MUL3, SBOX
 
 
 @dataclass(frozen=True)
@@ -101,25 +104,9 @@ def assemble_M(pair: EncodingPair) -> BitMat8:
     return BitMat8(rows=tuple(rows))
 
 
-def linear_encode(x: int, pair: EncodingPair) -> int:
-    """Shear-encode a byte: Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H."""
-    xh, xl = x >> 4, x & 0xF
-    zh = xh ^ mat_vec_mul(pair.f, xl)
-    zl = xl ^ mat_vec_mul(pair.g, zh)
-    return (zh << 4) | zl
-
-
-def linear_decode(z: int, pair: EncodingPair) -> int:
-    """Invert the shear encoding; valid for every pair, singular blocks included."""
-    zh, zl = z >> 4, z & 0xF
-    yl = zl ^ mat_vec_mul(pair.g, zh)
-    yh = zh ^ mat_vec_mul(pair.f, yl)
-    return (yh << 4) | yl
-
-
 @functools.lru_cache(maxsize=8192)
 def encode_map(pair: EncodingPair) -> bytes:
-    """256-entry lookup form of linear_encode."""
+    """The shear encoding as a 256-entry map: Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H."""
     fm = [mat_vec_mul(pair.f, v) for v in range(16)]
     gm = [mat_vec_mul(pair.g, v) for v in range(16)]
     out = bytearray(256)
@@ -131,6 +118,7 @@ def encode_map(pair: EncodingPair) -> bytes:
 
 @functools.lru_cache(maxsize=8192)
 def decode_map(pair: EncodingPair) -> bytes:
+    """Inverse of encode_map; valid for every pair, singular blocks included."""
     fm = [mat_vec_mul(pair.f, v) for v in range(16)]
     gm = [mat_vec_mul(pair.g, v) for v in range(16)]
     out = bytearray(256)
@@ -138,6 +126,26 @@ def decode_map(pair: EncodingPair) -> bytes:
         yl = (z & 0xF) ^ gm[z >> 4]
         out[z] = (((z >> 4) ^ fm[yl]) << 4) | yl
     return bytes(out)
+
+
+# --- coefficient tables ------------------------------------------------------
+
+def _coeff() -> np.ndarray:
+    mul = np.frombuffer(bytes(range(256)) + MUL2 + MUL3, dtype=np.uint8).reshape(3, 256)
+    x = np.arange(256, dtype=np.uint8)
+    table = mul[:, np.frombuffer(SBOX, dtype=np.uint8)[x[:, None] ^ x]]
+    table.flags.writeable = False
+    return table
+
+
+# Every coefficient table of the analyses and checks: COEFF[ell - 1, k, x] is
+# ell * S(x ^ k), for the MixColumns coefficients ell = 1, 2, 3.
+COEFF = _coeff()
+
+
+def coeff_tables(key_byte: int) -> np.ndarray:
+    """(3, 256) uint8 hypothesis tables: row ell - 1 maps x to ell * S(x ^ key_byte)."""
+    return COEFF[:, key_byte]
 
 
 # --- blacklists -------------------------------------------------------------
@@ -197,21 +205,23 @@ class BlacklistW:
 def derive_blacklist_W() -> BlacklistW:
     """Scan all 255 nonempty row subsets of each coefficient matrix for XOR
     collisions with a row of another coefficient matrix (key byte 0; the
-    result is key independent because a key change only permutes columns)."""
-    smats = {ell: build_s_matrix(ell, 0) for ell in (1, 2, 3)}
+    result is key independent because a key change only permutes columns).
+
+    Row i of the matrix of T = ell * S is bit i (MSB first) of T[x] over the
+    256 inputs x, so the XOR of the rows a mask m selects is parity(T[x] & m);
+    its target rows are the single-bit masks of the other coefficient."""
+    values = np.arange(256, dtype=np.uint8)
+    parity = table_bits(values[None])[0].sum(axis=0, dtype=np.uint8) & 1
+    xors = parity[values[:, None, None] & COEFF[:, 0]]  # (mask, ell - 1, x)
+    row_lookup = {ellp: {xors[1 << (8 - ip), ellp - 1].tobytes(): ip for ip in range(1, 9)}
+                  for ellp in (1, 2, 3)}
     by_group = {}
     for ell in (1, 2, 3):
         for ellp in (1, 2, 3):
-            row_lookup = {smats[ellp].rows[i]: i + 1 for i in range(8)}
             for mask in range(1, 256):
-                acc = 0
-                for i in range(8):
-                    if (mask >> i) & 1:
-                        acc ^= smats[ell].rows[i]
-                iprime = row_lookup.get(acc)
+                iprime = row_lookup[ellp].get(xors[mask, ell - 1].tobytes())
                 if iprime is not None:
-                    J = frozenset(i + 1 for i in range(8) if (mask >> i) & 1)
-                    by_group[(ell, ellp, iprime)] = J
+                    by_group[(ell, ellp, iprime)] = idx_of(mask)
     flat = frozenset(by_group.values())
     _cross_check_transcription(by_group)
     return BlacklistW(by_group=by_group, flat=flat, rows=tuple(idx_of(v) in flat for v in range(256)))
@@ -343,24 +353,7 @@ def _signs(t: np.ndarray) -> np.ndarray:
     return (1 - 2 * table_bits(t).astype(np.float32)).reshape(-1, 256)
 
 
-@functools.lru_cache(maxsize=None)
-def coeff_tables(key_byte: int) -> np.ndarray:
-    """(3, 256) uint8 hypothesis tables: row ell - 1 maps x to ell * S(x ^ key_byte)."""
-    tables = b"".join(coeff_sbox_table(ell, key_byte) for ell in (1, 2, 3))
-    return np.frombuffer(tables, dtype=np.uint8).reshape(3, 256)
-
-
 def encoded_coeff_tables(pair: EncodingPair, key_byte: int) -> np.ndarray:
     """(3, 256) uint8: the coefficient tables under the pair's linear encoding,
     whose bits are the rows of M . S^ell."""
     return np.frombuffer(encode_map(pair), dtype=np.uint8)[coeff_tables(key_byte)]
-
-
-def walsh_balance_check(pair: EncodingPair, key_byte: int = 0) -> np.ndarray:
-    """Correlation grid between the encoded and plain coefficient matrices.
-
-    Entry [i][ip][ell-1][ellp-1] is the signed Walsh sum of row i of M.S^ell
-    against row ip of S^ell'; a balanced pair yields the all-zero grid.
-    """
-    grid = walsh_grid(encoded_coeff_tables(pair, key_byte), coeff_tables(key_byte))  # (ell, i, ellp, ip)
-    return grid.transpose(1, 3, 0, 2)

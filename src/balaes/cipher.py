@@ -245,11 +245,6 @@ def _trace_file_parts(ts: TraceSet) -> tuple:
     return header, body, struct.pack("<I", zlib.crc32(body, zlib.crc32(header)))
 
 
-def serialize_traces(ts: TraceSet) -> bytes:
-    header, body, crc = _trace_file_parts(ts)
-    return b"".join((header, body.data, crc))
-
-
 def deserialize_traces(data: bytes) -> TraceSet:
     if len(data) < 16 or data[:4] != TRACE_MAGIC:
         raise FormatError("bad magic for trace file")

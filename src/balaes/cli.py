@@ -73,8 +73,15 @@ def _load_spec(path: str) -> tablegen.EncodingSpec:
         return tablegen.deserialize_spec(fh.read())
 
 
+def _print_json(summary: dict, fh=None) -> None:
+    """Sorted, indented JSON and a newline, to fh or else stdout."""
+    fh = fh or sys.stdout
+    json.dump(summary, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _emit(summary: dict, rows: list, header: list, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         prefix = Path(args.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         with open(str(prefix) + ".csv", "w", newline="") as fh:
@@ -82,15 +89,13 @@ def _emit(summary: dict, rows: list, header: list, args) -> None:
             w.writerow(header)
             w.writerows(rows)
         with open(str(prefix) + ".json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if getattr(args, "format", "json") == "csv":
+            _print_json(summary, fh)
+    if args.format == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(header)
         w.writerows(rows)
     else:
-        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _print_json(summary)
 
 
 # --- commands -------------------------------------------------------------------
@@ -105,7 +110,7 @@ def cmd_gen(args) -> int:
     (out_dir / "enc.spec").write_bytes(tablegen.serialize_spec(spec))
     report = tablegen.size_and_lookup_report(pair.q0)
     _, _, measured = tablegen.encrypt_with_tables(pair.q0, bytes(16))
-    summary = {
+    _print_json({
         "command": "gen",
         "seed": args.seed,
         "key_check": _key_check(key),
@@ -113,9 +118,7 @@ def cmd_gen(args) -> int:
         "files": [str(out_dir / n) for n in ("q0.tbl", "q1.tbl", "enc.spec")],
         "measured_lookups": measured,
         **report,
-    }
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    })
     return PASS_EXIT
 
 
@@ -147,7 +150,7 @@ def cmd_trace(args) -> int:
         raise ValueError(f"unknown source {args.source!r}")
     ts = cipher.collect_traces(pair, policy, pts, rng, metadata={"seed": args.seed})
     cipher.save_traces(ts, args.out)
-    summary = {
+    _print_json({
         "command": "trace",
         "seed": args.seed,
         "policy": policy.describe(),
@@ -155,9 +158,7 @@ def cmd_trace(args) -> int:
         "count": len(ts),
         "sample_count": cipher.SAMPLE_COUNT,
         "out": args.out,
-    }
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    })
     return PASS_EXIT
 
 
@@ -169,66 +170,71 @@ def cmd_verify(args) -> int:
     ct0, _, _ = tablegen.encrypt_batch_with_tables(pair.q0, pts)
     ct1, _, _ = tablegen.encrypt_batch_with_tables(pair.q1, pts)
     q1_consistent = bool((ct0 == ct1).all())
-    summary = {
+    passed = report0.passed and q1_consistent
+    _print_json({
         "command": "verify",
         "key_check": _key_check(spec.key),
         "checks": report0.checks,
         "q1_matches_q0": q1_consistent,
         "failures": report0.failures[:16],
-        "pass": report0.passed and q1_consistent,
-    }
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return PASS_EXIT if summary["pass"] else FAIL_EXIT
+        "pass": passed,
+    })
+    return PASS_EXIT if passed else FAIL_EXIT
 
 
 def cmd_bench(args) -> int:
+    if args.iterations < 1:
+        raise ValueError("--iterations must be at least 1")
     pair = _load_pair(args.tables)
-    ts = pair.q0 if args.policy != "q1" else pair.q1
+    ts = pair.select(args.policy == "q1")
     pts = [random.Random(n).randbytes(16) for n in range(256)]
     _, _, lookups = tablegen.encrypt_with_tables(ts, pts[0])  # warm up
     start = time.perf_counter()
     for n in range(args.iterations):
         tablegen.encrypt_with_tables(ts, pts[n % 256])
     elapsed = time.perf_counter() - start
-    per_block_us = elapsed / args.iterations * 1e6
-    summary = {
+    _print_json({
         "command": "bench",
         "iterations": args.iterations,
-        "mean_block_us": round(per_block_us, 3),
+        "mean_block_us": round(elapsed / args.iterations * 1e6, 3),
         "lookups_per_second": round(lookups * args.iterations / elapsed),
         "note": "published native-code reference point is 19 us per block; interpreter timings differ",
-    }
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    })
     return PASS_EXIT
 
 
-def _analyze_walsh_ut(args) -> int:
+# --- analyses: each maps args to (summary, rows, csv header, passed) --------------
+
+def _require(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"analyze --kind {args.kind} needs --{name}")
+
+
+def _round_output_guesses(key: bytes) -> tuple:
+    """(known k0, correct second-row guess) of the round-output analyses."""
+    khat = RoundKeys.from_key(key).khat[0]
+    return int(khat[0][0]), int(khat[1][0])
+
+
+def _walsh_ut(args):
     if args.traces:
-        return _analyze_walsh_ut_traces(args)
-    pair = _load_pair(args.tables)
-    spec = _load_spec(args.spec)
-    grid = tablegen.walsh_ut_grid_static(pair.q0, spec)
-    rows = []
-    nz = np.argwhere(grid != 0)
-    for i, j, k, bit, lp, ip in nz[:4096]:
-        rows.append([int(i) + 1, int(j) + 1, int(k) + 1, int(bit) + 1, int(lp) + 1, int(ip) + 1,
-                     int(grid[i, j, k, bit, lp, ip])])
+        return _walsh_ut_traces(args)
+    _require(args, "tables", "spec")
+    grid = tablegen.walsh_ut_grid_static(_load_pair(args.tables).q0, _load_spec(args.spec))
+    rows = [[*(int(c) + 1 for c in idx), int(grid[tuple(idx)])] for idx in np.argwhere(grid != 0)[:4096]]
     all_zero = not grid.any()
     summary = {
         "command": "analyze", "kind": "walsh-ut", "mode": "static",
         "positions": 16, "max_abs": int(np.abs(grid).max()),
         "all_zero_correct_key": all_zero, "pass": all_zero,
     }
-    _emit(summary, rows, ["i", "j", "k", "bit", "ellp", "iprime", "walsh"], args)
-    return PASS_EXIT if all_zero else FAIL_EXIT
+    return summary, rows, ["i", "j", "k", "bit", "ellp", "iprime", "walsh"], all_zero
 
 
-def _analyze_walsh_ut_traces(args) -> int:
-    traces = cipher.load_traces(args.traces)
+def _walsh_ut_traces(args):
     m = 0 if args.pt_index == "all" else int(args.pt_index)
-    grid = sca.walsh_ut_trace_grid(traces, m, args.ell)
+    grid = sca.walsh_ut_trace_grid(cipher.load_traces(args.traces), m, args.ell)
     peak = np.abs(grid).reshape(256, -1).max(axis=1)
     rows = [[g, round(float(peak[g]), 2)] for g in range(256)]
     summary = {
@@ -237,105 +243,85 @@ def _analyze_walsh_ut_traces(args) -> int:
         "global_max_abs": round(float(peak.max()), 2),
     }
     if args.key:
-        key = _parse_key(args.key)
-        summary["correct_guess"] = key[m]
-        summary["correct_max_abs"] = round(float(peak[key[m]]), 2)
-        summary["correct_all_zero"] = bool(peak[key[m]] == 0)
-    _emit(summary, rows, ["guess", "max_abs_walsh"], args)
-    return PASS_EXIT
+        correct = _parse_key(args.key)[m]
+        summary["correct_guess"] = correct
+        summary["correct_max_abs"] = round(float(peak[correct]), 2)
+        summary["correct_all_zero"] = bool(peak[correct] == 0)
+    return summary, rows, ["guess", "max_abs_walsh"], True
 
 
-def _analyze_walsh_ro(args) -> int:
-    traces = cipher.load_traces(args.traces)
-    key = _parse_key(args.key)
-    rk = RoundKeys.from_key(key)
-    known = rk.khat[0][0][0]
-    correct = rk.khat[0][1][0]
-    grid = sca.walsh_round_output_all(traces)
+def _walsh_ro(args):
+    known, correct = _round_output_guesses(_parse_key(args.key))
+    grid = sca.walsh_round_output_all(cipher.load_traces(args.traces))
     rows = [[g, i + 1, ip + 1, int(grid[g, i, ip])]
             for g in range(256) for i in range(8) for ip in range(8) if grid[g, i, ip]]
     summary = {
         "command": "analyze", "kind": "walsh-ro",
-        "known_k0": int(known), "correct_guess": int(correct),
+        "known_k0": known, "correct_guess": correct,
         "correct_max": int(grid[correct].max()),
         "global_min": int(grid.min()), "global_max": int(grid.max()),
         "correct_all_zero": bool(not grid[correct].any()),
     }
-    _emit(summary, rows, ["guess", "i", "iprime", "walsh"], args)
-    return PASS_EXIT
+    return summary, rows, ["guess", "i", "iprime", "walsh"], True
 
 
-def _attacked_pt_indices(args) -> list:
-    if args.pt_index == "all":
-        return list(range(16))
-    return [int(args.pt_index)]
-
-
-def _analyze_cpa_dca(args, kind: str) -> int:
+def _rank(args):
+    """cpa reports each bit's top guess, dca every guess's score and rank."""
     traces = cipher.load_traces(args.traces)
     key = _parse_key(args.key)
     window = _parse_window(args.window)
     rows = []
     summary_bits = {}
-    for m in _attacked_pt_indices(args):
+    for m in range(16) if args.pt_index == "all" else [int(args.pt_index)]:
         model = sca.SboxHypothesis(ell=args.ell, pt_index=m)
-        report = sca.dca_rank(traces, model, correct_guess=key[m], window=window)
-        for br in report.bits:
+        for br in sca.dca_rank(traces, model, correct_guess=key[m], window=window).bits:
             summary_bits[f"pt{m}_bit{br.bit + 1}"] = {
                 "correct_rank": br.correct_rank,
                 "correct_score": round(br.correct_score, 6),
                 "highest_score": round(float(br.scores.max()), 6),
             }
-            if kind == "dca":
-                for g in range(256):
-                    rows.append([m, br.bit + 1, g, round(float(br.scores[g]), 6), int(br.ranks[g])])
+            if args.kind == "dca":
+                rows += [[m, br.bit + 1, g, round(float(br.scores[g]), 6), int(br.ranks[g])] for g in range(256)]
             else:
                 g = int(np.argmax(br.scores))
-                rows.append([m, br.bit + 1, g, round(float(br.scores[g]), 6),
-                             round(br.correct_score, 6)])
-    summary = {"command": "analyze", "kind": kind, "ell": args.ell,
+                rows.append([m, br.bit + 1, g, round(float(br.scores[g]), 6), round(br.correct_score, 6)])
+    summary = {"command": "analyze", "kind": args.kind, "ell": args.ell,
                "window": args.window, "attacks": summary_bits}
-    header = (["pt_index", "bit", "guess", "score", "rank"] if kind == "dca"
+    header = (["pt_index", "bit", "guess", "score", "rank"] if args.kind == "dca"
               else ["pt_index", "bit", "top_guess", "top_score", "correct_score"])
-    _emit(summary, rows, header, args)
-    return PASS_EXIT
+    return summary, rows, header, True
 
 
-def _analyze_collision(args, kind: str) -> int:
-    traces = cipher.load_traces(args.traces)
-    key = _parse_key(args.key)
-    rk = RoundKeys.from_key(key)
-    known = rk.khat[0][0][0]
-    correct = int(rk.khat[0][1][0])
-    coll, sse = sca.collision_and_sse_scores(traces, known)
+def _collision(args):
+    known, correct = _round_output_guesses(_parse_key(args.key))
+    coll, sse = sca.collision_and_sse_scores(cipher.load_traces(args.traces), known)
     rows = [[g, int(coll[g]), round(float(sse[g]), 3)] for g in range(256)]
     summary = {
-        "command": "analyze", "kind": kind,
+        "command": "analyze", "kind": args.kind,
         "correct_guess": correct,
         "collision_argmax": int(np.argmax(coll)),
         "sse_argmin": int(np.argmin(sse)),
         "correct_is_collision_argmax": bool(int(np.argmax(coll)) == correct),
         "correct_is_sse_argmin": bool(int(np.argmin(sse)) == correct),
     }
-    _emit(summary, rows, ["guess", "collision", "sse"], args)
-    return PASS_EXIT
+    return summary, rows, ["guess", "collision", "sse"], True
 
 
-def _analyze_mia(args) -> int:
+def _mia(args):
     traces = cipher.load_traces(args.traces)
     key = _parse_key(args.key)
     window = _parse_window(args.window) if args.window else slice(0, 40)
-    rk = RoundKeys.from_key(key)
     if args.model == "sbox":
         m = int(args.pt_index) if args.pt_index != "all" else 0
         model = sca.SboxHypothesis(ell=1, pt_index=m)
         correct = key[m]
     else:
+        khat = RoundKeys.from_key(key).khat[0]
         model = sca.RoundOutputHypothesis(
             column=0, out_byte=0, target_row=1,
-            known_keys={0: rk.khat[0][0][0], 2: rk.khat[0][2][0], 3: rk.khat[0][3][0]},
+            known_keys={0: khat[0][0], 2: khat[2][0], 3: khat[3][0]},
         )
-        correct = int(rk.khat[0][1][0])
+        correct = int(khat[1][0])
     mi = sca.mia_max(traces, model, window=window)
     rows = [[g, b + 1, round(float(mi[g, b]), 6)] for g in range(256) for b in range(8)]
     summary = {
@@ -345,28 +331,25 @@ def _analyze_mia(args) -> int:
         "global_max_mi": round(float(mi.max()), 6),
         "correct_is_global_max": bool(mi[correct].max() >= mi.max()),
     }
-    _emit(summary, rows, ["guess", "bit", "max_mi"], args)
-    return PASS_EXIT
+    return summary, rows, ["guess", "bit", "max_mi"], True
 
 
-def _analyze_tvla(args) -> int:
-    fixed = cipher.load_traces(args.fixed)
-    rand = cipher.load_traces(args.random)
-    window = _parse_window(args.window)
-    result = sca.tvla(fixed, rand, window=window)
+def _tvla(args):
+    result = sca.tvla(cipher.load_traces(args.fixed), cipher.load_traces(args.random),
+                      window=_parse_window(args.window))
     rows = [[s, round(float(t), 4)] for s, t in enumerate(result.t)]
+    passed = result.passed(4.5)
     summary = {
         "command": "analyze", "kind": "tvla",
         "threshold": 4.5,
         "max_abs_t": round(result.max_abs_t, 4),
         "degenerate_samples": int(result.degenerate.sum()),
-        "pass": result.passed(4.5),
+        "pass": passed,
     }
-    _emit(summary, rows, ["sample", "t"], args)
-    return PASS_EXIT if summary["pass"] else FAIL_EXIT
+    return summary, rows, ["sample", "t"], passed
 
 
-def _analyze_baseline(args) -> int:
+def _baseline(args):
     demo = sca.baseline_unbalanced_demo(args.seed)
     grid = demo["grid"]
     rows = [[i + 1, lp + 1, ip + 1, int(grid[i, lp, ip])]
@@ -380,27 +363,29 @@ def _analyze_baseline(args) -> int:
         "wrong_key_max_abs_walsh": demo["wrong_max"],
         "wrong_key_sd": round(demo["wrong_sd"], 3),
     }
-    _emit(summary, rows, ["i", "ellp", "iprime", "walsh"], args)
-    return PASS_EXIT
+    return summary, rows, ["i", "ellp", "iprime", "walsh"], True
+
+
+# kind -> (handler, options it cannot run without)
+ANALYSES = {
+    "walsh-ut": (_walsh_ut, ()),  # --traces, or else --tables and --spec
+    "walsh-ro": (_walsh_ro, ("traces", "key")),
+    "cpa": (_rank, ("traces", "key")),
+    "dca": (_rank, ("traces", "key")),
+    "collision": (_collision, ("traces", "key")),
+    "cluster": (_collision, ("traces", "key")),
+    "mia": (_mia, ("traces", "key")),
+    "tvla": (_tvla, ("fixed", "random")),
+    "baseline": (_baseline, ()),
+}
 
 
 def cmd_analyze(args) -> int:
-    kind = args.kind
-    if kind == "walsh-ut":
-        return _analyze_walsh_ut(args)
-    if kind == "walsh-ro":
-        return _analyze_walsh_ro(args)
-    if kind in ("cpa", "dca"):
-        return _analyze_cpa_dca(args, kind)
-    if kind in ("collision", "cluster"):
-        return _analyze_collision(args, kind)
-    if kind == "mia":
-        return _analyze_mia(args)
-    if kind == "tvla":
-        return _analyze_tvla(args)
-    if kind == "baseline":
-        return _analyze_baseline(args)
-    raise ValueError(f"unknown analysis kind {kind!r}")
+    handler, required = ANALYSES[args.kind]
+    _require(args, *required)
+    summary, rows, header, passed = handler(args)
+    _emit(summary, rows, header, args)
+    return PASS_EXIT if passed else FAIL_EXIT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,16 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_trace)
 
     a = sub.add_parser("analyze", help="run one statistical analysis")
-    a.add_argument("--kind", required=True,
-                   choices=("walsh-ut", "walsh-ro", "cpa", "dca", "collision", "cluster",
-                            "mia", "tvla", "baseline"))
+    a.add_argument("--kind", required=True, choices=tuple(ANALYSES))
     a.add_argument("--traces")
     a.add_argument("--fixed", help="fixed-plaintext trace file (tvla)")
     a.add_argument("--random", help="random-plaintext trace file (tvla)")
     a.add_argument("--tables")
     a.add_argument("--spec")
     a.add_argument("--key", help="evaluation key, 32 hex digits")
-    a.add_argument("--pt-index", default="all", help="attacked plaintext byte, 0-15 or 'all'")
+    a.add_argument("--pt-index", default="all", choices=("all", *map(str, range(16))),
+                   metavar="{all,0-15}", help="attacked plaintext byte")
     a.add_argument("--ell", type=int, default=1, choices=(1, 2, 3))
     a.add_argument("--model", default="sbox", choices=("sbox", "round-output"))
     a.add_argument("--window", help="OFF:LEN or round1 | round1-ut | round1-col0")
@@ -457,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="time single-block encryption")
     b.add_argument("--tables", required=True)
     b.add_argument("--iterations", type=int, default=1000)
-    b.add_argument("--policy", default="q0")
+    b.add_argument("--policy", default="q0", choices=("q0", "q1"))
     b.set_defaults(func=cmd_bench)
 
     return p

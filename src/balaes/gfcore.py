@@ -1,9 +1,8 @@
-"""GF(2^8) arithmetic, the AES-128 reference cipher, its key-first rearrangement,
-and the 8x256 bit matrices of coefficient-multiplied SubBytes outputs."""
+"""GF(2^8) arithmetic, the AES-128 key schedule and reference cipher, and the
+plaintext-byte / table-position index maps of the first round."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 GF_POLY = 0x11B
@@ -27,13 +26,6 @@ SBOX = bytes.fromhex(
     "e1f8981169d98e949b1e87e9ce5528df"
     "8ca1890dbfe6426841992d0fb054bb16"
 )
-
-INV_SBOX = bytes(256)
-_inv = bytearray(256)
-for _x in range(256):
-    _inv[SBOX[_x]] = _x
-INV_SBOX = bytes(_inv)
-del _inv, _x
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -79,10 +71,6 @@ def _validate_sbox() -> None:
 
 
 _validate_sbox()
-
-
-def sbox(x: int) -> int:
-    return SBOX[x]
 
 
 # Precomputed xtime-style multiples used by MixColumns.
@@ -146,10 +134,6 @@ def _shift_rows(s) -> list[list[int]]:
     return [[s[i][(j + i) % 4] for j in range(4)] for i in range(4)]
 
 
-def _inv_shift_rows(s) -> list[list[int]]:
-    return [[s[i][(j - i) % 4] for j in range(4)] for i in range(4)]
-
-
 def _mix_single_column(col):
     a0, a1, a2, a3 = col
     return [
@@ -179,99 +163,6 @@ def reference_encrypt(pt: bytes, key: bytes) -> bytes:
     s = _shift_rows(s)
     s = [[s[i][j] ^ rk.k[10][i][j] for j in range(4)] for i in range(4)]
     return _state_to_bytes(s)
-
-
-def reference_decrypt(ct: bytes, key: bytes) -> bytes:
-    """Plain AES-128 decryption; used only as a round-trip oracle."""
-    rk = RoundKeys.from_key(key)
-    inv_mul = {c: bytes(gf_mul(c, x) for x in range(256)) for c in (9, 11, 13, 14)}
-
-    def inv_mix(s):
-        out = []
-        for j in range(4):
-            col = [s[i][j] for i in range(4)]
-            out.append(
-                [
-                    inv_mul[14][col[0]] ^ inv_mul[11][col[1]] ^ inv_mul[13][col[2]] ^ inv_mul[9][col[3]],
-                    inv_mul[9][col[0]] ^ inv_mul[14][col[1]] ^ inv_mul[11][col[2]] ^ inv_mul[13][col[3]],
-                    inv_mul[13][col[0]] ^ inv_mul[9][col[1]] ^ inv_mul[14][col[2]] ^ inv_mul[11][col[3]],
-                    inv_mul[11][col[0]] ^ inv_mul[13][col[1]] ^ inv_mul[9][col[2]] ^ inv_mul[14][col[3]],
-                ]
-            )
-        return [[out[j][i] for j in range(4)] for i in range(4)]
-
-    s = _bytes_to_state(ct)
-    s = [[s[i][j] ^ rk.k[10][i][j] for j in range(4)] for i in range(4)]
-    s = _inv_shift_rows(s)
-    s = [[INV_SBOX[v] for v in row] for row in s]
-    for r in range(9, 0, -1):
-        s = [[s[i][j] ^ rk.k[r][i][j] for j in range(4)] for i in range(4)]
-        s = inv_mix(s)
-        s = _inv_shift_rows(s)
-        s = [[INV_SBOX[v] for v in row] for row in s]
-    s = [[s[i][j] ^ rk.k[0][i][j] for j in range(4)] for i in range(4)]
-    return _state_to_bytes(s)
-
-
-def rearranged_encrypt(pt: bytes, keys: RoundKeys) -> bytes:
-    """AES-128 with the initial key addition folded into the rounds.
-
-    Each of the first nine rounds is ShiftRows, AddRoundKey with the
-    ShiftRows-applied key, SubBytes, MixColumns; the tail is ShiftRows,
-    AddRoundKey, SubBytes, AddRoundKey. Byte-identical to reference_encrypt.
-    """
-    s = _bytes_to_state(pt)
-    for r in range(1, 10):
-        s = _shift_rows(s)
-        s = [[SBOX[s[i][j] ^ keys.khat[r - 1][i][j]] for j in range(4)] for i in range(4)]
-        s = _mix_columns(s)
-    s = _shift_rows(s)
-    s = [[SBOX[s[i][j] ^ keys.khat[9][i][j]] ^ keys.k[10][i][j] for j in range(4)] for i in range(4)]
-    return _state_to_bytes(s)
-
-
-def s_ell(x: int, ell: int, key_byte: int) -> int:
-    """SubBytes output of (x xor key_byte), multiplied by a MixColumns coefficient."""
-    if ell not in (1, 2, 3):
-        raise ValueError("ell must be 1, 2 or 3")
-    return gf_mul(ell, SBOX[x ^ key_byte])
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    """8x256 bit matrix: column j holds ell*S(j xor key_byte), row 1 is the MSB.
-
-    Rows are stored as 256-bit integers with bit j equal to column j.
-    """
-
-    ell: int
-    key_byte: int
-    rows: tuple  # 8 ints
-
-    def column(self, j: int) -> int:
-        v = 0
-        for i in range(8):
-            if (self.rows[i] >> j) & 1:
-                v |= 1 << (7 - i)
-        return v
-
-
-@functools.lru_cache(maxsize=None)
-def build_s_matrix(ell: int, key_byte: int = 0) -> SMatrix:
-    rows = [0] * 8
-    for j in range(256):
-        v = s_ell(j, ell, key_byte)
-        for i in range(8):
-            if (v >> (7 - i)) & 1:
-                rows[i] |= 1 << j
-    return SMatrix(ell=ell, key_byte=key_byte, rows=tuple(rows))
-
-
-@functools.lru_cache(maxsize=None)
-def coeff_sbox_table(ell: int, key_byte: int) -> bytes:
-    """256-byte map x -> ell * S(x xor key_byte)."""
-    mul = {1: bytes(range(256)), 2: MUL2, 3: MUL3}[ell]
-    return bytes(mul[SBOX[x ^ key_byte]] for x in range(256))
 
 
 def pt_index_for_position(i: int, j: int) -> int:

@@ -7,9 +7,7 @@ that boundary.
 
 Both candidate searches (coefficient-table boundaries and XOR-tree outputs)
 run on one helper: per-nibble-value bit sums of the relevant bit planes, as
-one one-hot matrix product; e qualifies when its sums equal those of 0.
-verify_swap_balance re-checks a chosen codec pair with the Walsh-grid kernel
-binmat.walsh_grid."""
+one one-hot matrix product; e qualifies when its sums equal those of 0."""
 
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binmat import EncodingPair, coeff_tables, encode_map, encoded_coeff_tables, table_bits, walsh_grid
+from .binmat import EncodingPair, coeff_tables, encode_map, encoded_coeff_tables, table_bits
 
 UPPER = "upper"
 LOWER = "lower"
@@ -57,19 +55,13 @@ class CodecPair:
     def of(cls, e_upper: int, e_lower: int) -> "CodecPair":
         return cls(upper=NibbleCodec(e_upper), lower=NibbleCodec(e_lower))
 
-    def is_identity(self) -> bool:
-        return self.upper.e == 0 and self.lower.e == 0
-
 
 def encode_byte(x: int, cp: CodecPair) -> int:
     return (cp.upper.encode(x >> 4) << 4) | cp.lower.encode(x & 0xF)
 
 
-def decode_byte(x: int, cp: CodecPair) -> int:
-    return encode_byte(x, cp)  # involution
-
-
 def codec_map(cp: CodecPair) -> bytes:
+    """encode_byte as a 256-entry map; an involution, so it also decodes."""
     return bytes(encode_byte(x, cp) for x in range(256))
 
 
@@ -131,10 +123,3 @@ def find_round_output_candidates(pair: EncodingPair, half: str) -> set:
     place of the coefficient rows.
     """
     return _swap_candidates(np.frombuffer(encode_map(pair), dtype=np.uint8)[None], half, _RAW_PLANES)
-
-
-def verify_swap_balance(pair: EncodingPair, key_byte: int, cp: CodecPair) -> bool:
-    """Recompute the full Walsh grid after applying the codec pair to every
-    encoded coefficient column; true iff every sum is still zero."""
-    swapped = np.frombuffer(codec_map(cp), dtype=np.uint8)[encoded_coeff_tables(pair, key_byte)]
-    return not walsh_grid(swapped, coeff_tables(key_byte)).any()

@@ -1,7 +1,7 @@
-"""Statistical trace analysis: Walsh transforms, imbalance accumulation,
+"""Statistical trace analysis: trace-mode and round-output Walsh sums,
 mono-bit DCA key ranking, collision and cluster scores, bit-level mutual
 information, fixed-versus-random t-tests, and the deliberately-leaky encoding
-demo.
+demo.  Every hypothesis reads the coefficient tables binmat.COEFF.
 
 Table-output Walsh sums, in trace mode (walsh_ut_trace_grid) and in the
 baseline demo, are binmat.walsh_grid calls: one +-1 sign-matrix product of the
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfcore import MC, SBOX, gf_mul, pt_index_for_position, position_for_pt_index
+from .gfcore import MC, pt_index_for_position, position_for_pt_index
 from .binmat import (
+    COEFF,
     BitMat4,
     EncodingPair,
     coeff_tables,
@@ -41,43 +42,8 @@ from .binmat import (
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
 from .tablegen import round_output_walsh
 
-_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_MUL_NP = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c in (1, 2, 3)}
-
-
-# --- Walsh transform ----------------------------------------------------------
-
-def _walsh_hadamard_matrix() -> np.ndarray:
-    """(256, 256) float64 matrix of (-1)^parity(x & y), its own inverse up to 1/256."""
-    h = np.ones((1, 1))
-    for _ in range(8):
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
-def walsh_spectrum(fbits) -> np.ndarray:
-    """Walsh transform of a 256-point boolean function over all 256 masks:
-    entry omega is the sum over x of (-1)^(f(x) ^ parity(x & omega))."""
-    signs = 1 - 2 * np.asarray(fbits, dtype=np.int64)
-    return _walsh_hadamard_matrix().astype(np.int64) @ signs
-
-
-def delta_imbalance(f_family) -> int:
-    """Accumulated absolute Walsh values of a family of boolean functions,
-    summed over every mask."""
-    total = 0
-    for fbits in f_family:
-        total += int(np.abs(walsh_spectrum(fbits)).sum())
-    return total
-
 
 # --- hypothesis models ----------------------------------------------------------
-
-def _guess_value_table(coeff: int) -> np.ndarray:
-    """(guess, value) table of coeff * S(value ^ guess)."""
-    vals = np.arange(256, dtype=np.uint8)
-    return _MUL_NP[coeff][_SBOX_NP[vals[:, None] ^ vals[None, :]]]
-
 
 @dataclass(frozen=True)
 class SboxHypothesis:
@@ -86,15 +52,12 @@ class SboxHypothesis:
     ell: int
     pt_index: int
 
-    def hyp_bytes(self, guess: int, pts: np.ndarray) -> np.ndarray:
-        return _MUL_NP[self.ell][_SBOX_NP[pts[:, self.pt_index] ^ np.uint8(guess)]]
-
     def bit_groups(self, pts: np.ndarray, bit: int):
         """Per-trace group labels and the (256, groups) 0/1 matrix H with
         hypothesis bit (MSB first) of trace t under guess g = H[g, labels[t]].
 
         The label is the attacked byte, the same for every bit."""
-        H = (_guess_value_table(self.ell) >> (7 - bit)) & 1
+        H = (COEFF[self.ell - 1] >> (7 - bit)) & 1
         return pts[:, self.pt_index], H
 
 
@@ -122,23 +85,15 @@ class RoundOutputHypothesis:
         out = np.zeros(pts.shape[0], dtype=np.uint8)
         for row, key in self.known_keys.items():
             m = pt_index_for_position(row, self.column)
-            out ^= _MUL_NP[MC[self.out_byte][row]][_SBOX_NP[pts[:, m] ^ np.uint8(key)]]
+            out ^= COEFF[MC[self.out_byte][row] - 1, key][pts[:, m]]
         return out
-
-    def _target(self):
-        return (pt_index_for_position(self.target_row, self.column),
-                MC[self.out_byte][self.target_row])
-
-    def hyp_bytes(self, guess: int, pts: np.ndarray) -> np.ndarray:
-        m, coeff = self._target()
-        return self._known_term(pts) ^ _MUL_NP[coeff][_SBOX_NP[pts[:, m] ^ np.uint8(guess)]]
 
     def bit_groups(self, pts: np.ndarray, bit: int):
         """As SboxHypothesis.bit_groups, with label 2 * p[m] + kb, where kb is
         the bit of the known-row term: H[g, 2v + kb] = kb ^ bit(T(v ^ g))."""
-        m, coeff = self._target()
+        m = pt_index_for_position(self.target_row, self.column)
         kb = (self._known_term(pts) >> (7 - bit)) & 1
-        tb = (_guess_value_table(coeff) >> (7 - bit)) & 1
+        tb = (COEFF[MC[self.out_byte][self.target_row] - 1] >> (7 - bit)) & 1
         H = np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
         return 2 * pts[:, m].astype(np.int64) + kb, H
 
@@ -162,19 +117,23 @@ def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarra
         v = int(np.flatnonzero(values != np.arange(values.size)).min(initial=values.size))
         raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
     observed = traces.samples[first][:, [ut_sample_index(1, j, i, k) for k in range(4)]]  # (v, out_byte)
-    grid = walsh_grid(observed.T, _guess_value_table(ellp))  # (out_byte, out_bit, guess, iprime)
+    grid = walsh_grid(observed.T, COEFF[ellp - 1])  # (out_byte, out_bit, guess, iprime)
     return grid.transpose(2, 0, 1, 3).astype(np.float64)
 
 
 # --- round-output Walsh -----------------------------------------------------------
 
+def _round_output_samples(traces: TraceSet) -> np.ndarray:
+    """Encoded first-round output byte (column 0, byte 0) of every trace."""
+    u_idx, l_idx = round_output_sample_indices(1, 0, 0)
+    return (traces.samples[:, u_idx].astype(np.uint8) << 4) | traces.samples[:, l_idx]
+
+
 def _grid_round_output_bytes(traces: TraceSet) -> np.ndarray:
     """(256, 256) encoded round-output bytes from a complete two-byte grid."""
-    u_idx, l_idx = round_output_sample_indices(1, 0, 0)
     keys = traces.plaintexts[:, 0].astype(np.int64) * 256 + traces.plaintexts[:, 5]
-    c = (traces.samples[:, u_idx].astype(np.uint8) << 4) | traces.samples[:, l_idx]
     grid = np.full(65536, -1, dtype=np.int32)
-    grid[keys] = c
+    grid[keys] = _round_output_samples(traces)
     if (grid < 0).any():
         missing = int((grid < 0).sum())
         raise ValueError(f"incomplete grid: {missing} of 65536 input pairs unobserved")
@@ -247,9 +206,6 @@ class BitRanking:
 class KeyRankingReport:
     model: object
     bits: list  # of BitRanking
-
-    def correct_ranks(self) -> list:
-        return [b.correct_rank for b in self.bits]
 
 
 def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -334,9 +290,12 @@ def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
 
 # --- collision / cluster ---------------------------------------------------------
 
-def _round_output_samples(traces: TraceSet) -> np.ndarray:
-    u_idx, l_idx = round_output_sample_indices(1, 0, 0)
-    return (traces.samples[:, u_idx].astype(np.uint8) << 4) | traces.samples[:, l_idx]
+def _walsh_hadamard_matrix() -> np.ndarray:
+    """(256, 256) float64 matrix of (-1)^parity(x & y), its own inverse up to 1/256."""
+    h = np.ones((1, 1))
+    for _ in range(8):
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def collision_and_sse_scores(traces: TraceSet, known_k0: int):
@@ -353,14 +312,14 @@ def collision_and_sse_scores(traces: TraceSet, known_k0: int):
     guesses and clusters of the 9 grids at once.  float64 holds every integer
     on the way exactly while fewer than 2^29 traces are scored."""
     c = _round_output_samples(traces)
-    a = _MUL_NP[2][_SBOX_NP[traces.plaintexts[:, 0] ^ np.uint8(known_k0)]]
+    a = COEFF[1, known_k0][traces.plaintexts[:, 0]]
     cell = a.astype(np.int64) * 256 + traces.plaintexts[:, 5]
     grids = np.stack([np.bincount(cell, minlength=65536)]
                      + [np.bincount(cell, weights=(c >> (7 - i)) & 1, minlength=65536) for i in range(8)])
     grids = grids.astype(np.float64).reshape(9, 256, 256)
     h = _walsh_hadamard_matrix()
     d = np.zeros((256, 256))
-    d[_MUL_NP[3][_SBOX_NP], np.arange(256)] = 1.0
+    d[COEFF[2, 0], np.arange(256)] = 1.0
     conv = h @ ((h @ grids @ h) * (h @ d @ h)) @ h / 65536.0  # (channel, cluster v, guess g)
     conv = np.rint(conv).astype(np.int64)
     counts = np.ascontiguousarray(conv[0].T)  # (g, v)
@@ -481,7 +440,7 @@ def baseline_unbalanced_demo(seed: int = 0) -> dict:
     leaks = [(int(i) + 1, int(lp) + 1, int(ip) + 1) for i, lp, ip in np.argwhere(np.abs(grid) == 256)]
 
     # table bit 8 against hypothesis bit 1 of S(p ^ guess), every wrong guess
-    wrong = np.abs(walsh_grid(table, _guess_value_table(1))[0, 7, :, 0])
+    wrong = np.abs(walsh_grid(table, COEFF[0])[0, 7, :, 0])
     wrong = np.delete(wrong, key_byte).astype(np.float64)
 
     return {

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfcore import MC, SBOX, RoundKeys, gf_mul, sbox
+from .gfcore import MC, RoundKeys
 from .binmat import (
+    COEFF,
     BitMat4,
     EncodingPair,
     assemble_M,
@@ -49,10 +50,6 @@ UT_LOOKUPS = 9 * 16
 TX_LOOKUPS = 9 * 16 * 3 * 2
 T10_LOOKUPS = 16
 TOTAL_LOOKUPS = UT_LOOKUPS + TX_LOOKUPS + T10_LOOKUPS
-
-_MUL_MAP = {c: bytes(gf_mul(c, x) for x in range(256)) for c in (1, 2, 3)}
-_SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-_MUL3_NP = np.frombuffer(_MUL_MAP[3], dtype=np.uint8)
 
 
 class GenerationError(RuntimeError):
@@ -127,12 +124,8 @@ def gen_tbox(r: int, i: int, j: int, keys: RoundKeys) -> bytes:
     """Plain fused key-addition/SubBytes table; round 10 folds in the last key."""
     if not 1 <= r <= 10:
         raise ValueError("round must be in [1, 10]")
-    if r <= 9:
-        kb = keys.khat[r - 1][i][j]
-        return bytes(sbox(p ^ kb) for p in range(256))
-    kb = keys.khat[9][i][j]
-    out = keys.k[10][i][j]
-    return bytes(sbox(p ^ kb) ^ out for p in range(256))
+    tbox = COEFF[0, keys.khat[r - 1][i][j]]
+    return (tbox if r <= 9 else tbox ^ keys.k[10][i][j]).tobytes()
 
 
 def _input_decode_map(spec: EncodingSpec, r: int, i: int, j: int) -> bytes:
@@ -146,13 +139,13 @@ def _input_decode_map(spec: EncodingSpec, r: int, i: int, j: int) -> bytes:
 
 def gen_ut(r: int, i: int, j: int, spec: EncodingSpec) -> np.ndarray:
     """256x4 table mapping one (decoded) state byte to its four encoded partial products."""
-    tbox = gen_tbox(r, i, j, spec.round_keys)
-    pre = _input_decode_map(spec, r, i, j).translate(tbox)
+    kb = spec.round_keys.khat[r - 1][i][j]
+    dec = np.frombuffer(_input_decode_map(spec, r, i, j), dtype=np.uint8)
     out = np.empty((256, 4), dtype=np.uint8)
     for k in range(4):
         emap = encode_map(spec.pairs[(r, j, k)])
         cod = codec_map(spec.ut_codecs[(r, j, k, i)])
-        col = pre.translate(_MUL_MAP[MC[k][i]]).translate(emap).translate(cod)
+        col = COEFF[MC[k][i] - 1, kb][dec].tobytes().translate(emap).translate(cod)
         out[:, k] = np.frombuffer(col, dtype=np.uint8)
     return out
 
@@ -246,29 +239,6 @@ def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced", retry
         ut_codecs=ut_codecs,
         stage_codecs=stage_codecs,
         xor_boundary_mode=xor_boundary_mode,
-    )
-
-
-def identity_spec(key: bytes) -> EncodingSpec:
-    """All-identity encodings; the network then computes bare fused AES steps."""
-    pairs = {(r, j, k): EncodingPair.identity() for r in range(1, 10) for j in range(4) for k in range(4)}
-    ut_codecs = {
-        (r, j, k, i): CodecPair.identity()
-        for r in range(1, 10)
-        for j in range(4)
-        for k in range(4)
-        for i in range(4)
-    }
-    stage_codecs = {
-        (r, j, k, s): CodecPair.identity()
-        for r in range(1, 10)
-        for j in range(4)
-        for k in range(4)
-        for s in range(3)
-    }
-    return EncodingSpec(
-        seed=0, key=bytes(key), pairs=pairs, ut_codecs=ut_codecs, stage_codecs=stage_codecs,
-        xor_boundary_mode="identity",
     )
 
 
@@ -447,9 +417,7 @@ def round_output_walsh(c: np.ndarray, guesses=range(256)) -> np.ndarray:
     front of each inner sum, which the absolute value drops, so the known key
     byte k0 does not enter.  Every inner sum over every guess is one entry of
     a single Walsh grid: row p1 of c is one table over p2 for binmat.walsh_grid."""
-    guesses = np.asarray(guesses, dtype=np.uint8)
-    hyp = _MUL3_NP[_SBOX_NP[np.arange(256, dtype=np.uint8)[None, :] ^ guesses[:, None]]]
-    inner = walsh_grid(c, hyp)  # (p1, i, g, i')
+    inner = walsh_grid(c, COEFF[2, np.asarray(guesses, dtype=np.uint8)])  # (p1, i, g, i')
     return np.abs(inner, out=inner).sum(axis=0, dtype=np.int64).transpose(1, 0, 2)
 
 

@@ -10,22 +10,21 @@ from balaes.binmat import (
     allowed_f_rows,
     assemble_M,
     count_valid_pairs,
+    decode_map,
     derive_blacklist_F,
     derive_blacklist_W,
     encode_map,
     f_family_size,
     idx_of,
-    linear_decode,
-    linear_encode,
     mat_vec_mul,
     sample_f,
     sample_g,
     sample_pair,
     valid_g_rows,
-    walsh_balance_check,
     walsh_grid,
 )
-from balaes.gfcore import build_s_matrix
+
+from conftest import bit_rows, s_matrix_rows, walsh_balance_check
 
 
 def vec4(b1, b2, b3, b4):
@@ -61,15 +60,13 @@ def test_blacklist_W_spot_values():
 
 
 def test_blacklist_W_entries_reproduce_row_collisions():
-    from balaes.gfcore import build_s_matrix
-
     W = derive_blacklist_W()
-    mats = {ell: build_s_matrix(ell, 0) for ell in (1, 2, 3)}
+    mats = {ell: s_matrix_rows(ell, 0) for ell in (1, 2, 3)}
     for (ell, ellp, iprime), J in W.by_group.items():
         acc = 0
         for idx in J:
-            acc ^= mats[ell].rows[idx - 1]
-        assert acc == mats[ellp].rows[iprime - 1]
+            acc ^= mats[ell][idx - 1]
+        assert acc == mats[ellp][iprime - 1]
 
 
 def test_blacklist_F_values_and_family_size():
@@ -173,21 +170,20 @@ def test_linear_encode_matches_matrix_product():
         g = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
         pair = EncodingPair(f=f, g=g)
         M = assemble_M(pair)
+        emap = encode_map(pair)
         for x in range(256):
             ref = 0
             for i in range(8):
                 if (M.rows[i] & x).bit_count() & 1:
                     ref |= 1 << (7 - i)
-            assert linear_encode(x, pair) == ref
+            assert emap[x] == ref
 
 
 def test_linear_encode_identity_and_zero():
-    pair = EncodingPair.identity()
-    for x in range(256):
-        assert linear_encode(x, pair) == x
+    assert encode_map(EncodingPair.identity()) == bytes(range(256))
     rng = random.Random(17)
     for _ in range(20):
-        assert linear_encode(0, sample_pair(rng)) == 0
+        assert encode_map(sample_pair(rng))[0] == 0
 
 
 def test_linear_decode_round_trip_including_singular_blocks():
@@ -196,10 +192,11 @@ def test_linear_decode_round_trip_including_singular_blocks():
         f = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
         g = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
         pair = EncodingPair(f=f, g=g)
+        emap, dmap = encode_map(pair), decode_map(pair)
         for x in (0, 1, 0x5A, 0xFF, rng.randrange(256)):
-            assert linear_decode(linear_encode(x, pair), pair) == x
-    assert linear_decode(0, sample_pair(rng)) == 0
-    assert linear_decode(0xAB, EncodingPair.identity()) == 0xAB
+            assert dmap[emap[x]] == x
+    assert decode_map(sample_pair(rng))[0] == 0
+    assert decode_map(EncodingPair.identity())[0xAB] == 0xAB
 
 
 def test_linear_encode_is_bijective_and_linear():
@@ -268,19 +265,9 @@ def test_valid_g_rows_cached_per_f():
 # Brute-force reference: each table bit as a 256-bit integer (bit x mirrors
 # input x), each Walsh sum as 256 - 2 * popcount of the XOR of two of them.
 
-def _bit_rows_of_column(values, bit_count: int = 8) -> list:
-    """values: 256 ints; returns bit_count ints whose bit j mirrors value j."""
-    rows = [0] * bit_count
-    for j, v in enumerate(values):
-        for i in range(bit_count):
-            if (v >> (bit_count - 1 - i)) & 1:
-                rows[i] |= 1 << j
-    return rows
-
-
 def _reference_walsh_grid(a, b) -> np.ndarray:
-    ra = [_bit_rows_of_column([int(v) for v in t]) for t in a]
-    rb = [_bit_rows_of_column([int(v) for v in t]) for t in b]
+    ra = [bit_rows(t) for t in a]
+    rb = [bit_rows(t) for t in b]
     out = np.empty((len(a), 8, len(b), 8), dtype=np.int32)
     for n, rows_a in enumerate(ra):
         for m, rows_b in enumerate(rb):
@@ -308,7 +295,7 @@ def test_walsh_grid_matches_popcount_reference():
 
 def _reference_walsh_balance_check(pair, key_byte: int) -> np.ndarray:
     M = assemble_M(pair)
-    smats = {ell: build_s_matrix(ell, key_byte) for ell in (1, 2, 3)}
+    smats = {ell: s_matrix_rows(ell, key_byte) for ell in (1, 2, 3)}
     grid = np.zeros((8, 8, 3, 3), dtype=np.int32)
     for ell in (1, 2, 3):
         r_rows = []
@@ -316,12 +303,12 @@ def _reference_walsh_balance_check(pair, key_byte: int) -> np.ndarray:
             acc = 0
             for p in range(8):
                 if (M.rows[i] >> (7 - p)) & 1:
-                    acc ^= smats[ell].rows[p]
+                    acc ^= smats[ell][p]
             r_rows.append(acc)
         for ellp in (1, 2, 3):
             for i in range(8):
                 for ip in range(8):
-                    grid[i, ip, ell - 1, ellp - 1] = 256 - 2 * (r_rows[i] ^ smats[ellp].rows[ip]).bit_count()
+                    grid[i, ip, ell - 1, ellp - 1] = 256 - 2 * (r_rows[i] ^ smats[ellp][ip]).bit_count()
     return grid
 
 

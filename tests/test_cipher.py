@@ -16,7 +16,6 @@ from balaes.cipher import (
     round_output_sample_indices,
     round_sample_slice,
     select_set,
-    serialize_traces,
     t10_sample_index,
     ut_output_indices,
     ut_sample_index,
@@ -211,9 +210,10 @@ def test_trace_file_round_trip(tmp_path, std_pair):
     assert np.array_equal(loaded.samples, ts.samples)
 
 
-def test_trace_file_errors(std_pair):
+def test_trace_file_errors(tmp_path, std_pair):
     ts = collect_traces(std_pair, SelectorPolicy.fixed_q0(), fixed_plaintexts(bytes(16), 3))
-    blob = bytearray(serialize_traces(ts))
+    cipher.save_traces(ts, tmp_path / "t.btr")
+    blob = bytearray((tmp_path / "t.btr").read_bytes())
     with pytest.raises(FormatError):
         deserialize_traces(bytes(blob[:-3]))
     blob[40] ^= 1

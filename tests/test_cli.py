@@ -218,6 +218,39 @@ def test_usage_error_unknown_kind(gen_dir, capfd):
     assert exc.value.code == 2
 
 
+def _exit_code(argv) -> int:
+    """main's return value, or the status argparse exits with on a rejected option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["--kind", "dca", "--key", FIPS_KEY], "--traces"),
+    (["--kind", "dca", "--traces", "{traces}"], "--key"),
+    (["--kind", "walsh-ro", "--traces", "{traces}"], "--key"),
+    (["--kind", "tvla", "--random", "{traces}"], "--fixed"),
+    (["--kind", "walsh-ut", "--spec", "{tables}/enc.spec"], "--tables"),
+], ids=["dca-traces", "dca-key", "walsh-ro-key", "tvla-fixed", "walsh-ut-static-tables"])
+def test_missing_analysis_option_is_usage_error(gen_dir, trace_file, capfd, argv, missing):
+    rc = main(["analyze", *(a.format(traces=trace_file, tables=gen_dir) for a in argv)])
+    assert rc == 2
+    assert f"needs {missing}" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("pt_index", ["16", "-1"])
+@pytest.mark.parametrize("kind", ["dca", "walsh-ut"])
+def test_pt_index_outside_0_15_is_usage_error(trace_file, capfd, kind, pt_index):
+    argv = ["analyze", "--kind", kind, "--traces", str(trace_file), "--key", FIPS_KEY, "--pt-index", pt_index]
+    assert _exit_code(argv) == 2
+
+
+@pytest.mark.parametrize("options", [["--iterations", "0"], ["--iterations", "-5"], ["--policy", "random:0.5"]])
+def test_bench_rejects_bad_input(gen_dir, capfd, options):
+    assert _exit_code(["bench", "--tables", str(gen_dir), *options]) == 2
+
+
 def test_window_parsing(gen_dir, trace_file, capfd):
     rc = main(
         ["analyze", "--kind", "cpa", "--traces", str(trace_file), "--key", FIPS_KEY,

@@ -1,19 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
 from balaes import gfcore
+from balaes.binmat import COEFF, coeff_tables, table_bits
 from balaes.gfcore import (
+    SBOX,
     RoundKeys,
-    build_s_matrix,
     gf_mul,
     pt_index_for_position,
     position_for_pt_index,
-    rearranged_encrypt,
-    reference_decrypt,
     reference_encrypt,
-    s_ell,
-    sbox,
 )
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -69,14 +67,14 @@ def test_gf_mul_nonzero_constant_is_bijection():
 
 
 def test_sbox_known_values_and_bijectivity():
-    assert sbox(0x00) == 0x63
-    assert sbox(0x53) == 0xED
-    assert sorted(sbox(x) for x in range(256)) == list(range(256))
+    assert SBOX[0x00] == 0x63
+    assert SBOX[0x53] == 0xED
+    assert sorted(SBOX) == list(range(256))
 
 
 def test_sbox_matches_affine_construction():
     for x in range(256):
-        assert sbox(x) == gfcore.sbox_from_construction(x)
+        assert SBOX[x] == gfcore.sbox_from_construction(x)
 
 
 def test_key_schedule_first_and_last_round():
@@ -105,86 +103,59 @@ def test_reference_encrypt_fips_vector():
     assert reference_encrypt(FIPS_PT, FIPS_KEY) == FIPS_CT
 
 
-def test_reference_round_trip_and_permutation():
+def test_reference_encrypt_is_a_permutation():
     rng = random.Random(2)
     key = rng.randbytes(16)
-    seen = set()
-    for _ in range(50):
-        pt = rng.randbytes(16)
-        ct = reference_encrypt(pt, key)
-        assert reference_decrypt(ct, key) == pt
-        seen.add(ct)
+    seen = {reference_encrypt(rng.randbytes(16), key) for _ in range(50)}
     assert len(seen) == 50
 
 
-def test_rearranged_matches_reference_on_fips_vector():
-    keys = RoundKeys.from_key(FIPS_KEY)
-    assert rearranged_encrypt(FIPS_PT, keys) == FIPS_CT
+# --- coefficient tables ell * S(x ^ k), binmat.COEFF -------------------------------
+
+def _parity_rows(table: np.ndarray, mask: int) -> np.ndarray:
+    """XOR of the bit-matrix rows of a 256-entry table that mask selects (MSB = row 1)."""
+    return table_bits((table & mask)[None])[0].sum(axis=0) & 1
 
 
-def test_rearranged_matches_reference_random_cases():
-    rng = random.Random(3)
-    for _ in range(1000):
-        key = rng.randbytes(16)
-        pt = rng.randbytes(16)
-        assert rearranged_encrypt(pt, RoundKeys.from_key(key)) == reference_encrypt(pt, key)
-
-
-def test_rearranged_all_zero_inputs():
-    key = bytes(16)
-    keys = RoundKeys.from_key(key)
-    assert rearranged_encrypt(bytes(16), keys) == reference_encrypt(bytes(16), key)
-
-
-def test_s_ell_examples_and_validation():
-    for x in range(256):
-        assert s_ell(x, 1, 0) == sbox(x)
-    assert s_ell(0x00, 2, 0x00) == gf_mul(2, 0x63) == 0xC6
-    with pytest.raises(ValueError):
-        s_ell(0, 4, 0)
-    with pytest.raises(ValueError):
-        s_ell(0, 0, 0)
+def test_coeff_tables_examples():
+    assert coeff_tables(0)[0].tobytes() == SBOX
+    assert coeff_tables(0)[1][0x00] == gf_mul(2, 0x63) == 0xC6
+    mul = np.array([[gf_mul(ell, v) for v in range(256)] for ell in (1, 2, 3)], dtype=np.uint8)
+    x = np.arange(256)
+    for k in (0x00, 0x01, 0x5A, 0xFF):
+        assert np.array_equal(coeff_tables(k), mul[:, np.frombuffer(SBOX, dtype=np.uint8)[x ^ k]])
+    assert COEFF.shape == (3, 256, 256) and not COEFF.flags.writeable
 
 
 def test_s_matrix_columns_enumerate_all_bytes():
     for ell in (1, 2, 3):
-        m = build_s_matrix(ell, 0x3C)
-        cols = sorted(m.column(j) for j in range(256))
-        assert cols == list(range(256))
+        assert sorted(coeff_tables(0x3C)[ell - 1].tolist()) == list(range(256))
 
 
 def test_s_matrix_rows_balanced_and_key_change_permutes_columns():
-    m0 = build_s_matrix(1, 0)
-    mk = build_s_matrix(1, 0x5A)
-    for i in range(8):
-        assert m0.rows[i].bit_count() == 128
-        assert mk.rows[i].bit_count() == 128
+    m0, mk = coeff_tables(0)[0], coeff_tables(0x5A)[0]
+    assert (table_bits(m0[None]).sum(axis=-1) == 128).all()
+    assert (table_bits(mk[None]).sum(axis=-1) == 128).all()
     # same column multiset, different order
-    assert sorted(m0.column(j) for j in range(256)) == sorted(mk.column(j) for j in range(256))
-    assert any(m0.column(j) != mk.column(j) for j in range(256))
+    assert sorted(m0.tolist()) == sorted(mk.tolist())
+    assert (m0 != mk).any()
 
 
 def test_s_matrix_row_subset_xors_have_hw_0_or_128():
     rng = random.Random(4)
-    mats = {ell: build_s_matrix(ell, rng.randrange(256)) for ell in (1, 2, 3)}
+    mats = {ell: coeff_tables(rng.randrange(256))[ell - 1] for ell in (1, 2, 3)}
     for _ in range(1000):
         m = mats[rng.choice((1, 2, 3))]
         subset = rng.sample(range(8), rng.randint(1, 8))
-        acc = 0
-        for i in subset:
-            acc ^= m.rows[i]
-        assert acc.bit_count() in (0, 128)
+        assert _parity_rows(m, sum(1 << (7 - i) for i in subset)).sum() in (0, 128)
 
 
 def test_s_matrix_example_column_is_sbox_of_zero():
-    m = build_s_matrix(1, 0)
-    assert m.column(0x00) == 0x63
+    assert coeff_tables(0)[0][0x00] == 0x63
 
 
 def test_row_xor_pair_hw():
-    m = build_s_matrix(1, 0)
-    hw = (m.rows[0] ^ m.rows[1]).bit_count()
-    assert hw in (0, 128)
+    assert _parity_rows(coeff_tables(0)[0], 0b11000000).sum() in (0, 128)
 
 
 def test_pt_index_position_mapping_round_trip():

@@ -100,17 +100,43 @@ REPORT_CASES = {
     "walsh-ro-grid": (["--kind", "walsh-ro", "--traces", "{grid}", *KEY_ARGS],
                       "28c50401bd95cc85e1ac22d7d76b077c708af3bf0381131c37e958eeb1716b42",
                       "fe6c6f32d3333d354d3005ae8bfc40239b4f9bdafe2ba4364951d060594e6b00"),
+    # Recorded before the analyze handlers became one dispatch table; tvla
+    # compares a 1,000-row fixed-plaintext random:0.5 campaign (seed 14).
+    "dca-pt3-ell2": (["--kind", "dca", "--traces", "{mixed}", "--pt-index", "3", "--ell", "2", *KEY_ARGS],
+                     "fb54b3df6654dbf247ad082b0415b0f8e440ec9f4926e4ddcd278050c3ca26d9",
+                     "549208a5e0aab591ecc16af44981d5567b5d8aa8a47d3a10e70d67bcb8b65004"),
+    "cpa-all-round1-ut": (["--kind", "cpa", "--traces", "{mixed}", "--window", "round1-ut", *KEY_ARGS],
+                          "75e479fcb6c3bde905690606d2d98befe87b0eb24dd438c21bb2a6adc146af86",
+                          "886b10fe29bce00cc45a7da4e777ac76a1d9f013b171f944ffddf0c0a25406da"),
+    "mia-sbox": (["--kind", "mia", "--traces", "{mixed}", "--model", "sbox", "--pt-index", "5", *KEY_ARGS],
+                 "d87bf8e71de1a52438ab5ea05e1a71f4d7aaabfab14d50e2db54d9c041f150c8",
+                 "6db8627c193daba18a8750c4001584c8194aaf0f9a7cece9c773a78579819f4f"),
+    "mia-round-output": (["--kind", "mia", "--traces", "{mixed}", "--model", "round-output",
+                          "--window", "round1-col0", *KEY_ARGS],
+                         "c10e13d992e7c2a7bc8f95361c8d2bc7ff3146e734e0f6395650d8a2215fec0b",
+                         "ac58bc81f5a98dcd06d4577a4e229379dc7b5fcf8c028a5e2097caee7ca922c7"),
+    "collision-grid": (["--kind", "collision", "--traces", "{grid}", *KEY_ARGS],
+                       "9de6c3e58a3636e2f3865ce82aa471ed2ff9c3b4161bd03c0b2712e9b4bc8dd8",
+                       "c7b7c8b310258038599de475461da725364745becd7643e5e8341d6ccdca0485"),
+    "cluster-grid": (["--kind", "cluster", "--traces", "{grid}", *KEY_ARGS],
+                     "490f1e71e9a3f1d6c201cf17b42ed980053935e537c368bbb47b4bcfa0ea69b0",
+                     "c7b7c8b310258038599de475461da725364745becd7643e5e8341d6ccdca0485"),
+    "tvla-round1": (["--kind", "tvla", "--fixed", "{fixed}", "--random", "{mixed}", "--window", "round1"],
+                    "bd51b6e5166085649600e6be369763dd53f5a72ec80c4652ca9cab4824f28933",
+                    "049ecc72c87b0105b9095dbe61cf70bea0b1edd9e3c6bca494eb52f109efab36"),
 }
 
 
 @pytest.fixture(scope="module")
 def golden_campaigns(golden_tables, tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_campaigns")
-    for name, source, count, seed in (("mixed", "random", "3000", "12"), ("grid", "grid", "0", "13")):
+    campaigns = (("mixed", "random", "3000", "12"), ("grid", "grid", "0", "13"),
+                 ("fixed", f"fixed:{FIXED_PT}", "1000", "14"))
+    for name, source, count, seed in campaigns:
         rc = main(["trace", "--tables", str(golden_tables), "--source", source, "--count", count,
                    "--policy", "random:0.5", "--seed", seed, "--out", str(d / f"{name}.btr")])
         assert rc == 0
-    return {"tables": str(golden_tables), "mixed": str(d / "mixed.btr"), "grid": str(d / "grid.btr")}
+    return {"tables": str(golden_tables), **{name: str(d / f"{name}.btr") for name, *_ in campaigns}}
 
 
 @pytest.mark.parametrize("label", sorted(REPORT_CASES))

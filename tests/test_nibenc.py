@@ -1,22 +1,29 @@
 import random
 import statistics
 
+import numpy as np
 import pytest
 
-from balaes.binmat import encode_map, sample_pair
-from balaes.gfcore import build_s_matrix, coeff_sbox_table
+from balaes.binmat import coeff_tables, encode_map, encoded_coeff_tables, sample_pair, walsh_grid
 from balaes.nibenc import (
     LOWER,
     UPPER,
     CodecPair,
     NibbleCodec,
     codec_map,
-    decode_byte,
     encode_byte,
     find_candidates,
     find_round_output_candidates,
-    verify_swap_balance,
 )
+
+from conftest import s_matrix_rows
+
+
+def verify_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
+    """Recompute the full Walsh grid after applying the codec pair to every
+    encoded coefficient column; true iff every sum is still zero."""
+    swapped = np.frombuffer(codec_map(cp), dtype=np.uint8)[encoded_coeff_tables(pair, key_byte)]
+    return not walsh_grid(swapped, coeff_tables(key_byte)).any()
 
 
 # --- bitmask references ------------------------------------------------------------
@@ -40,14 +47,14 @@ _RAW_ROWS = tuple(sum(1 << u for u in range(256) if (u >> (7 - i)) & 1) for i in
 
 
 def _reference_candidates(pair, key_byte: int, half: str, ell=None) -> set:
-    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
+    smats = {lp: s_matrix_rows(lp, key_byte) for lp in (1, 2, 3)}
     result = set(range(16))
     for l in (ell,) if ell is not None else (1, 2, 3):
-        cols = coeff_sbox_table(l, key_byte).translate(encode_map(pair))
+        cols = coeff_tables(key_byte)[l - 1].tobytes().translate(encode_map(pair))
         masks = _nibble_masks([_half_nibble(c, half) for c in cols])
         result = {e for e in result
                   if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count()
-                         for lp in (1, 2, 3) for row in smats[lp].rows)}
+                         for lp in (1, 2, 3) for row in smats[lp])}
     return result
 
 
@@ -58,12 +65,12 @@ def _reference_round_output_candidates(pair, half: str) -> set:
 
 
 def _reference_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
-    smats = {lp: build_s_matrix(lp, key_byte) for lp in (1, 2, 3)}
+    smats = {lp: s_matrix_rows(lp, key_byte) for lp in (1, 2, 3)}
     for ell in (1, 2, 3):
-        cols = [encode_byte(c, cp) for c in coeff_sbox_table(ell, key_byte).translate(encode_map(pair))]
+        cols = [encode_byte(c, cp) for c in coeff_tables(key_byte)[ell - 1].tobytes().translate(encode_map(pair))]
         for i in range(8):
             fmask = sum(1 << j for j, c in enumerate(cols) if (c >> (7 - i)) & 1)
-            if any((fmask ^ row).bit_count() != 128 for lp in (1, 2, 3) for row in smats[lp].rows):
+            if any((fmask ^ row).bit_count() != 128 for lp in (1, 2, 3) for row in smats[lp]):
                 return False
     return True
 
@@ -120,8 +127,9 @@ def test_encode_byte_examples():
     assert encode_byte(0x00, cp) == 0x53
     assert encode_byte(0x53, cp) == 0x00
     assert encode_byte(0x7A, cp) == 0x7A
+    decode = codec_map(cp)  # an involution: the map decodes what it encodes
     for x in range(256):
-        assert decode_byte(encode_byte(x, cp), cp) == x
+        assert decode[encode_byte(x, cp)] == x
 
 
 def test_codec_moves_at_most_two_points_per_half():
@@ -129,14 +137,14 @@ def test_codec_moves_at_most_two_points_per_half():
     moved_hi = {v for v in range(16) if cp.upper.encode(v) != v}
     moved_lo = {v for v in range(16) if cp.lower.encode(v) != v}
     assert moved_hi == {0, 9} and moved_lo == {0, 1}
-    assert CodecPair.identity().is_identity()
+    assert codec_map(CodecPair.identity()) == bytes(range(256))
 
 
 def test_nibble_value_counts_are_16_per_value():
     rng = random.Random(50)
     pair = sample_pair(rng)
     for ell in (1, 2, 3):
-        cols = coeff_sbox_table(ell, 0x21).translate(encode_map(pair))
+        cols = coeff_tables(0x21)[ell - 1].tobytes().translate(encode_map(pair))
         for half_shift in (4, 0):
             counts = [0] * 16
             for c in cols:
@@ -222,10 +230,8 @@ def test_round_output_candidates_preserve_raw_bit_balance():
 def test_zero_hiding():
     rng = random.Random(56)
     pair = sample_pair(rng)
-    from balaes.binmat import linear_encode
-
     cp = CodecPair.of(7, 2)
-    assert encode_byte(linear_encode(0, pair), cp) == 0x72  # L(0)=0, both halves swapped
+    assert encode_byte(encode_map(pair)[0], cp) == 0x72  # L(0)=0, both halves swapped
 
 
 def test_codec_map_round_trip():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from balaes import cipher, sca, tablegen
-from balaes.binmat import sample_pair, walsh_balance_check, walsh_grid
+from balaes.binmat import COEFF, sample_pair, walsh_grid
 from balaes.cipher import SelectorPolicy, TraceSet, collect_traces, fixed_plaintexts, random_plaintexts
-from balaes.gfcore import RoundKeys, build_s_matrix, position_for_pt_index, sbox
+from balaes.gfcore import MC, SBOX, gf_mul, position_for_pt_index, pt_index_for_position
 from balaes.sca import (
     RoundOutputHypothesis,
     SboxHypothesis,
@@ -16,14 +16,15 @@ from balaes.sca import (
     bit_expand,
     collision_and_sse_scores,
     dca_rank,
-    delta_imbalance,
     mia_max,
     tvla,
     walsh_round_output_all,
-    walsh_spectrum,
 )
 
-from conftest import STD_KEY
+from conftest import STD_KEY, walsh_balance_check
+
+_SBOX = np.frombuffer(SBOX, dtype=np.uint8)
+_MUL = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c in (1, 2, 3)}
 
 
 def _toy_traceset(samples: np.ndarray, plaintexts: np.ndarray | None = None) -> TraceSet:
@@ -44,8 +45,21 @@ def _bit_matrix(traces: TraceSet, window) -> np.ndarray:
     return bit_expand(traces.samples[:, w]).astype(np.float64)
 
 
+def hyp_bytes(model, guess: int, pts: np.ndarray) -> np.ndarray:
+    """The model's hypothesis byte of every trace under one guess, gathered
+    from gfcore's S-box and multiplications rather than the coefficient tables."""
+    if isinstance(model, SboxHypothesis):
+        return _MUL[model.ell][_SBOX[pts[:, model.pt_index] ^ np.uint8(guess)]]
+    keys = {**model.known_keys, model.target_row: guess}
+    out = np.zeros(pts.shape[0], dtype=np.uint8)
+    for row, key in keys.items():
+        m = pt_index_for_position(row, model.column)
+        out ^= _MUL[MC[model.out_byte][row]][_SBOX[pts[:, m] ^ np.uint8(key)]]
+    return out
+
+
 def _hyp_bit(model, guess: int, bit: int, pts: np.ndarray) -> np.ndarray:
-    return ((model.hyp_bytes(guess, pts) >> (7 - bit)) & 1).astype(np.float64)
+    return ((hyp_bytes(model, guess, pts) >> (7 - bit)) & 1).astype(np.float64)
 
 
 def pearson_binary(h: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -130,8 +144,8 @@ def _reference_scores(traces: TraceSet, model, window, bits):
 
 def _hyp_round_output(pts: np.ndarray, known_k0: int, guess: int) -> np.ndarray:
     return (
-        sca._MUL_NP[2][sca._SBOX_NP[pts[:, 0] ^ np.uint8(known_k0)]]
-        ^ sca._MUL_NP[3][sca._SBOX_NP[pts[:, 5] ^ np.uint8(guess)]]
+        _MUL[2][_SBOX[pts[:, 0] ^ np.uint8(known_k0)]]
+        ^ _MUL[3][_SBOX[pts[:, 5] ^ np.uint8(guess)]]
     )
 
 
@@ -141,10 +155,10 @@ def _walsh_round_output_reference(traces: TraceSet, known_k0: int) -> np.ndarray
     c = sca._grid_round_output_bytes(traces)
     cbits = ((c[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
     vals = np.arange(256, dtype=np.uint8)
-    s2 = sca._MUL_NP[2][sca._SBOX_NP[vals ^ np.uint8(known_k0)]]
+    s2 = _MUL[2][_SBOX[vals ^ np.uint8(known_k0)]]
     out = np.zeros((256, 8, 8), dtype=np.int64)
     for guess in range(256):
-        gamma = s2[:, None] ^ sca._MUL_NP[3][sca._SBOX_NP[vals ^ np.uint8(guess)]][None, :]
+        gamma = s2[:, None] ^ _MUL[3][_SBOX[vals ^ np.uint8(guess)]][None, :]
         gbits = ((gamma[None, :, :] >> (7 - np.arange(8)[:, None, None])) & 1).astype(np.int64)
         for i in range(8):
             inner = 256 - 2 * (cbits[i][None, :, :] ^ gbits).sum(axis=2)
@@ -198,7 +212,7 @@ def _perfect_cluster_traces(secret: int) -> TraceSet:
     pts = np.zeros((n, 16), dtype=np.uint8)
     pts[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
     pts[:, 5] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
-    c = sca._SBOX_NP[_hyp_round_output(pts, 0, secret)]
+    c = _SBOX[_hyp_round_output(pts, 0, secret)]
     samples = np.zeros((n, 22), dtype=np.uint8)
     samples[:, 20] = c >> 4
     samples[:, 21] = c & 0xF
@@ -221,7 +235,7 @@ def walsh_ut_from_traces(traces: TraceSet, pt_index: int, out_byte: int, out_bit
     s_idx = cipher.ut_sample_index(1, j, i, out_byte)
     b = traces.plaintexts[:, pt_index]
     col = traces.samples[:, s_idx]
-    hyp = sca._MUL_NP[ellp][sca._SBOX_NP[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
+    hyp = _MUL[ellp][_SBOX[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
     hbits = (hyp >> (7 - iprime)) & 1
     total = 0.0
     for v in range(256):
@@ -237,7 +251,7 @@ def walsh_ut_from_traces(traces: TraceSet, pt_index: int, out_byte: int, out_bit
 def _ut_walsh_grid(ts, i: int, j: int, ellp: int) -> np.ndarray:
     """(out_byte, out_bit, guess, iprime) Walsh sums of round-1 table (i, j)
     against ellp * S(x ^ guess) for every guess."""
-    return walsh_grid(ts.ut[0, i, j].T, sca._guess_value_table(ellp))
+    return walsh_grid(ts.ut[0, i, j].T, COEFF[ellp - 1])
 
 
 def _round_output_model(std_spec) -> RoundOutputHypothesis:
@@ -261,13 +275,19 @@ def test_walsh_linear_function_peaks_at_its_mask():
 
 
 def test_walsh_sbox_bit_against_direct_summation():
-    f = [(sbox(x) >> 7) & 1 for x in range(256)]
+    f = [(SBOX[x] >> 7) & 1 for x in range(256)]
     ref = 0
     for x in range(256):
         ref += (-1) ** (f[x] ^ ((x & 0x80) >> 7))
     assert walsh(f, 0x80) == ref
     assert walsh(f, 0x80) % 2 == 0
     assert -256 <= walsh(f, 0x80) <= 256
+
+
+def walsh_spectrum(fbits) -> np.ndarray:
+    """Walsh transform of a 256-point boolean function over all 256 masks,
+    through the Walsh-Hadamard matrix of the collision and cluster scores."""
+    return sca._walsh_hadamard_matrix().astype(np.int64) @ (1 - 2 * np.asarray(fbits, dtype=np.int64))
 
 
 def test_walsh_spectrum_matches_pointwise_walsh():
@@ -288,6 +308,10 @@ def test_one_resilient_function_spectrum():
 
 
 def test_delta_imbalance_cases():
+    # accumulated absolute Walsh values of a family, summed over every mask
+    def delta_imbalance(family):
+        return sum(int(np.abs(walsh_spectrum(f)).sum()) for f in family)
+
     assert delta_imbalance([[0] * 256]) == 256
     rng = random.Random(71)
     fam = [[rng.randrange(2) for _ in range(256)] for _ in range(3)]
@@ -338,7 +362,7 @@ def test_dca_rank_synthetic_planted_leak():
     pts = np.frombuffer(rng.randbytes(n * 16), dtype=np.uint8).reshape(n, 16).copy()
     secret = 0x5A
     hyp = SboxHypothesis(ell=1, pt_index=3)
-    leak_bits = (hyp.hyp_bytes(secret, pts) >> 7) & 1  # bit 1 of S(pt3 ^ secret)
+    leak_bits = (hyp_bytes(hyp, secret, pts) >> 7) & 1  # bit 1 of S(pt3 ^ secret)
     samples = np.zeros((n, 4), dtype=np.uint8)
     samples[:, 2] = leak_bits  # bit-expansion exposes it on the LSB column
     samples[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
@@ -576,7 +600,7 @@ def test_mia_upper_bound_when_sample_equals_hypothesis():
     n = 3000
     pts = np.frombuffer(rng.randbytes(n * 16), dtype=np.uint8).reshape(n, 16).copy()
     model = SboxHypothesis(ell=1, pt_index=2)
-    h = (model.hyp_bytes(0x17, pts) >> 7) & 1
+    h = (hyp_bytes(model, 0x17, pts) >> 7) & 1
     samples = np.zeros((n, 2), dtype=np.uint8)
     samples[:, 0] = h
     ts = _toy_traceset(samples, pts)

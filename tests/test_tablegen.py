@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from balaes import cipher, tablegen
-from balaes.binmat import linear_decode
-from balaes.gfcore import MC, RoundKeys, build_s_matrix, gf_mul, reference_encrypt, sbox
-from balaes.nibenc import CodecPair, NibbleCodec, decode_byte, find_candidates
+from balaes.binmat import EncodingPair, decode_map
+from balaes.gfcore import MC, SBOX, RoundKeys, gf_mul, reference_encrypt
+from balaes.nibenc import CodecPair, NibbleCodec, codec_map, find_candidates
 from balaes.tablegen import (
     FormatError,
     build_q1,
@@ -18,7 +18,6 @@ from balaes.tablegen import (
     gen_tbox,
     gen_ut,
     gen_xor_table,
-    identity_spec,
     pack_nibble_table,
     round_output_bytes_grid,
     serialize_spec,
@@ -29,19 +28,31 @@ from balaes.tablegen import (
     walsh_ut_grid_static,
 )
 
-from conftest import STD_KEY, STD_SEED
+from conftest import STD_KEY, STD_SEED, bit_rows, s_matrix_rows
+
+
+def identity_spec(key: bytes) -> tablegen.EncodingSpec:
+    """All-identity encodings; the network then computes bare fused AES steps."""
+    slots = [(r, j, k) for r in range(1, 10) for j in range(4) for k in range(4)]
+    return tablegen.EncodingSpec(
+        seed=0, key=bytes(key),
+        pairs={slot: EncodingPair.identity() for slot in slots},
+        ut_codecs={(*slot, i): CodecPair.identity() for slot in slots for i in range(4)},
+        stage_codecs={(*slot, s): CodecPair.identity() for slot in slots for s in range(3)},
+        xor_boundary_mode="identity",
+    )
 
 
 def test_gen_tbox_zero_key_is_sbox():
     keys = RoundKeys.from_key(bytes(16))
     t1 = gen_tbox(1, 0, 0, keys)
-    assert list(t1) == [sbox(p) for p in range(256)]
+    assert list(t1) == [SBOX[p] for p in range(256)]
     # with an all-zero key the final key addition is also zero in round 10? no:
     # round-10 key of the zero key is nonzero, so build the plain form directly
     t10 = gen_tbox(10, 2, 1, keys)
     kb = keys.khat[9][2][1]
     out = keys.k[10][2][1]
-    assert list(t10) == [sbox(p ^ kb) ^ out for p in range(256)]
+    assert list(t10) == [SBOX[p ^ kb] ^ out for p in range(256)]
 
 
 def test_gen_tbox_known_key_round1():
@@ -50,7 +61,7 @@ def test_gen_tbox_known_key_round1():
         for j in range(4):
             t = gen_tbox(1, i, j, keys)
             kb = keys.khat[0][i][j]
-            assert list(t) == [sbox(p ^ kb) for p in range(256)]
+            assert list(t) == [SBOX[p ^ kb] for p in range(256)]
     with pytest.raises(ValueError):
         gen_tbox(11, 0, 0, keys)
 
@@ -60,7 +71,7 @@ def test_gen_ut_identity_spec_gives_plain_partial_products():
     for i in range(4):
         table = gen_ut(1, i, 0, spec)
         for p in range(256):
-            x = sbox(p)
+            x = SBOX[p]
             expected = [gf_mul(MC[k][i], x) for k in range(4)]
             assert list(table[p]) == expected
     # row 1 carries [2S, S, S, 3S]
@@ -75,10 +86,10 @@ def test_gen_ut_outputs_decode_to_partial_products(std_spec):
         table = gen_ut(r, i, j, spec)
         kb = spec.round_keys.khat[r - 1][i][j]
         for p in (0, 1, 0x42, 0xFF, 0x9C):
-            x = sbox(p ^ kb)
+            x = SBOX[p ^ kb]
             for k in range(4):
                 w = int(table[p][k])
-                y = linear_decode(decode_byte(w, spec.ut_codecs[(r, j, k, i)]), spec.pairs[(r, j, k)])
+                y = decode_map(spec.pairs[(r, j, k)])[codec_map(spec.ut_codecs[(r, j, k, i)])[w]]
                 assert y == gf_mul(MC[k][i], x)
 
 
@@ -167,28 +178,18 @@ def test_q1_round1_walsh_grid_also_zero(std_pair, std_spec):
     assert not grid.any()
 
 
-def _bit_rows_of_column(values, bit_count: int = 8) -> list:
-    """values: 256 ints; returns bit_count ints whose bit j mirrors value j."""
-    rows = [0] * bit_count
-    for j, v in enumerate(values):
-        for i in range(bit_count):
-            if (v >> (bit_count - 1 - i)) & 1:
-                rows[i] |= 1 << j
-    return rows
-
-
 def _reference_walsh_ut_grid(ts, spec) -> np.ndarray:
     """walsh_ut_grid_static by popcounts of 256-bit integer bit rows."""
     grid = np.zeros((4, 4, 4, 8, 3, 8), dtype=np.int32)
     for i in range(4):
         for j in range(4):
-            smats = {lp: build_s_matrix(lp, spec.round_keys.khat[0][i][j]) for lp in (1, 2, 3)}
+            smats = {lp: s_matrix_rows(lp, spec.round_keys.khat[0][i][j]) for lp in (1, 2, 3)}
             for k in range(4):
-                rows = _bit_rows_of_column([int(v) for v in ts.ut[0, i, j, :, k]])
+                rows = bit_rows(ts.ut[0, i, j, :, k])
                 for bit in range(8):
                     for lp in (1, 2, 3):
                         for ip in range(8):
-                            grid[i, j, k, bit, lp - 1, ip] = 256 - 2 * (rows[bit] ^ smats[lp].rows[ip]).bit_count()
+                            grid[i, j, k, bit, lp - 1, ip] = 256 - 2 * (rows[bit] ^ smats[lp][ip]).bit_count()
     return grid
 
 
@@ -327,7 +328,7 @@ def test_spec_serialization_round_trip(std_spec):
 def test_identity_xor_boundary_mode_still_encrypts():
     key = bytes(range(16))
     pair, spec = build_table_pair(key, 5, xor_boundary_mode="identity", verify=False)
-    assert spec.stage_codecs[(3, 1, 2, 0)].is_identity()
+    assert spec.stage_codecs[(3, 1, 2, 0)] == CodecPair.identity()
     pt = bytes(range(16, 32))
     ct, _, _ = encrypt_with_tables(pair.q0, pt)
     assert ct == reference_encrypt(pt, key)
