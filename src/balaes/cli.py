@@ -68,6 +68,14 @@ def _load_pair(tables_dir: str) -> tablegen.TableSetPair:
     return tablegen.TableSetPair(q0=q0, q1=q1)
 
 
+def _load_traces(path: str) -> cipher.TraceSet:
+    """A campaign for an analysis; one that holds no traces is a usage error."""
+    traces = cipher.load_traces(path)
+    if not len(traces):
+        raise ValueError(f"trace file {path} holds 0 traces; an analysis needs a campaign")
+    return traces
+
+
 def _load_spec(path: str) -> tablegen.EncodingSpec:
     with open(path, "rb") as fh:
         return tablegen.deserialize_spec(fh.read())
@@ -211,6 +219,13 @@ def _require(args, *names: str) -> None:
             raise ValueError(f"analyze --kind {args.kind} needs --{name}")
 
 
+def _one_byte(args) -> int:
+    """The attacked byte of a kind that attacks one: --pt-index all is a usage error."""
+    if args.pt_index == "all":
+        raise ValueError(f"analyze --kind {args.kind} attacks one plaintext byte; give --pt-index 0..15")
+    return int(args.pt_index)
+
+
 def _round_output_guesses(key: bytes) -> tuple:
     """(known k0, correct second-row guess) of the round-output analyses."""
     khat = RoundKeys.from_key(key).khat[0]
@@ -233,8 +248,8 @@ def _walsh_ut(args):
 
 
 def _walsh_ut_traces(args):
-    m = 0 if args.pt_index == "all" else int(args.pt_index)
-    grid = sca.walsh_ut_trace_grid(cipher.load_traces(args.traces), m, args.ell)
+    m = _one_byte(args)
+    grid = sca.walsh_ut_trace_grid(_load_traces(args.traces), m, args.ell)
     peak = np.abs(grid).reshape(256, -1).max(axis=1)
     rows = [[g, round(float(peak[g]), 2)] for g in range(256)]
     summary = {
@@ -252,7 +267,7 @@ def _walsh_ut_traces(args):
 
 def _walsh_ro(args):
     known, correct = _round_output_guesses(_parse_key(args.key))
-    grid = sca.walsh_round_output_all(cipher.load_traces(args.traces))
+    grid = sca.walsh_round_output_all(_load_traces(args.traces))
     rows = [[g, i + 1, ip + 1, int(grid[g, i, ip])]
             for g in range(256) for i in range(8) for ip in range(8) if grid[g, i, ip]]
     summary = {
@@ -267,7 +282,7 @@ def _walsh_ro(args):
 
 def _rank(args):
     """cpa reports each bit's top guess, dca every guess's score and rank."""
-    traces = cipher.load_traces(args.traces)
+    traces = _load_traces(args.traces)
     key = _parse_key(args.key)
     window = _parse_window(args.window)
     rows = []
@@ -294,7 +309,7 @@ def _rank(args):
 
 def _collision(args):
     known, correct = _round_output_guesses(_parse_key(args.key))
-    coll, sse = sca.collision_and_sse_scores(cipher.load_traces(args.traces), known)
+    coll, sse = sca.collision_and_sse_scores(_load_traces(args.traces), known)
     rows = [[g, int(coll[g]), round(float(sse[g]), 3)] for g in range(256)]
     summary = {
         "command": "analyze", "kind": args.kind,
@@ -308,11 +323,10 @@ def _collision(args):
 
 
 def _mia(args):
-    traces = cipher.load_traces(args.traces)
     key = _parse_key(args.key)
     window = _parse_window(args.window) if args.window else slice(0, 40)
     if args.model == "sbox":
-        m = int(args.pt_index) if args.pt_index != "all" else 0
+        m = _one_byte(args)
         model = sca.SboxHypothesis(ell=1, pt_index=m)
         correct = key[m]
     else:
@@ -322,7 +336,7 @@ def _mia(args):
             known_keys={0: khat[0][0], 2: khat[2][0], 3: khat[3][0]},
         )
         correct = int(khat[1][0])
-    mi = sca.mia_max(traces, model, window=window)
+    mi = sca.mia_max(_load_traces(args.traces), model, window=window)
     rows = [[g, b + 1, round(float(mi[g, b]), 6)] for g in range(256) for b in range(8)]
     summary = {
         "command": "analyze", "kind": "mia", "model": args.model,
@@ -335,7 +349,7 @@ def _mia(args):
 
 
 def _tvla(args):
-    result = sca.tvla(cipher.load_traces(args.fixed), cipher.load_traces(args.random),
+    result = sca.tvla(_load_traces(args.fixed), _load_traces(args.random),
                       window=_parse_window(args.window))
     rows = [[s, round(float(t), 4)] for s, t in enumerate(result.t)]
     passed = result.passed(4.5)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 GF_POLY = 0x11B
 
 # Standard SubBytes table; validated below against the inverse-plus-affine construction.
@@ -163,6 +165,30 @@ def reference_encrypt(pt: bytes, key: bytes) -> bytes:
     s = _shift_rows(s)
     s = [[s[i][j] ^ rk.k[10][i][j] for j in range(4)] for i in range(4)]
     return _state_to_bytes(s)
+
+
+# ShiftRows over the 16 bytes of a block (byte i + 4c is row i of column c):
+# byte i + 4c takes byte i + 4((c + i) % 4).
+_SHIFT_ROWS = np.array([i + 4 * ((c + i) % 4) for c in range(4) for i in range(4)])
+_SBOX_NP, _MUL2_NP, _MUL3_NP = (np.frombuffer(t, dtype=np.uint8) for t in (SBOX, MUL2, MUL3))
+
+
+def reference_encrypt_batch(pts, key: bytes) -> np.ndarray:
+    """Plain AES-128 over an (N, 16) uint8 plaintext array, all blocks one
+    step at a time: the batch functional oracle, from the same constants and
+    key schedule as reference_encrypt.  Returns (N, 16) ciphertexts."""
+    if len(key) != 16:
+        raise ValueError("key must be 16 bytes")
+    rk = np.array(_expand_key(key), dtype=np.uint8).reshape(11, 16)
+    s = np.asarray(pts, dtype=np.uint8) ^ rk[0]
+    for r in range(1, 11):
+        s = _SBOX_NP[s][:, _SHIFT_ROWS]
+        if r < 10:
+            c = s.reshape(-1, 4, 4)  # (block, column, row)
+            s = (_MUL2_NP[c] ^ _MUL3_NP[np.roll(c, -1, axis=2)] ^ np.roll(c, -2, axis=2)
+                 ^ np.roll(c, -3, axis=2)).reshape(-1, 16)
+        s ^= rk[r]
+    return s
 
 
 def pt_index_for_position(i: int, j: int) -> int:

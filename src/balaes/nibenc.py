@@ -56,13 +56,21 @@ class CodecPair:
         return cls(upper=NibbleCodec(e_upper), lower=NibbleCodec(e_lower))
 
 
-def encode_byte(x: int, cp: CodecPair) -> int:
-    return (cp.upper.encode(x >> 4) << 4) | cp.lower.encode(x & 0xF)
+_V = np.arange(16, dtype=np.uint8)
+# NIB[e, v] is NibbleCodec(e).encode(v): every zero-swap codec over every nibble.
+NIB = np.where(_V == 0, _V[:, None], np.where(_V == _V[:, None], 0, _V)).astype(np.uint8)
+NIB.flags.writeable = False
+
+
+def codec_bytes(y, e_upper, e_lower):
+    """Bytes y under the codec pair (e_upper, e_lower), elementwise with
+    broadcasting; every codec is an involution, so this also decodes."""
+    return (NIB[e_upper, y >> 4] << 4) | NIB[e_lower, y & 0xF]
 
 
 def codec_map(cp: CodecPair) -> bytes:
-    """encode_byte as a 256-entry map; an involution, so it also decodes."""
-    return bytes(encode_byte(x, cp) for x in range(256))
+    """The codec pair as a 256-entry map; an involution, so it also decodes."""
+    return codec_bytes(np.arange(256, dtype=np.uint8), cp.upper.e, cp.lower.e).tobytes()
 
 
 def _swap_candidates(tables: np.ndarray, half: str, planes: np.ndarray) -> set:

@@ -4,7 +4,19 @@ Per encoded round r (1..9), each state byte feeds a 256x4 table fusing key
 addition, SubBytes and the four MixColumns partial products; the four encoded
 products of one output byte are folded by packed 4-bit XOR tables.  The final
 round uses plain-output 256-byte tables.  Every internal boundary carries a
-zero-swap nibble codec; the complement set flips all internal bits."""
+zero-swap nibble codec; the complement set flips all internal bits.
+
+Generation works on whole arrays: the spec's codec partners and linear-pair
+maps are gathered once, and every table family is then one gather through
+COEFF, the byte maps and the nibble-swap table NIB.
+
+A table file is an 8-byte header (magic, version, set id), then the TableSet
+arrays in their index order: ut (9*16*1024 bytes), tx packed two nibbles per
+byte with the even entry of each pair in the low nibble (864*128 bytes), t10
+(16*256 bytes), and a CRC-32 of everything before it.  A spec file is its
+header, seed and key, then the f and g rows of each linear pair, the table
+output codec partners and the XOR-stage codec partners, in (r, j, k, ...)
+order, and a CRC-32."""
 
 from __future__ import annotations
 
@@ -15,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfcore import MC, RoundKeys
+from .gfcore import MC, RoundKeys, reference_encrypt_batch
 from .binmat import (
     COEFF,
     BitMat4,
@@ -30,9 +42,10 @@ from .binmat import (
 )
 from .nibenc import (
     LOWER,
+    NIB,
     UPPER,
     CodecPair,
-    codec_map,
+    codec_bytes,
     find_candidates,
     find_round_output_candidates,
 )
@@ -82,10 +95,6 @@ class EncodingSpec:
     def __post_init__(self):
         self.round_keys = RoundKeys.from_key(self.key)
 
-    def producer_of_input(self, r: int, i: int, j: int) -> tuple:
-        """(round, column, out_byte) whose encoded output feeds table (r, i, j)."""
-        return (r - 1, (j + i) % 4, i)
-
 
 @dataclass
 class TableSet:
@@ -120,70 +129,35 @@ class TableSetPair:
         return self.q1 if bit else self.q0
 
 
-def gen_tbox(r: int, i: int, j: int, keys: RoundKeys) -> bytes:
-    """Plain fused key-addition/SubBytes table; round 10 folds in the last key."""
-    if not 1 <= r <= 10:
-        raise ValueError("round must be in [1, 10]")
-    tbox = COEFF[0, keys.khat[r - 1][i][j]]
-    return (tbox if r <= 9 else tbox ^ keys.k[10][i][j]).tobytes()
+_RJK = [(r, j, k) for r in range(1, 10) for j in range(4) for k in range(4)]
 
 
-def _input_decode_map(spec: EncodingSpec, r: int, i: int, j: int) -> bytes:
-    """Byte map undoing the producing boundary's codec and linear encoding."""
-    if r == 1:
-        return bytes(range(256))
-    pr, pj, pk = spec.producer_of_input(r, i, j)
-    cmap = codec_map(spec.stage_codecs[(pr, pj, pk, 2)])
-    return cmap.translate(decode_map(spec.pairs[(pr, pj, pk)]))
+def _partners(codecs: dict, n: int) -> np.ndarray:
+    """Codec partners of n boundaries per slot as (9, 4, 4, n, 2) uint8,
+    indexed [r-1][j][k][boundary][upper, lower]: the spec file's order."""
+    return np.array([[(cp.upper.e, cp.lower.e) for cp in (codecs[(*rjk, b)] for b in range(n))] for rjk in _RJK],
+                    dtype=np.uint8).reshape(9, 4, 4, n, 2)
 
 
-def gen_ut(r: int, i: int, j: int, spec: EncodingSpec) -> np.ndarray:
-    """256x4 table mapping one (decoded) state byte to its four encoded partial products."""
-    kb = spec.round_keys.khat[r - 1][i][j]
-    dec = np.frombuffer(_input_decode_map(spec, r, i, j), dtype=np.uint8)
-    out = np.empty((256, 4), dtype=np.uint8)
-    for k in range(4):
-        emap = encode_map(spec.pairs[(r, j, k)])
-        cod = codec_map(spec.ut_codecs[(r, j, k, i)])
-        col = COEFF[MC[k][i] - 1, kb][dec].tobytes().translate(emap).translate(cod)
-        out[:, k] = np.frombuffer(col, dtype=np.uint8)
-    return out
+def _codecs(partners: bytes, n: int) -> dict:
+    """Inverse of _partners: the (r, j, k, boundary) -> CodecPair dict."""
+    it = iter(partners)
+    return {(*rjk, b): CodecPair.of(next(it), next(it)) for rjk in _RJK for b in range(n)}
 
 
-def gen_xor_table(left_codec, right_codec, out_codec) -> np.ndarray:
-    """4-bit XOR table: decode the two input nibbles, XOR, encode the output.
+def _byte_maps(spec: EncodingSpec, byte_map) -> np.ndarray:
+    """encode_map or decode_map of every linear pair as (9, 4, 4, 256) uint8."""
+    return np.frombuffer(b"".join(byte_map(spec.pairs[rjk]) for rjk in _RJK), dtype=np.uint8).reshape(9, 4, 4, 256)
+
+
+def xor_tables(left, right, out) -> np.ndarray:
+    """4-bit XOR tables for codec partner arrays of one shape: entry (a << 4) | b
+    decodes a with left and b with right, XORs them and encodes with out.
 
     The linear layer is intentionally not decoded; it distributes over XOR.
-    Entry index is (a << 4) | b; values are nibbles.
-    """
-    out = np.empty(256, dtype=np.uint8)
-    for a in range(16):
-        da = left_codec.decode(a)
-        for b in range(16):
-            out[(a << 4) | b] = out_codec.encode(da ^ right_codec.decode(b))
-    return out
-
-
-def pack_nibble_table(arr: np.ndarray) -> bytes:
-    """Two entries per byte: entry t lands in byte t >> 1, low nibble for even t."""
-    packed = bytearray(128)
-    for t in range(256):
-        v = int(arr[t]) & 0xF
-        if t & 1:
-            packed[t >> 1] |= v << 4
-        else:
-            packed[t >> 1] |= v
-    return bytes(packed)
-
-
-def unpack_nibble_table(data: bytes) -> np.ndarray:
-    if len(data) != 128:
-        raise FormatError("packed nibble table must be 128 bytes")
-    arr = np.empty(256, dtype=np.uint8)
-    for t in range(256):
-        b = data[t >> 1]
-        arr[t] = (b >> 4) if (t & 1) else (b & 0xF)
-    return arr
+    Returns (..., 256) nibble values."""
+    xor = NIB[left][..., :, None] ^ NIB[right][..., None, :]
+    return np.take_along_axis(NIB[out], xor.reshape(*xor.shape[:-2], 256), axis=-1)
 
 
 def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced", retry_budget: int = 32) -> EncodingSpec:
@@ -242,29 +216,37 @@ def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced", retry
     )
 
 
+_X = np.arange(256, dtype=np.uint8)
+_I4 = np.arange(4)
+# COEFF row of input row i in output byte k: _ELL[i, k] = MC[k][i] - 1.
+_ELL = np.array(MC).T - 1
+# Table (i, j) of round r + 1 reads the encoded output byte i of column (j + i) % 4
+# of round r, after ShiftRows.
+_PJ = (_I4 + _I4[:, None]) % 4
+
+
 def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
-    ut = np.empty((9, 4, 4, 256, 4), dtype=np.uint8)
-    for r in range(1, 10):
-        for i in range(4):
-            for j in range(4):
-                ut[r - 1, i, j] = gen_ut(r, i, j, spec)
-    tx = np.empty((9, 4, 4, 3, 2, 256), dtype=np.uint8)
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                feeders = [spec.ut_codecs[(r, j, k, i)] for i in range(4)]
-                left = feeders[0]
-                for s in range(3):
-                    out_cp = spec.stage_codecs[(r, j, k, s)]
-                    right = feeders[s + 1]
-                    tx[r - 1, j, k, s, 0] = gen_xor_table(left.upper, right.upper, out_cp.upper)
-                    tx[r - 1, j, k, s, 1] = gen_xor_table(left.lower, right.lower, out_cp.lower)
-                    left = out_cp
-    t10 = np.empty((4, 4, 256), dtype=np.uint8)
-    for i in range(4):
-        for j in range(4):
-            tbox = gen_tbox(10, i, j, spec.round_keys)
-            t10[i, j] = np.frombuffer(_input_decode_map(spec, 10, i, j).translate(tbox), dtype=np.uint8)
+    ut_e, st_e = _partners(spec.ut_codecs, 4), _partners(spec.stage_codecs, 3)
+    kh = np.array(spec.round_keys.khat, dtype=np.uint8)  # (10, 4, 4), [r-1][i][j]
+    # din[r-1, i, j, x]: the plain byte behind input x of table (i, j) of round r,
+    # undoing the producing round-output boundary's codec and linear encoding.
+    din = np.empty((10, 4, 4, 256), dtype=np.uint8)
+    din[0] = _X  # round 1 reads the plaintext
+    e_in = st_e[:, _PJ, _I4[:, None], 2]  # (9, 4, 4, 2)
+    din[1:] = np.take_along_axis(_byte_maps(spec, decode_map)[:, _PJ, _I4[:, None]],
+                                 codec_bytes(_X, e_in[..., :1], e_in[..., 1:]), axis=-1)
+    # Rounds 1..9: ell * S(x ^ k), then the slot's linear encoding, then the codec
+    # on the table output; indexed [r-1][i][j][x][k].
+    y = COEFF[_ELL[:, None, None, :], kh[:9, :, :, None, None], din[:9, :, :, :, None]]
+    r, j, k = np.arange(9)[:, None, None, None, None], _I4[:, None, None], _I4
+    y = _byte_maps(spec, encode_map)[r, j, k, y]
+    e_ut = ut_e.transpose(0, 3, 1, 2, 4)[:, :, :, None]  # [r-1][i][j][-][k][half]
+    ut = codec_bytes(y, e_ut[..., 0], e_ut[..., 1])
+    # XOR stage s folds the running value (row 0's table output for s = 0, else
+    # stage s - 1's output) with row s + 1's table output.
+    left = np.concatenate([ut_e[:, :, :, :1], st_e[:, :, :, :2]], axis=3)
+    tx = xor_tables(left, ut_e[:, :, :, 1:], st_e)
+    t10 = COEFF[0, kh[9, :, :, None], din[9]] ^ np.array(spec.round_keys.k[10], dtype=np.uint8)[:, :, None]
     return TableSet(set_id=set_id, ut=ut, tx=tx, t10=t10)
 
 
@@ -429,8 +411,6 @@ def walsh_round_output_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarr
 def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None = None) -> VerifyReport:
     """Static balance of all round-1 table outputs, round-output balance on the
     two-byte input subspace, and functional equality with plain AES."""
-    from .gfcore import reference_encrypt
-
     failures = []
     checks = {}
 
@@ -451,13 +431,12 @@ def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None 
     rng = rng or random.Random(0xBA1A)
     pts = np.frombuffer(rng.randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
     cts, _, _ = encrypt_batch_with_tables(ts, pts)
-    ok = True
-    for n in range(256):
-        if bytes(cts[n]) != reference_encrypt(bytes(pts[n]), spec.key):
-            ok = False
-            failures.append(f"functional mismatch on plaintext #{n}")
-            if len(failures) > 16:
-                break
+    bad = np.flatnonzero((cts != reference_encrypt_batch(pts, spec.key)).any(axis=1))
+    ok = not bad.size
+    for n in bad:
+        failures.append(f"functional mismatch on plaintext #{n}")
+        if len(failures) > 16:
+            break
     checks["functional_equality"] = ok
 
     return VerifyReport(passed=all(checks.values()), checks=checks, failures=failures)
@@ -482,24 +461,12 @@ def size_and_lookup_report(ts: TableSet) -> dict:
 # --- serialization -----------------------------------------------------------
 
 def serialize_tableset(ts: TableSet) -> bytes:
-    out = bytearray()
-    out += TABLE_MAGIC
-    out += struct.pack("<HBB", FORMAT_VERSION, ts.set_id, 0)
-    for r in range(9):
-        for i in range(4):
-            for j in range(4):
-                out += ts.ut[r, i, j].tobytes()
-    for r in range(9):
-        for j in range(4):
-            for k in range(4):
-                for s in range(3):
-                    for h in range(2):
-                        out += pack_nibble_table(ts.tx[r, j, k, s, h])
-    for i in range(4):
-        for j in range(4):
-            out += ts.t10[i, j].tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+    """Header, then ut, tx and t10 in their index order; tx holds two nibbles
+    per byte, the even entry of each pair in the low nibble."""
+    tx = ts.tx & 0xF
+    out = b"".join((TABLE_MAGIC, struct.pack("<HBB", FORMAT_VERSION, ts.set_id, 0), ts.ut.tobytes(),
+                    (tx[..., 0::2] | tx[..., 1::2] << 4).tobytes(), ts.t10.tobytes()))
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
 def deserialize_tableset(data: bytes) -> TableSet:
@@ -514,31 +481,17 @@ def deserialize_tableset(data: bytes) -> TableSet:
     if len(data) != expected_len:
         raise FormatError(f"table file length {len(data)} != {expected_len}")
     (crc,) = struct.unpack("<I", data[-4:])
-    if crc != zlib.crc32(data[:-4]):
+    if crc != zlib.crc32(memoryview(data)[:-4]):
         raise FormatError("table file checksum mismatch")
     if set_id not in (0, 1):
         raise FormatError(f"table set id {set_id} is not 0 or 1")
-    off = 8
-    ut = np.empty((9, 4, 4, 256, 4), dtype=np.uint8)
-    for r in range(9):
-        for i in range(4):
-            for j in range(4):
-                ut[r, i, j] = np.frombuffer(data[off : off + 1024], dtype=np.uint8).reshape(256, 4)
-                off += 1024
+    body = np.frombuffer(data, dtype=np.uint8, count=TOTAL_BYTES, offset=8)
+    packed = body[UT_BYTES : UT_BYTES + TX_BYTES].reshape(9, 4, 4, 3, 2, 128)
     tx = np.empty((9, 4, 4, 3, 2, 256), dtype=np.uint8)
-    for r in range(9):
-        for j in range(4):
-            for k in range(4):
-                for s in range(3):
-                    for h in range(2):
-                        tx[r, j, k, s, h] = unpack_nibble_table(data[off : off + 128])
-                        off += 128
-    t10 = np.empty((4, 4, 256), dtype=np.uint8)
-    for i in range(4):
-        for j in range(4):
-            t10[i, j] = np.frombuffer(data[off : off + 256], dtype=np.uint8)
-            off += 256
-    return TableSet(set_id=set_id, ut=ut, tx=tx, t10=t10)
+    tx[..., 0::2] = packed & 0xF
+    tx[..., 1::2] = packed >> 4
+    return TableSet(set_id=set_id, ut=body[:UT_BYTES].reshape(9, 4, 4, 256, 4).copy(), tx=tx,
+                    t10=body[UT_BYTES + TX_BYTES :].reshape(4, 4, 256).copy())
 
 
 def serialize_spec(spec: EncodingSpec) -> bytes:
@@ -548,23 +501,9 @@ def serialize_spec(spec: EncodingSpec) -> bytes:
     out += struct.pack("<HBB", FORMAT_VERSION, mode, 0)
     out += struct.pack("<Q", spec.seed & 0xFFFFFFFFFFFFFFFF)
     out += spec.key
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                pair = spec.pairs[(r, j, k)]
-                out += bytes(pair.f.rows) + bytes(pair.g.rows)
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                for i in range(4):
-                    cp = spec.ut_codecs[(r, j, k, i)]
-                    out += bytes((cp.upper.e, cp.lower.e))
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                for s in range(3):
-                    cp = spec.stage_codecs[(r, j, k, s)]
-                    out += bytes((cp.upper.e, cp.lower.e))
+    for rjk in _RJK:
+        out += bytes(spec.pairs[rjk].f.rows + spec.pairs[rjk].g.rows)
+    out += _partners(spec.ut_codecs, 4).tobytes() + _partners(spec.stage_codecs, 3).tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
 
@@ -593,38 +532,19 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
     # Every field after the seed and key is a BitMat4 row or a codec partner: one nibble each.
     if max(data[32:-4]) > 0xF:
         raise FormatError("spec matrix row or codec partner is not a nibble")
-    off = 8
-    (seed,) = struct.unpack("<Q", data[off : off + 8])
-    off += 8
-    key = data[off : off + 16]
-    off += 16
-    pairs = {}
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                f = BitMat4(rows=tuple(data[off : off + 4]))
-                g = BitMat4(rows=tuple(data[off + 4 : off + 8]))
-                pairs[(r, j, k)] = EncodingPair(f=f, g=g)
-                off += 8
+    (seed,) = struct.unpack("<Q", data[8:16])
+    key = data[16:32]
+    pairs = {rjk: EncodingPair(f=BitMat4(rows=tuple(data[off : off + 4])),
+                               g=BitMat4(rows=tuple(data[off + 4 : off + 8])))
+             for rjk, off in zip(_RJK, range(32, 32 + 9 * 16 * 8, 8))}
+    off = 32 + 9 * 16 * 8
     W = derive_blacklist_W()
     for (r, j, k), pair in pairs.items():
         for row in assemble_M(pair).rows:
             if W.forbids(row):
                 raise FormatError(f"spec linear pair r={r} j={j} k={k} has blacklisted matrix row {row:08b}")
-    ut_codecs = {}
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                for i in range(4):
-                    ut_codecs[(r, j, k, i)] = CodecPair.of(data[off], data[off + 1])
-                    off += 2
-    stage_codecs = {}
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                for s in range(3):
-                    stage_codecs[(r, j, k, s)] = CodecPair.of(data[off], data[off + 1])
-                    off += 2
+    ut_codecs = _codecs(data[off : off + 9 * 64 * 2], 4)
+    stage_codecs = _codecs(data[off + 9 * 64 * 2 : -4], 3)
     return EncodingSpec(
         seed=seed,
         key=key,

@@ -246,6 +246,43 @@ def test_pt_index_outside_0_15_is_usage_error(trace_file, capfd, kind, pt_index)
     assert _exit_code(argv) == 2
 
 
+@pytest.fixture(scope="module")
+def empty_trace_file(tmp_path_factory, gen_dir):
+    out = tmp_path_factory.mktemp("traces") / "empty.btr"
+    assert main(["trace", "--tables", str(gen_dir), "--count", "0", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "dca", "--traces", "{t}", "--pt-index", "0"],
+    ["--kind", "cpa", "--traces", "{t}"],
+    ["--kind", "mia", "--traces", "{t}", "--pt-index", "0"],
+    ["--kind", "mia", "--traces", "{t}", "--model", "round-output"],
+    ["--kind", "collision", "--traces", "{t}"],
+    ["--kind", "cluster", "--traces", "{t}"],
+    ["--kind", "walsh-ut", "--traces", "{t}", "--pt-index", "0"],
+    ["--kind", "walsh-ro", "--traces", "{t}"],
+    ["--kind", "tvla", "--fixed", "{t}", "--random", "{t}"],
+], ids=["dca", "cpa", "mia-sbox", "mia-round-output", "collision", "cluster", "walsh-ut", "walsh-ro", "tvla"])
+def test_empty_campaign_is_usage_error(empty_trace_file, capfd, argv):
+    rc = main(["analyze", *(a.format(t=empty_trace_file) for a in argv), "--key", FIPS_KEY])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert f"trace file {empty_trace_file} holds 0 traces" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "mia", "--model", "sbox"],
+    ["--kind", "walsh-ut", "--ell", "2"],
+], ids=["mia-sbox", "walsh-ut-traces"])
+def test_pt_index_all_is_usage_error_for_one_byte_attacks(trace_file, capfd, argv):
+    for pt_index in ([], ["--pt-index", "all"]):  # all is the default
+        rc = main(["analyze", *argv, "--traces", str(trace_file), "--key", FIPS_KEY, *pt_index])
+        assert rc == 2
+        assert f"analyze --kind {argv[1]} attacks one plaintext byte" in capfd.readouterr().err
+
+
 @pytest.mark.parametrize("options", [["--iterations", "0"], ["--iterations", "-5"], ["--policy", "random:0.5"]])
 def test_bench_rejects_bad_input(gen_dir, capfd, options):
     assert _exit_code(["bench", "--tables", str(gen_dir), *options]) == 2

@@ -12,6 +12,7 @@ from balaes.gfcore import (
     pt_index_for_position,
     position_for_pt_index,
     reference_encrypt,
+    reference_encrypt_batch,
 )
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -108,6 +109,24 @@ def test_reference_encrypt_is_a_permutation():
     key = rng.randbytes(16)
     seen = {reference_encrypt(rng.randbytes(16), key) for _ in range(50)}
     assert len(seen) == 50
+
+
+def test_reference_encrypt_batch_fips_vector():
+    cts = reference_encrypt_batch(np.frombuffer(FIPS_PT, dtype=np.uint8)[None], FIPS_KEY)
+    assert cts.shape == (1, 16) and cts.dtype == np.uint8
+    assert cts[0].tobytes() == FIPS_CT
+
+
+def test_reference_encrypt_batch_matches_scalar():
+    rng = random.Random(3)
+    for key in (FIPS_KEY, bytes(16), b"\xff" * 16, rng.randbytes(16)):
+        pts = np.frombuffer(rng.randbytes(1000 * 16), dtype=np.uint8).reshape(1000, 16)
+        cts = reference_encrypt_batch(pts, key)
+        assert [cts[n].tobytes() for n in range(1000)] == [reference_encrypt(pts[n].tobytes(), key)
+                                                           for n in range(1000)]
+    assert reference_encrypt_batch(np.empty((0, 16), dtype=np.uint8), FIPS_KEY).shape == (0, 16)
+    with pytest.raises(ValueError):
+        reference_encrypt_batch(pts, b"short")
 
 
 # --- coefficient tables ell * S(x ^ k), binmat.COEFF -------------------------------

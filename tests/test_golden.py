@@ -19,6 +19,15 @@ GEN_DIGESTS = {
     "enc.spec": "26c84eabf9988cbebf8a56a0c87873a351047f9255c4fbf133f0e7fdc0c1907c",
 }
 
+# The same key and seed under `gen --xor-boundary identity`, whose XOR-stage
+# codecs are all the identity: recorded before the XOR tables, the codec maps
+# and the table serializer became whole-array expressions.
+IDENTITY_GEN_DIGESTS = {
+    "q0.tbl": "572df43c7bf04924a4c0261503ac4eddd4b6318fd09ec6140fd4bb5bf58eaded",
+    "q1.tbl": "f1778df3b8729f30409d029824fb2f8e67f79ff05acdf004f12b983f246fdc32",
+    "enc.spec": "6a25cbf3e3de07e5feaf4b4eb6e63030754138b2e9422e8a2181fb593c16f810",
+}
+
 FIXED_PT = "00112233445566778899aabbccddeeff"
 
 # label: (source, count, policy, campaign seed, digest of the trace file)
@@ -52,6 +61,19 @@ def golden_tables(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GEN_DIGESTS))
 def test_gen_outputs_match_golden_digest(golden_tables, name, capfd):
     assert _sha256(golden_tables / name) == GEN_DIGESTS[name]
+
+
+@pytest.fixture(scope="module")
+def identity_tables(tmp_path_factory):
+    d = tmp_path_factory.mktemp("identity_tables")
+    assert main(["gen", "--key", STD_KEY.hex(), "--seed", str(STD_SEED), "--xor-boundary", "identity",
+                 "--out", str(d)]) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GEN_DIGESTS))
+def test_identity_gen_outputs_match_golden_digest(identity_tables, name, capfd):
+    assert _sha256(identity_tables / name) == IDENTITY_GEN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("label", sorted(TRACE_CASES))

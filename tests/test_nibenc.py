@@ -10,13 +10,19 @@ from balaes.nibenc import (
     UPPER,
     CodecPair,
     NibbleCodec,
+    codec_bytes,
     codec_map,
-    encode_byte,
     find_candidates,
     find_round_output_candidates,
 )
 
 from conftest import s_matrix_rows
+
+
+def encode_byte(x: int, cp: CodecPair) -> int:
+    """One byte through a codec pair, one nibble at a time: the reference for
+    codec_map and codec_bytes."""
+    return (cp.upper.encode(x >> 4) << 4) | cp.lower.encode(x & 0xF)
 
 
 def verify_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
@@ -130,6 +136,18 @@ def test_encode_byte_examples():
     decode = codec_map(cp)  # an involution: the map decodes what it encodes
     for x in range(256):
         assert decode[encode_byte(x, cp)] == x
+
+
+def test_codec_map_and_codec_bytes_match_per_byte_reference():
+    x = np.arange(256, dtype=np.uint8)
+    e = np.arange(16, dtype=np.uint8)
+    every = codec_bytes(x, e[:, None, None], e[None, :, None])  # (upper, lower, byte)
+    for eu in range(16):
+        for el in range(16):
+            cp = CodecPair.of(eu, el)
+            ref = bytes(encode_byte(v, cp) for v in range(256))
+            assert codec_map(cp) == ref
+            assert every[eu, el].tobytes() == ref
 
 
 def test_codec_moves_at_most_two_points_per_half():

@@ -3,11 +3,15 @@ import random
 import numpy as np
 import pytest
 
+import struct
+import zlib
+
 from balaes import cipher, tablegen
-from balaes.binmat import EncodingPair, decode_map
+from balaes.binmat import COEFF, EncodingPair, decode_map, encode_map
 from balaes.gfcore import MC, SBOX, RoundKeys, gf_mul, reference_encrypt
 from balaes.nibenc import CodecPair, NibbleCodec, codec_map, find_candidates
 from balaes.tablegen import (
+    TABLE_MAGIC,
     FormatError,
     build_q1,
     build_table_pair,
@@ -15,17 +19,14 @@ from balaes.tablegen import (
     deserialize_tableset,
     encrypt_batch_with_tables,
     encrypt_with_tables,
-    gen_tbox,
-    gen_ut,
-    gen_xor_table,
-    pack_nibble_table,
+    generate_tableset,
     round_output_bytes_grid,
     serialize_spec,
     serialize_tableset,
     size_and_lookup_report,
-    unpack_nibble_table,
     verify_tableset,
     walsh_ut_grid_static,
+    xor_tables,
 )
 
 from conftest import STD_KEY, STD_SEED, bit_rows, s_matrix_rows
@@ -43,6 +44,119 @@ def identity_spec(key: bytes) -> tablegen.EncodingSpec:
     )
 
 
+# --- per-entry references ------------------------------------------------------
+# Table generation and the table file as one entry at a time; generate_tableset
+# and the (de)serializer must agree with them exactly.
+
+def gen_tbox(r: int, i: int, j: int, keys: RoundKeys) -> bytes:
+    """Plain fused key-addition/SubBytes table; round 10 folds in the last key."""
+    if not 1 <= r <= 10:
+        raise ValueError("round must be in [1, 10]")
+    tbox = COEFF[0, keys.khat[r - 1][i][j]]
+    return (tbox if r <= 9 else tbox ^ keys.k[10][i][j]).tobytes()
+
+
+def _input_decode_map(spec, r: int, i: int, j: int) -> bytes:
+    """Byte map undoing the producing boundary's codec and linear encoding."""
+    if r == 1:
+        return bytes(range(256))
+    pr, pj, pk = r - 1, (j + i) % 4, i
+    cmap = codec_map(spec.stage_codecs[(pr, pj, pk, 2)])
+    return cmap.translate(decode_map(spec.pairs[(pr, pj, pk)]))
+
+
+def gen_ut(r: int, i: int, j: int, spec) -> np.ndarray:
+    """256x4 table mapping one (decoded) state byte to its four encoded partial products."""
+    kb = spec.round_keys.khat[r - 1][i][j]
+    dec = np.frombuffer(_input_decode_map(spec, r, i, j), dtype=np.uint8)
+    out = np.empty((256, 4), dtype=np.uint8)
+    for k in range(4):
+        emap = encode_map(spec.pairs[(r, j, k)])
+        cod = codec_map(spec.ut_codecs[(r, j, k, i)])
+        col = COEFF[MC[k][i] - 1, kb][dec].tobytes().translate(emap).translate(cod)
+        out[:, k] = np.frombuffer(col, dtype=np.uint8)
+    return out
+
+
+def gen_xor_table(left_codec, right_codec, out_codec) -> np.ndarray:
+    """4-bit XOR table: decode the two input nibbles, XOR, encode the output."""
+    out = np.empty(256, dtype=np.uint8)
+    for a in range(16):
+        da = left_codec.decode(a)
+        for b in range(16):
+            out[(a << 4) | b] = out_codec.encode(da ^ right_codec.decode(b))
+    return out
+
+
+def pack_nibble_table(arr: np.ndarray) -> bytes:
+    """Two entries per byte: entry t lands in byte t >> 1, low nibble for even t."""
+    packed = bytearray(128)
+    for t in range(256):
+        v = int(arr[t]) & 0xF
+        if t & 1:
+            packed[t >> 1] |= v << 4
+        else:
+            packed[t >> 1] |= v
+    return bytes(packed)
+
+
+def unpack_nibble_table(data: bytes) -> np.ndarray:
+    if len(data) != 128:
+        raise FormatError("packed nibble table must be 128 bytes")
+    arr = np.empty(256, dtype=np.uint8)
+    for t in range(256):
+        b = data[t >> 1]
+        arr[t] = (b >> 4) if (t & 1) else (b & 0xF)
+    return arr
+
+
+def reference_generate_tableset(spec) -> tablegen.TableSet:
+    ut = np.empty((9, 4, 4, 256, 4), dtype=np.uint8)
+    for r in range(1, 10):
+        for i in range(4):
+            for j in range(4):
+                ut[r - 1, i, j] = gen_ut(r, i, j, spec)
+    tx = np.empty((9, 4, 4, 3, 2, 256), dtype=np.uint8)
+    for r in range(1, 10):
+        for j in range(4):
+            for k in range(4):
+                feeders = [spec.ut_codecs[(r, j, k, i)] for i in range(4)]
+                left = feeders[0]
+                for s in range(3):
+                    out_cp = spec.stage_codecs[(r, j, k, s)]
+                    right = feeders[s + 1]
+                    tx[r - 1, j, k, s, 0] = gen_xor_table(left.upper, right.upper, out_cp.upper)
+                    tx[r - 1, j, k, s, 1] = gen_xor_table(left.lower, right.lower, out_cp.lower)
+                    left = out_cp
+    t10 = np.empty((4, 4, 256), dtype=np.uint8)
+    for i in range(4):
+        for j in range(4):
+            tbox = gen_tbox(10, i, j, spec.round_keys)
+            t10[i, j] = np.frombuffer(_input_decode_map(spec, 10, i, j).translate(tbox), dtype=np.uint8)
+    return tablegen.TableSet(set_id=0, ut=ut, tx=tx, t10=t10)
+
+
+def reference_serialize_tableset(ts) -> bytes:
+    out = bytearray()
+    out += TABLE_MAGIC
+    out += struct.pack("<HBB", tablegen.FORMAT_VERSION, ts.set_id, 0)
+    for r in range(9):
+        for i in range(4):
+            for j in range(4):
+                out += ts.ut[r, i, j].tobytes()
+    for r in range(9):
+        for j in range(4):
+            for k in range(4):
+                for s in range(3):
+                    for h in range(2):
+                        out += pack_nibble_table(ts.tx[r, j, k, s, h])
+    for i in range(4):
+        for j in range(4):
+            out += ts.t10[i, j].tobytes()
+    out += struct.pack("<I", zlib.crc32(bytes(out)))
+    return bytes(out)
+
+
 def test_gen_tbox_zero_key_is_sbox():
     keys = RoundKeys.from_key(bytes(16))
     t1 = gen_tbox(1, 0, 0, keys)
@@ -53,37 +167,55 @@ def test_gen_tbox_zero_key_is_sbox():
     kb = keys.khat[9][2][1]
     out = keys.k[10][2][1]
     assert list(t10) == [SBOX[p ^ kb] ^ out for p in range(256)]
+    # under identity encodings the final-round tables are these plain tables
+    plain = generate_tableset(identity_spec(bytes(16)))
+    assert plain.t10[2, 1].tobytes() == t10
 
 
 def test_gen_tbox_known_key_round1():
     keys = RoundKeys.from_key(STD_KEY)
+    plain = generate_tableset(identity_spec(STD_KEY))
     for i in range(4):
         for j in range(4):
             t = gen_tbox(1, i, j, keys)
             kb = keys.khat[0][i][j]
             assert list(t) == [SBOX[p ^ kb] for p in range(256)]
+            # an output byte whose MixColumns coefficient for row i is 1 holds the plain table
+            k = next(k for k in range(4) if MC[k][i] == 1)
+            assert plain.ut[0, i, j, :, k].tobytes() == t
+            assert plain.t10[i, j].tobytes() == gen_tbox(10, i, j, keys)
     with pytest.raises(ValueError):
         gen_tbox(11, 0, 0, keys)
 
 
+def test_generate_tableset_matches_per_entry_reference(std_spec):
+    identity_boundary = build_table_pair(STD_KEY, STD_SEED, xor_boundary_mode="identity", verify=False)[1]
+    for spec in (std_spec, identity_boundary, identity_spec(STD_KEY)):
+        ts = generate_tableset(spec)
+        ref = reference_generate_tableset(spec)
+        for name in ("ut", "tx", "t10"):
+            got = getattr(ts, name)
+            assert got.dtype == np.uint8 and np.array_equal(got, getattr(ref, name)), name
+
+
 def test_gen_ut_identity_spec_gives_plain_partial_products():
-    spec = identity_spec(bytes(16))
+    ut = generate_tableset(identity_spec(bytes(16))).ut
     for i in range(4):
-        table = gen_ut(1, i, 0, spec)
+        table = ut[0, i, 0]
         for p in range(256):
             x = SBOX[p]
             expected = [gf_mul(MC[k][i], x) for k in range(4)]
             assert list(table[p]) == expected
     # row 1 carries [2S, S, S, 3S]
-    t0 = gen_ut(1, 0, 0, spec)
+    t0 = ut[0, 0, 0]
     assert list(t0[0x00]) == [gf_mul(2, 0x63), 0x63, 0x63, gf_mul(3, 0x63)]
 
 
-def test_gen_ut_outputs_decode_to_partial_products(std_spec):
+def test_gen_ut_outputs_decode_to_partial_products(std_spec, std_pair):
     spec = std_spec
     r, j = 1, 2
     for i in range(4):
-        table = gen_ut(r, i, j, spec)
+        table = std_pair.q0.ut[r - 1, i, j]
         kb = spec.round_keys.khat[r - 1][i][j]
         for p in (0, 1, 0x42, 0xFF, 0x9C):
             x = SBOX[p ^ kb]
@@ -93,8 +225,8 @@ def test_gen_ut_outputs_decode_to_partial_products(std_spec):
                 assert y == gf_mul(MC[k][i], x)
 
 
-def test_gen_ut_encoded_bits_are_balanced(std_spec):
-    table = gen_ut(1, 1, 1, std_spec)
+def test_gen_ut_encoded_bits_are_balanced(std_pair):
+    table = std_pair.q0.ut[0, 1, 1]
     for k in range(4):
         col = table[:, k]
         for bit in range(8):
@@ -102,27 +234,36 @@ def test_gen_ut_encoded_bits_are_balanced(std_spec):
 
 
 def test_gen_xor_table_identity_and_collision():
-    ident = NibbleCodec(0)
-    t = gen_xor_table(ident, ident, ident)
-    for a in range(16):
-        for b in range(16):
-            assert t[(a << 4) | b] == a ^ b
-    same = NibbleCodec(9)
-    out = NibbleCodec(4)
-    t2 = gen_xor_table(same, same, out)
-    for a in range(16):
-        assert t2[(a << 4) | a] == out.e
+    ident, same, out = NibbleCodec(0), NibbleCodec(9), NibbleCodec(4)
+    # the per-entry reference and the array kernel, on the same codecs
+    for t, t2 in ((gen_xor_table(ident, ident, ident), gen_xor_table(same, same, out)),
+                  (xor_tables(0, 0, 0), xor_tables(9, 9, 4))):
+        for a in range(16):
+            for b in range(16):
+                assert t[(a << 4) | b] == a ^ b
+        for a in range(16):
+            assert t2[(a << 4) | a] == out.e
 
 
 def test_gen_xor_table_brute_force_decode():
     left, right, out = NibbleCodec(3), NibbleCodec(12), NibbleCodec(7)
-    t = gen_xor_table(left, right, out)
-    for a in range(16):
-        for b in range(16):
-            assert out.decode(int(t[(a << 4) | b])) == left.decode(a) ^ right.decode(b)
+    for t in (xor_tables(3, 12, 7), gen_xor_table(left, right, out)):
+        for a in range(16):
+            for b in range(16):
+                assert out.decode(int(t[(a << 4) | b])) == left.decode(a) ^ right.decode(b)
 
 
-def test_pack_unpack_nibble_table():
+def test_xor_tables_match_per_entry_reference_on_every_partner_triple():
+    e = np.arange(16, dtype=np.uint8)
+    left, right, out = (a.ravel() for a in np.meshgrid(e, e, e, indexing="ij"))
+    tables = xor_tables(left, right, out)
+    assert tables.shape == (4096, 256)
+    for n in range(0, 4096, 7):
+        ref = gen_xor_table(NibbleCodec(int(left[n])), NibbleCodec(int(right[n])), NibbleCodec(int(out[n])))
+        assert np.array_equal(tables[n], ref)
+
+
+def test_pack_unpack_nibble_table(std_pair):
     rng = random.Random(60)
     arr = np.array([rng.randrange(16) for _ in range(256)], dtype=np.uint8)
     packed = pack_nibble_table(arr)
@@ -133,6 +274,14 @@ def test_pack_unpack_nibble_table():
     assert np.array_equal(unpack_nibble_table(packed), arr)
     with pytest.raises(FormatError):
         unpack_nibble_table(packed[:100])
+    # the table file packs every XOR table the same way, and reads it back
+    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=std_pair.q0.tx.copy(), t10=std_pair.q0.t10)
+    ts.tx[0, 0, 0, 0, 0] = arr
+    blob = serialize_tableset(ts)
+    assert blob[8 + tablegen.UT_BYTES : 8 + tablegen.UT_BYTES + 128] == packed
+    assert np.array_equal(deserialize_tableset(blob).tx[0, 0, 0, 0, 0], arr)
+    with pytest.raises(FormatError):
+        deserialize_tableset(blob[:-28])
 
 
 def test_build_is_deterministic():
@@ -297,6 +446,42 @@ def test_tableset_serialization_round_trip(std_pair):
     assert len(blob) == 8 + 262144 + 4
     ts = deserialize_tableset(blob)
     assert ts == std_pair.q0
+
+
+def test_serialize_tableset_matches_per_entry_serializer(std_pair):
+    for ts in (std_pair.q0, std_pair.q1):
+        blob = serialize_tableset(ts)
+        assert blob == reference_serialize_tableset(ts)
+        back = deserialize_tableset(blob)
+        for name in ("ut", "tx", "t10"):
+            got = getattr(back, name)
+            # unpacked entry by entry, and owned: writable, sharing no memory with the file bytes
+            if name == "tx":
+                offsets = range(8 + tablegen.UT_BYTES, 8 + tablegen.UT_BYTES + tablegen.TX_BYTES, 128)
+                ref = np.array([unpack_nibble_table(blob[o : o + 128]) for o in offsets]).reshape(got.shape)
+                assert np.array_equal(got, ref)
+            assert got.flags.writeable and got.flags.owndata
+            assert np.array_equal(got, getattr(ts, name))
+
+
+def test_verify_reports_corrupted_final_round_entry(std_pair, std_spec):
+    # verify_tableset draws its 256 plaintexts from random.Random(0xBA1A)
+    pts = np.frombuffer(random.Random(0xBA1A).randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
+    n, i, j = 5, 1, 2
+    # final-round table (i, j) reads round 9's output byte i of column (j + i) % 4
+    _, samples, _ = encrypt_batch_with_tables(std_pair.q0, pts[n : n + 1], record=True)
+    u, l = cipher.round_output_sample_indices(9, (j + i) % 4, i)
+    x = (int(samples[0, u]) << 4) | int(samples[0, l])
+    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=std_pair.q0.tx, t10=std_pair.q0.t10.copy())
+    ts.t10[i, j, x] ^= 0x01
+    report = verify_tableset(ts, std_spec)
+    assert report.checks["functional_equality"] is False and not report.passed
+    assert f"functional mismatch on plaintext #{n}" in report.failures
+    # the static checks read round 1 only and still pass
+    assert report.checks["ut_walsh_zero"] and report.checks["round_output_walsh_zero"]
+    cts, _, _ = encrypt_batch_with_tables(ts, pts)
+    wrong = [m for m in range(256) if bytes(cts[m]) != reference_encrypt(bytes(pts[m]), STD_KEY)]
+    assert report.failures == [f"functional mismatch on plaintext #{m}" for m in wrong[:17]]
 
 
 def test_tableset_serialization_errors(std_pair):
