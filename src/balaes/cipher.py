@@ -6,6 +6,11 @@ Every encryption, single block or campaign, runs the one table walk in
 selection is `select_set`, which maps an (N, 16) plaintext array to N set
 bits in one call.
 
+Campaigns run in blocks of `tablegen.WALK_CHUNK` plaintext rows.
+`write_campaign` appends each block to the trace file as it is walked, so it
+never holds the whole campaign; `load_traces` reads the file block by block
+into the final arrays, so a campaign is held once, not twice.
+
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
 24 XOR nibbles in (output byte, stage, upper-then-lower) order; then the 16
@@ -13,6 +18,8 @@ final-round output bytes in ciphertext order."""
 
 from __future__ import annotations
 
+import io
+import os
 import random
 import struct
 import zlib
@@ -23,6 +30,7 @@ import numpy as np
 from .tablegen import (
     FORMAT_VERSION,
     FormatError,
+    WALK_CHUNK,
     TableSetPair,
     encrypt_batch_with_tables,
     encrypt_with_tables,
@@ -210,74 +218,138 @@ def plaintexts_from_file(path, count: int | None = None) -> np.ndarray:
 
 
 def collect_traces(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.ndarray,
-                   rng: random.Random | None = None, metadata: dict | None = None) -> TraceSet:
-    """Run one encryption per plaintext row and record full traces.
+                   rng: random.Random | None = None) -> TraceSet:
+    """Run one encryption per plaintext row and record full traces in memory.
 
     Output order equals plaintext order.  Deterministic given the policy and
     the seeded random source.
     """
     pts = np.asarray(plaintexts, dtype=np.uint8)
-    n = pts.shape[0]
-    bits = select_set(policy, pts, rng)
-    samples = np.empty((n, SAMPLE_COUNT), dtype=np.uint8)
-    for bit in (0, 1):
-        sel = np.nonzero(bits == bit)[0]
-        if sel.size == 0:
-            continue
-        samples[sel] = encrypt_batch_with_tables(pair.select(bit), pts[sel], record=True)[1]
-    meta = {"policy": policy.describe(), "count": n}
-    if metadata:
-        meta.update(metadata)
-    return TraceSet(plaintexts=pts.copy(), set_bits=bits, samples=samples, metadata=meta)
+    ts = _gather(len(pts), _campaign_blocks(pair, policy, pts, rng))
+    ts.metadata = {"policy": policy.describe(), "count": len(ts)}
+    return ts
+
+
+def write_campaign(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.ndarray,
+                   rng: random.Random | None, path) -> None:
+    """Run a campaign as `collect_traces` does, straight into a trace file:
+    only one block of records is held at a time."""
+    pts = np.asarray(plaintexts, dtype=np.uint8)
+    _write_blocks(path, len(pts), _campaign_blocks(pair, policy, pts, rng))
 
 
 # --- trace file format ----------------------------------------------------------
+# Header (magic, version, count, sample count), one record per trace, then a
+# CRC-32 chained over the header and the records.  Campaigns, TraceSets and
+# files all travel as (rows, _RECORD) record blocks of up to WALK_CHUNK rows,
+# so neither writing nor reading ever holds a second copy of a campaign.
 
-def _trace_file_parts(ts: TraceSet) -> tuple:
-    """Header, record body and CRC trailer of a trace file; the CRC runs over
-    the header and the body in turn, so they are never joined in memory."""
-    n = len(ts)
-    header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, n, SAMPLE_COUNT)
-    body = np.empty((n, 16 + 1 + SAMPLE_COUNT), dtype=np.uint8)
-    body[:, :16] = ts.plaintexts
-    body[:, 16] = ts.set_bits
-    body[:, 17:] = ts.samples
-    return header, body, struct.pack("<I", zlib.crc32(body, zlib.crc32(header)))
+_HEADER = 12
+_RECORD = 16 + 1 + SAMPLE_COUNT  # plaintext, set bit, samples
 
 
-def deserialize_traces(data: bytes) -> TraceSet:
-    if len(data) < 16 or data[:4] != TRACE_MAGIC:
+def _record_block(pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """A record block with its plaintext and set-bit columns filled."""
+    block = np.empty((len(pts), _RECORD), dtype=np.uint8)
+    block[:, :16] = pts
+    block[:, 16] = bits
+    return block
+
+
+def _campaign_blocks(pair: TableSetPair, policy: SelectorPolicy, pts: np.ndarray,
+                     rng: random.Random | None):
+    """The record blocks of a campaign, in plaintext order.  The set bits are
+    drawn for all rows before the first block, so the random policy draws
+    once per row, in row order."""
+    bits = select_set(policy, pts, rng)
+    starts = range(0, len(pts), WALK_CHUNK)
+    return (_walk_block(pair, pts[s : s + WALK_CHUNK], bits[s : s + WALK_CHUNK]) for s in starts)
+
+
+def _walk_block(pair: TableSetPair, pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """One record block: the walk runs once per set present, and its samples
+    are scattered back into plaintext order."""
+    block = _record_block(pts, bits)
+    for bit in (0, 1):
+        sel = np.nonzero(bits == bit)[0]
+        if sel.size:
+            block[sel, 17:] = encrypt_batch_with_tables(pair.select(bit), pts[sel], record=True)[1]
+    return block
+
+
+def _write_blocks(path, count: int, blocks) -> None:
+    header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, count, SAMPLE_COUNT)
+    crc = zlib.crc32(header)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for block in blocks:
+            fh.write(block.data)
+            crc = zlib.crc32(block, crc)
+        fh.write(struct.pack("<I", crc))
+
+
+def _file_blocks(fh, count: int, crc: int):
+    """The records after a checked header, read into one reused block buffer;
+    raises on a checksum mismatch once the last block has been taken."""
+    buf = np.empty((min(count, WALK_CHUNK), _RECORD), dtype=np.uint8)
+    for start in range(0, count, WALK_CHUNK):
+        block = buf[: count - start]
+        if fh.readinto(block) != block.nbytes:
+            raise FormatError("trace file ended early")
+        crc = zlib.crc32(block, crc)
+        yield block
+    if fh.read(4) != struct.pack("<I", crc):
+        raise FormatError("trace file checksum mismatch")
+
+
+def _gather(count: int, blocks) -> TraceSet:
+    """Copy `count` records, block by block, into the TraceSet's own arrays."""
+    pts = np.empty((count, 16), dtype=np.uint8)
+    bits = np.empty(count, dtype=np.uint8)
+    samples = np.empty((count, SAMPLE_COUNT), dtype=np.uint8)
+    start = 0
+    for block in blocks:
+        end = start + len(block)
+        pts[start:end] = block[:, :16]
+        bits[start:end] = block[:, 16]
+        samples[start:end] = block[:, 17:]
+        start = end
+    if (bits > 1).any():
+        raise FormatError("trace set bit is not 0 or 1")
+    return TraceSet(plaintexts=pts, set_bits=bits, samples=samples)
+
+
+def _read_traces(fh, size: int) -> TraceSet:
+    """Parse a trace file of `size` bytes from a binary stream at its start."""
+    header = fh.read(_HEADER)
+    if size < _HEADER + 4 or header[:4] != TRACE_MAGIC:
         raise FormatError("bad magic for trace file")
-    version, count, sample_count = struct.unpack("<HIH", data[4:12])
+    version, count, sample_count = struct.unpack("<HIH", header[4:])
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported trace format version {version}")
     if sample_count != SAMPLE_COUNT:
         raise FormatError(f"unexpected sample count {sample_count}")
-    rec = 16 + 1 + sample_count
-    expected = 12 + count * rec + 4
-    if len(data) != expected:
-        raise FormatError(f"trace file length {len(data)} != {expected}")
-    (crc,) = struct.unpack("<I", data[-4:])
-    if crc != zlib.crc32(memoryview(data)[:-4]):
-        raise FormatError("trace file checksum mismatch")
-    body = np.frombuffer(data, dtype=np.uint8, count=count * rec, offset=12).reshape(count, rec)
-    if (body[:, 16] > 1).any():
-        raise FormatError("trace set bit is not 0 or 1")
-    return TraceSet(
-        plaintexts=body[:, :16].copy(),
-        set_bits=body[:, 16].copy(),
-        samples=body[:, 17:].copy(),
-    )
+    expected = _HEADER + count * _RECORD + 4
+    if size != expected:
+        raise FormatError(f"trace file length {size} != {expected}")
+    return _gather(count, _file_blocks(fh, count, zlib.crc32(header)))
+
+
+def deserialize_traces(data: bytes) -> TraceSet:
+    return _read_traces(io.BytesIO(data), len(data))
+
+
+def _stored_block(ts: TraceSet, start: int) -> np.ndarray:
+    end = start + WALK_CHUNK
+    block = _record_block(ts.plaintexts[start:end], ts.set_bits[start:end])
+    block[:, 17:] = ts.samples[start:end]
+    return block
 
 
 def save_traces(ts: TraceSet, path) -> None:
-    header, body, crc = _trace_file_parts(ts)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body.data)
-        fh.write(crc)
+    _write_blocks(path, len(ts), (_stored_block(ts, s) for s in range(0, len(ts), WALK_CHUNK)))
 
 
 def load_traces(path) -> TraceSet:
     with open(path, "rb") as fh:
-        return deserialize_traces(fh.read())
+        return _read_traces(fh, os.fstat(fh.fileno()).st_size)

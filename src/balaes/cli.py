@@ -142,28 +142,37 @@ def cmd_encrypt(args) -> int:
     return PASS_EXIT
 
 
+def _campaign_plaintexts(source: str, count: int | None, rng: random.Random):
+    """The plaintexts of a trace campaign.  grid always has 65,536; the other
+    sources take --count, 10,000 when it is not given."""
+    if count is not None and count < 0:
+        raise ValueError(f"--count {count} is negative; a campaign records 0 or more traces")
+    if source == "grid":
+        if count not in (None, 65536):
+            raise ValueError(f"--source grid records all 65536 grid plaintexts, not --count {count}")
+        return cipher.grid_plaintexts()
+    count = 10000 if count is None else count
+    if source == "random":
+        return cipher.random_plaintexts(count, rng)
+    if source.startswith("fixed:"):
+        return cipher.fixed_plaintexts(bytes.fromhex(source.split(":", 1)[1]), count)
+    if source.startswith("file:"):
+        return cipher.plaintexts_from_file(source.split(":", 1)[1], count)
+    raise ValueError(f"unknown source {source!r}")
+
+
 def cmd_trace(args) -> int:
     pair = _load_pair(args.tables)
     policy = SelectorPolicy.parse(args.policy)
     rng = random.Random(args.seed)
-    if args.source == "random":
-        pts = cipher.random_plaintexts(args.count, rng)
-    elif args.source == "grid":
-        pts = cipher.grid_plaintexts()
-    elif args.source.startswith("fixed:"):
-        pts = cipher.fixed_plaintexts(bytes.fromhex(args.source.split(":", 1)[1]), args.count)
-    elif args.source.startswith("file:"):
-        pts = cipher.plaintexts_from_file(args.source.split(":", 1)[1], args.count)
-    else:
-        raise ValueError(f"unknown source {args.source!r}")
-    ts = cipher.collect_traces(pair, policy, pts, rng, metadata={"seed": args.seed})
-    cipher.save_traces(ts, args.out)
+    pts = _campaign_plaintexts(args.source, args.count, rng)
+    cipher.write_campaign(pair, policy, pts, rng, args.out)
     _print_json({
         "command": "trace",
         "seed": args.seed,
         "policy": policy.describe(),
         "source": args.source,
-        "count": len(ts),
+        "count": len(pts),
         "sample_count": cipher.SAMPLE_COUNT,
         "out": args.out,
     })
@@ -423,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="run a trace-collection campaign")
     t.add_argument("--tables", required=True)
     t.add_argument("--source", default="random", help="random | fixed:HEX | grid | file:PATH")
-    t.add_argument("--count", type=int, default=10000)
+    t.add_argument("--count", type=int, help="traces to record (default 10000; grid: all 65536)")
     t.add_argument("--policy", default="q0")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)

@@ -321,7 +321,7 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
         for r in range(9):
             rnd = trace[160 * r : 160 * (r + 1)].reshape(4, 40, m)  # (j, sample, m)
             idx = state[_SHIFT_ROWS] + _TABLE_ROW
-            rows = np.take(ut[r], idx).view(np.uint8).reshape(4, 4, m, 4)  # (j, i, m, k)
+            rows = ut[r].take(idx).view(np.uint8).reshape(4, 4, m, 4)  # (j, i, m, k)
             lookups += idx.size
             enc = rnd[:, :16].reshape(4, 4, 4, m)  # (j, i, k, m)
             enc[...] = rows.transpose(0, 1, 3, 2)
@@ -330,11 +330,11 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
             acc = nib[:, 0]
             for s in range(3):
                 idx = (acc << 4) + nib[:, s + 1] + _XOR_BASE[:, s]
-                acc = xor[:, :, s] = np.take(tx[r], idx)
+                acc = xor[:, :, s] = tx[r].take(idx)
                 lookups += idx.size
             state = ((acc[:, :, 0] << 4) | acc[:, :, 1]).reshape(16, m)
         idx = state[_SHIFT_ROWS] + _TABLE_ROW
-        trace[1440:] = np.take(t10, idx)
+        trace[1440:] = t10.take(idx)
         lookups += idx.size
         cts[start : start + m] = trace[1440:].T
         if record:

@@ -1,4 +1,6 @@
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -222,3 +224,93 @@ def test_trace_file_errors(tmp_path, std_pair):
     with pytest.raises(FormatError):
         deserialize_traces(b"NOPE" + bytes(blob[4:]))
 
+
+def _reference_trace_file(ts) -> bytes:
+    """The trace file as one joined header, record body and CRC trailer, kept
+    as the reference for the block-by-block writer."""
+    header = b"BTR1" + struct.pack("<HIH", 1, len(ts), SAMPLE_COUNT)
+    body = np.concatenate([ts.plaintexts, ts.set_bits[:, None], ts.samples], axis=1).tobytes()
+    return header + body + struct.pack("<I", zlib.crc32(header + body))
+
+
+@pytest.mark.parametrize("policy", ["q0", "q1", "random:0.5", "pt-derived:16"])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+def test_streamed_campaign_file_matches_collected_traces(tmp_path, std_pair, policy, n):
+    pol = SelectorPolicy.parse(policy)
+    pts = random_plaintexts(n, random.Random(n))
+    streamed, saved = tmp_path / "streamed.btr", tmp_path / "saved.btr"
+    rng, ref_rng = random.Random(21), random.Random(21)
+    cipher.write_campaign(std_pair, pol, pts, rng, streamed)
+    ts = collect_traces(std_pair, pol, pts, ref_rng)
+    assert rng.random() == ref_rng.random()  # same number of draws
+    cipher.save_traces(ts, saved)
+    assert streamed.read_bytes() == saved.read_bytes() == _reference_trace_file(ts)
+    assert ts.set_bits.tolist() == select_set(pol, pts, random.Random(21)).tolist()
+    for row in {0, n // 2, n - 1} if n else ():
+        ref = encrypt_with_tables(std_pair.select(int(ts.set_bits[row])), bytes(pts[row]), record=True)[1]
+        assert bytes(ts.samples[row]) == ref
+
+
+@pytest.mark.parametrize("n", [0, 3, 1500])
+def test_loaded_trace_arrays_are_owned_contiguous_and_writable(tmp_path, std_pair, n):
+    rng = random.Random(5)
+    ts = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(n, rng), rng)
+    path = tmp_path / "t.btr"
+    cipher.save_traces(ts, path)
+    for loaded in (ts, cipher.load_traces(path), deserialize_traces(path.read_bytes())):
+        for name, shape in (("plaintexts", (n, 16)), ("set_bits", (n,)), ("samples", (n, SAMPLE_COUNT))):
+            arr, ref = getattr(loaded, name), getattr(ts, name)
+            assert arr.dtype == np.uint8 and arr.shape == shape
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+            assert np.array_equal(arr, ref)
+
+
+def _corrupt(kind: str, blob: bytes) -> bytes:
+    """A damaged copy of a valid trace file of 1,100 records."""
+    b = bytearray(blob)
+    if kind == "truncated":
+        return bytes(b[:-3])
+    if kind == "extended":
+        return bytes(b) + b"\0"
+    if kind == "short":
+        return bytes(b[:15])
+    if kind == "bad-magic":
+        return b"NOPE" + bytes(b[4:])
+    if kind == "version":
+        b[4] = 2
+    elif kind == "sample-count":
+        b[10] = 0
+    elif kind in ("crc", "crc-and-set-bit"):
+        b[12 + 1050 * (17 + SAMPLE_COUNT) + 40] ^= 1  # a sample in the second block
+        if kind == "crc-and-set-bit":
+            b[12 + 16] = 2
+    elif kind == "set-bit":
+        b[12 + 1099 * (17 + SAMPLE_COUNT) + 16] = 2  # the last record's set bit
+        b[-4:] = struct.pack("<I", zlib.crc32(bytes(b[:-4])))
+    return bytes(b)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("truncated", "trace file length {size} != {full}"),
+    ("extended", "trace file length {size} != {full}"),
+    ("short", "bad magic for trace file"),
+    ("bad-magic", "bad magic for trace file"),
+    ("version", "unsupported trace format version 2"),
+    ("sample-count", "unexpected sample count 1280"),
+    ("crc", "trace file checksum mismatch"),
+    ("crc-and-set-bit", "trace file checksum mismatch"),
+    ("set-bit", "trace set bit is not 0 or 1"),
+])
+def test_trace_file_error_messages(tmp_path, std_pair, kind, message):
+    rng = random.Random(6)
+    ts = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(1100, rng), rng)
+    cipher.save_traces(ts, tmp_path / "t.btr")
+    full = (tmp_path / "t.btr").read_bytes()
+    bad = _corrupt(kind, full)
+    (tmp_path / "bad.btr").write_bytes(bad)
+    message = message.format(size=len(bad), full=len(full))
+    with pytest.raises(FormatError) as loaded:
+        cipher.load_traces(tmp_path / "bad.btr")
+    with pytest.raises(FormatError) as parsed:
+        deserialize_traces(bad)
+    assert str(loaded.value) == str(parsed.value) == message

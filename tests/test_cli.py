@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -96,6 +97,60 @@ def test_trace_file_shape(trace_file, capfd):
     ts = load_traces(trace_file)
     assert len(ts) == 3000
     assert ts.samples.shape == (3000, 1456)
+
+
+@pytest.mark.parametrize("source", ["random", f"fixed:{FIPS_PT}", "file", "grid"])
+def test_negative_trace_count_is_usage_error(gen_dir, tmp_path, capfd, source):
+    if source == "file":  # pts[:-3] of a 10-record file used to record 7 traces
+        (tmp_path / "pts.bin").write_bytes(bytes(range(160)))
+        source = f"file:{tmp_path / 'pts.bin'}"
+    out = tmp_path / "t.btr"
+    rc = main(["trace", "--tables", str(gen_dir), "--source", source, "--count", "-3", "--out", str(out)])
+    assert rc == 2
+    assert "--count -3" in capfd.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "100", "65537"])
+def test_grid_trace_count_other_than_65536_is_usage_error(gen_dir, tmp_path, capfd, count):
+    out = tmp_path / "grid.btr"
+    rc = main(["trace", "--tables", str(gen_dir), "--source", "grid", "--count", count, "--out", str(out)])
+    assert rc == 2
+    assert f"--count {count}" in capfd.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def grid_mixed_file(tmp_path_factory, gen_dir):
+    """The random:0.5 grid campaign, and the tracemalloc peak of `trace` writing it."""
+    out = tmp_path_factory.mktemp("grid") / "grid.btr"
+    tracemalloc.start()
+    try:
+        rc = main(["trace", "--tables", str(gen_dir), "--source", "grid", "--count", "65536",
+                   "--policy", "random:0.5", "--seed", "5", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return out, peak
+
+
+def test_grid_campaign_write_memory_bound(grid_mixed_file):
+    # holding the whole campaign, then a second copy as the file body, took about 184 MiB
+    assert grid_mixed_file[1] < 32 * 2**20, grid_mixed_file[1]
+
+
+def test_grid_campaign_load_memory_bound(grid_mixed_file):
+    # the final arrays alone are 92 MiB; reading the whole file first and copying
+    # the columns out of it took about 184 MiB
+    tracemalloc.start()
+    try:
+        ts = load_traces(grid_mixed_file[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 65536
+    assert peak < 110 * 2**20, peak
 
 
 def test_trace_determinism(gen_dir, tmp_path, trace_file):

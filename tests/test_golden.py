@@ -152,7 +152,7 @@ REPORT_CASES = {
 @pytest.fixture(scope="module")
 def golden_campaigns(golden_tables, tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_campaigns")
-    campaigns = (("mixed", "random", "3000", "12"), ("grid", "grid", "0", "13"),
+    campaigns = (("mixed", "random", "3000", "12"), ("grid", "grid", "65536", "13"),
                  ("fixed", f"fixed:{FIXED_PT}", "1000", "14"))
     for name, source, count, seed in campaigns:
         rc = main(["trace", "--tables", str(golden_tables), "--source", source, "--count", count,
