@@ -92,16 +92,22 @@ def idx_of(v: int, width: int = 8) -> frozenset:
     return frozenset(p for p in range(1, width + 1) if (v >> (width - p)) & 1)
 
 
+_UNIT8 = np.array([0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01], dtype=np.uint8)
+_MSB_SHIFT4 = np.array([3, 2, 1, 0], dtype=np.uint8)
+
+
+def assembled_rows(f, g) -> np.ndarray:
+    """Rows of the block matrix [[I, f], [g, I + g.f]] for f and g rows given
+    as (..., 4) arrays of 4-bit values: (..., 8) uint8, MSB = column 1."""
+    f, g = np.asarray(f, dtype=np.uint8), np.asarray(g, dtype=np.uint8)
+    g_bits = (g[..., :, None] >> _MSB_SHIFT4) & 1  # [..., i, j]: bit j of g row i
+    g_times_f = np.bitwise_xor.reduce(g_bits * f[..., None, :], axis=-1)
+    return np.concatenate([_UNIT8[:4] | f, (g << 4) | (_UNIT8[4:] ^ g_times_f)], axis=-1)
+
+
 def assemble_M(pair: EncodingPair) -> BitMat8:
     """Block matrix [[I, f], [g, I + g.f]] realizing the shear encoding."""
-    f, g = pair.f, pair.g
-    rows = []
-    for i in range(4):
-        rows.append((1 << (7 - i)) | f.rows[i])
-    for i in range(4):
-        low = (1 << (3 - i)) ^ row_times_mat(g.rows[i], f)
-        rows.append((g.rows[i] << 4) | low)
-    return BitMat8(rows=tuple(rows))
+    return BitMat8(rows=tuple(assembled_rows(pair.f.rows, pair.g.rows).tolist()))
 
 
 @functools.lru_cache(maxsize=8192)

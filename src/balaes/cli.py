@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -110,9 +111,9 @@ def _emit(summary: dict, rows: list, header: list, args) -> None:
 
 def cmd_gen(args) -> int:
     key = _parse_key(args.key)
+    pair, spec = tablegen.build_table_pair(key, args.seed, args.xor_boundary)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pair, spec = tablegen.build_table_pair(key, args.seed, args.xor_boundary)
     (out_dir / "q0.tbl").write_bytes(tablegen.serialize_tableset(pair.q0))
     (out_dir / "q1.tbl").write_bytes(tablegen.serialize_tableset(pair.q1))
     (out_dir / "enc.spec").write_bytes(tablegen.serialize_spec(spec))
@@ -206,14 +207,22 @@ def cmd_bench(args) -> int:
     ts = pair.select(args.policy == "q1")
     pts = [random.Random(n).randbytes(16) for n in range(256)]
     _, _, lookups = tablegen.encrypt_with_tables(ts, pts[0])  # warm up
+    encrypt, clock = tablegen.encrypt_with_tables, time.perf_counter_ns
+    latencies = []
     start = time.perf_counter()
     for n in range(args.iterations):
-        tablegen.encrypt_with_tables(ts, pts[n % 256])
+        t0 = clock()
+        encrypt(ts, pts[n % 256])
+        latencies.append((clock() - t0) / 1000)
     elapsed = time.perf_counter() - start
+    # percentiles as perfbench takes them; one call is its own percentile
+    pct = statistics.quantiles(latencies, n=100) if len(latencies) > 1 else latencies * 99
     _print_json({
         "command": "bench",
         "iterations": args.iterations,
         "mean_block_us": round(elapsed / args.iterations * 1e6, 3),
+        "p50_block_us": round(pct[49], 3),
+        "p95_block_us": round(pct[94], 3),
         "lookups_per_second": round(lookups * args.iterations / elapsed),
         "note": "published native-code reference point is 19 us per block; interpreter timings differ",
     })

@@ -10,6 +10,16 @@ Generation works on whole arrays: the spec's codec partners and linear-pair
 maps are gathered once, and every table family is then one gather through
 COEFF, the byte maps and the nibble-swap table NIB.
 
+The walk runs on a walk-ready copy of the round and XOR tables (walk_tables),
+made once per TableSet, whose uint16 values fold in the index arithmetic: a
+round-table row yields its 8 output nibbles, those of input row 0 times 16
+plus the start of their stage-0 XOR table; XOR stages 0 and 1 yield 16v plus
+the start of the next stage's table; stage 2's upper half yields 16v plus the
+start of the next round's table row block, its lower half v.  An XOR stage is
+then one add and one gather, and the next round's indices are the sum of
+stage 2's halves put through ShiftRows.  A TableSet's arrays are read-only, so
+its walk-ready copy cannot go stale.
+
 A table file is an 8-byte header (magic, version, set id), then the TableSet
 arrays in their index order: ut (9*16*1024 bytes), tx packed two nibbles per
 byte with the even entry of each pair in the low nibble (864*128 bytes), t10
@@ -20,6 +30,7 @@ order, and a CRC-32."""
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 import zlib
@@ -32,7 +43,7 @@ from .binmat import (
     COEFF,
     BitMat4,
     EncodingPair,
-    assemble_M,
+    assembled_rows,
     coeff_tables,
     decode_map,
     derive_blacklist_W,
@@ -96,19 +107,25 @@ class EncodingSpec:
         self.round_keys = RoundKeys.from_key(self.key)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableSet:
     """One generated lookup-table set.
 
     ut:  (9, 4, 4, 256, 4) uint8, indexed [r-1][i][j][input][k]
     tx:  (9, 4, 4, 3, 2, 256) uint8 nibble values, indexed [r-1][j][k][stage][half][a<<4|b]
     t10: (4, 4, 256) uint8, indexed [i][j][input]
-    """
+
+    The three arrays are made read-only here, so the walk-ready arrays derived
+    from them cannot go stale."""
 
     set_id: int
     ut: np.ndarray
     tx: np.ndarray
     t10: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.ut, self.tx, self.t10):
+            table.flags.writeable = False
 
     def __eq__(self, other):
         return (
@@ -118,6 +135,11 @@ class TableSet:
             and np.array_equal(self.tx, other.tx)
             and np.array_equal(self.t10, other.t10)
         )
+
+    @functools.cached_property
+    def walk(self) -> tuple:
+        """The walk-ready (ut, tx) arrays, built on the first walk; see walk_tables."""
+        return walk_tables(self.ut, self.tx)
 
 
 @dataclass
@@ -250,10 +272,21 @@ def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
     return TableSet(set_id=set_id, ut=ut, tx=tx, t10=t10)
 
 
+BUILD_ATTEMPTS = 3
+RETRY_SEED_STEP = 0x9E3779B9
+# The spec file stores the seed of the attempt that built the tables as a u64.
+MAX_SEED = 2**64 - 1 - (BUILD_ATTEMPTS - 1) * RETRY_SEED_STEP
+
+
 def build_q0(key: bytes, seed: int, xor_boundary_mode: str = "balanced", verify: bool = True):
-    """Generate-and-verify loop for the primary set; returns (TableSet, EncodingSpec)."""
-    for attempt in range(3):
-        spec = build_spec(key, seed + attempt * 0x9E3779B9, xor_boundary_mode)
+    """Generate-and-verify loop for the primary set; returns (TableSet, EncodingSpec).
+    Attempt a samples its spec from seed + a * RETRY_SEED_STEP; a seed outside
+    0..MAX_SEED raises ValueError, since some attempt's seed would not fit
+    the spec file."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
+    for attempt in range(BUILD_ATTEMPTS):
+        spec = build_spec(key, seed + attempt * RETRY_SEED_STEP, xor_boundary_mode)
         ts = generate_tableset(spec, set_id=0)
         if not verify:
             return ts, spec
@@ -285,61 +318,113 @@ def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced",
 # --- network walk ------------------------------------------------------------
 
 WALK_CHUNK = 1024  # rows per pass; 2,048 and up were slower on the 65,536-row grid
+_TRACE_ROWS = 256  # rows per trace assembly; 1,024 at once ran about a quarter slower
 
-# The 16 T-box lookups of a round, and the 16 final-round ones, run in the
-# trace's (column j, input row i) order.  Lookup (j, i) reads table (i, j),
-# which starts at row (4i + j) * 256 of the round's flattened tables, with the
-# state byte ShiftRows brings there: plaintext-order byte i + 4 * ((j + i) % 4).
-_J, _I = np.divmod(np.arange(16), 4)
-_TABLE_ROW = ((4 * _I + _J) * 256)[:, None]
-_SHIFT_ROWS = _I + 4 * ((_J + _I) % 4)
-# Packed-XOR table (j, k, stage, half) starts at entry ((j*4 + k)*3 + stage)*2 + half, times 256.
-_XOR_BASE = (np.arange(96).reshape(4, 4, 3, 2) * 256).transpose(0, 2, 1, 3)[..., None]  # (j, s, k, h, 1)
-_NIBBLE_SHIFT = np.array([4, 0], dtype=np.uint8)[:, None]
+# Table (i, j) of a round starts at row (4i + j) * 256 of the round's flattened
+# tables, and XOR table (j, k, stage, half) at entry (((j*4 + k)*3 + stage)*2 + half) * 256.
+_TABLE_ROW = (np.arange(16, dtype=np.uint16) * 256).reshape(4, 4, 1)
+_ROUND_ROW = (np.arange(9, dtype=np.uint16) * 4096).reshape(9, 1, 1, 1)  # round r's first row in all of ut
+_XOR_ROW = (np.arange(96, dtype=np.uint16) * 256).reshape(4, 4, 3, 2)
+# Table (i, j) reads state byte i + 4 * ((i + j) % 4): ShiftRows, as a gather
+# of the (16, rows) state in plaintext byte order.
+_SHIFT_ROWS = _I4[:, None] + 4 * _PJ
+# A walk-ready XOR table entry is its nibble v << _XOR_SHIFT plus _XOR_NEXT:
+# stages 0 and 1 yield 16v plus the start of the next stage's table; stage 2's
+# upper half yields 16v plus the start of the next round's table (k, (j - k) % 4),
+# and its lower half v.
+_XOR_SHIFT = np.full((4, 4, 3, 2), 4, dtype=np.uint16)
+_XOR_SHIFT[:, :, 2, 1] = 0
+_XOR_NEXT = np.zeros((4, 4, 3, 2), dtype=np.uint16)
+_XOR_NEXT[:, :, :2] = _XOR_ROW[:, :, 1:]
+_XOR_NEXT[:, :, 2, 0] = _TABLE_ROW.reshape(16)[4 * _I4 + (_I4[:, None] - _I4) % 4]
+
+
+def walk_tables(ut: np.ndarray, tx: np.ndarray) -> tuple:
+    """The walk-ready layout of a set's round and XOR tables, index arithmetic
+    folded into the values, all uint16:
+
+    ut (9, 4096, 8): row (4i + j) * 256 + x of round r holds table (i, j)'s
+    output on input x as 8 nibbles in (k, upper-then-lower) order; those of
+    input row 0 come times 16 plus the start of their stage-0 XOR table, so a
+    stage's entry index is the running value plus one table-row nibble.
+    tx (9, 24576): entry v of XOR table (j, k, stage, half) as in _XOR_SHIFT
+    and _XOR_NEXT, so the sum of stage 2's two halves is the next round's row
+    index of the output byte."""
+    nib = np.empty((9, 4, 4, 256, 4, 2), dtype=np.uint16)
+    np.right_shift(ut, 4, out=nib[..., 0])
+    np.bitwise_and(ut, 0xF, out=nib[..., 1])
+    nib[:, 0] <<= 4
+    nib[:, 0] += _XOR_ROW[:, None, :, 0]
+    xor = tx.astype(np.uint16) << _XOR_SHIFT[..., None]
+    xor += _XOR_NEXT[..., None]
+    return nib.reshape(9, 4096, 8), xor.reshape(9, -1)
 
 
 def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = False):
     """The table walk over an (N, 16) uint8 plaintext array, WALK_CHUNK rows
-    at a time, the state kept sample-major as a (16, rows) array.
+    at a time, through the set's walk-ready arrays (walk_tables).
 
-    Per round: one gather for the 16 T-box lookups (each reads a 4-byte table
-    row), then one per XOR stage for all 16 output bytes and both nibble
-    halves.  Returns (ciphertexts (N, 16), samples (N, 1456) or None, lookups),
-    the lookup count summed from the sizes of the gathers' index arrays."""
+    Per round: one gather of the 16 table rows; per XOR stage, one add of the
+    running values and a row's nibbles and one gather; then one add of stage
+    2's halves gives the next round's indices in state byte order, and one
+    ShiftRows gather puts them in table order.  With record, the trace is
+    gathered afterwards from ut and tx at the saved indices.  Returns
+    (ciphertexts (N, 16), samples (N, 1456) or None, lookups), the lookup
+    count summed from the sizes of the index arrays."""
     pts = np.asarray(pts, dtype=np.uint8)
     n = pts.shape[0]
-    ut = ts.ut.reshape(9, -1).view(np.uint32)  # one entry per 4-byte table row
-    tx = ts.tx.reshape(9, -1)
+    ut, tx = ts.walk
     t10 = ts.t10.reshape(-1)
     cts = np.empty((n, 16), dtype=np.uint8)
     samples = np.empty((n, 1456), dtype=np.uint8) if record else None
     lookups = 0
     for start in range(0, n, WALK_CHUNK):
-        state = pts[start : start + WALK_CHUNK].T  # (16, m), plaintext byte order
-        m = state.shape[1]
-        trace = np.empty((1456, m), dtype=np.uint8)
+        block = pts[start : start + WALK_CHUNK]
+        m = block.shape[0]
+        state = np.empty((16, m), dtype=np.uint16)
+        halves = state.reshape(4, 4, m).transpose(0, 2, 1)  # byte 4j + k as (j, row, k)
+        rows = [block.T[_SHIFT_ROWS] + _TABLE_ROW]  # per round: (i, j, row) table-row indices
+        entries = []  # per round and stage: (j, row, 2k + half) XOR-entry indices
         for r in range(9):
-            rnd = trace[160 * r : 160 * (r + 1)].reshape(4, 40, m)  # (j, sample, m)
-            idx = state[_SHIFT_ROWS] + _TABLE_ROW
-            rows = ut[r].take(idx).view(np.uint8).reshape(4, 4, m, 4)  # (j, i, m, k)
-            lookups += idx.size
-            enc = rnd[:, :16].reshape(4, 4, 4, m)  # (j, i, k, m)
-            enc[...] = rows.transpose(0, 1, 3, 2)
-            nib = (enc[:, :, :, None, :] >> _NIBBLE_SHIFT) & 0xF  # (j, i, k, h, m)
-            xor = rnd[:, 16:].reshape(4, 4, 3, 2, m)  # (j, k, s, h, m)
-            acc = nib[:, 0]
+            nib = ut[r].take(rows[r], axis=0)  # (i, j, row, 2k + half)
+            acc = nib[0]
             for s in range(3):
-                idx = (acc << 4) + nib[:, s + 1] + _XOR_BASE[:, s]
-                acc = xor[:, :, s] = tx[r].take(idx)
-                lookups += idx.size
-            state = ((acc[:, :, 0] << 4) | acc[:, :, 1]).reshape(16, m)
-        idx = state[_SHIFT_ROWS] + _TABLE_ROW
-        trace[1440:] = t10.take(idx)
-        lookups += idx.size
-        cts[start : start + m] = trace[1440:].T
+                entries.append(acc + nib[s + 1])
+                acc = tx[r].take(entries[-1])
+            np.add(acc[..., 0::2], acc[..., 1::2], out=halves)
+            rows.append(state.take(_SHIFT_ROWS, axis=0))
+        final = t10.take(rows[9])  # (i, j, row)
+        lookups += sum(idx.size for idx in rows) + sum(idx.size for idx in entries)
+        cts[start : start + m].reshape(m, 4, 4)[...] = final.transpose(2, 1, 0)
         if record:
-            samples[start : start + m] = trace.T
+            _record(ts, rows, entries, final, samples[start : start + m])
     return cts, samples, lookups
+
+
+def _record(ts: TableSet, rows: list, entries: list, final: np.ndarray, out: np.ndarray) -> None:
+    """Write the traces of one walked block into out, (rows, 1456) uint8,
+    _TRACE_ROWS rows at a time.
+
+    A trace is assembled sample-major in 4-sample words, (364, rows) uint32:
+    each round and column has 4 words of table-output bytes, from ut at the
+    saved row indices, then 6 of XOR nibbles, from tx at the saved entry
+    indices; then 4 words of final-round bytes."""
+    ut = ts.ut.reshape(-1).view(np.uint32)  # one word per table row
+    tx = ts.tx.reshape(9, -1)
+    rows = np.array(rows[:9]) + _ROUND_ROW  # (round, i, j, row), rows of ut
+    for a in range(0, final.shape[-1], _TRACE_ROWS):
+        cut = slice(a, a + _TRACE_ROWS)
+        m = len(out[cut])
+        trace = np.empty((364, m), dtype=np.uint32)
+        words = trace[:360].reshape(9, 4, 10, m)  # (round, j, word, row)
+        words[:, :, :4] = ut.take(rows[..., cut]).transpose(0, 2, 1, 3)
+        nibbles = np.empty((4, m, 4, 3), dtype=np.uint16)  # (j, row, k, stage), both halves in one
+        for r in range(9):
+            for s in range(3):
+                nibbles[..., s] = tx[r].take(entries[3 * r + s][:, cut]).view(np.uint16)
+            words[r, :, 4:] = nibbles.reshape(4, m, 12).view(np.uint32).transpose(0, 2, 1)
+        trace.view(np.uint8).reshape(364, m, 4)[360:] = final[..., cut].transpose(1, 2, 0)  # (j, row, i)
+        out[cut].view(np.uint32)[...] = trace.T
 
 
 def encrypt_with_tables(ts: TableSet, pt: bytes, record: bool = False):
@@ -534,15 +619,16 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
         raise FormatError("spec matrix row or codec partner is not a nibble")
     (seed,) = struct.unpack("<Q", data[8:16])
     key = data[16:32]
+    fg = np.frombuffer(data, dtype=np.uint8, count=9 * 16 * 8, offset=32).reshape(144, 2, 4)
+    rows = assembled_rows(fg[:, 0], fg[:, 1])  # (pair, row) in (r, j, k) order
+    bad = np.flatnonzero(np.array(derive_blacklist_W().rows)[rows])
+    if bad.size:
+        (r, j, k), row = _RJK[bad[0] // 8], rows.flat[bad[0]]
+        raise FormatError(f"spec linear pair r={r} j={j} k={k} has blacklisted matrix row {row:08b}")
     pairs = {rjk: EncodingPair(f=BitMat4(rows=tuple(data[off : off + 4])),
                                g=BitMat4(rows=tuple(data[off + 4 : off + 8])))
              for rjk, off in zip(_RJK, range(32, 32 + 9 * 16 * 8, 8))}
     off = 32 + 9 * 16 * 8
-    W = derive_blacklist_W()
-    for (r, j, k), pair in pairs.items():
-        for row in assemble_M(pair).rows:
-            if W.forbids(row):
-                raise FormatError(f"spec linear pair r={r} j={j} k={k} has blacklisted matrix row {row:08b}")
     ut_codecs = _codecs(data[off : off + 9 * 64 * 2], 4)
     stage_codecs = _codecs(data[off + 9 * 64 * 2 : -4], 3)
     return EncodingSpec(

@@ -9,6 +9,7 @@ from balaes.binmat import (
     EncodingPair,
     allowed_f_rows,
     assemble_M,
+    assembled_rows,
     count_valid_pairs,
     decode_map,
     derive_blacklist_F,
@@ -321,3 +322,22 @@ def test_walsh_balance_check_matches_popcount_reference():
         grid = walsh_balance_check(pair, key_byte)
         assert grid.dtype == np.int32 and grid.shape == (8, 8, 3, 3)
         assert np.array_equal(grid, _reference_walsh_balance_check(pair, key_byte))
+
+
+def test_assembled_rows_match_scalar_block_matrix():
+    # [[I, f], [g, I + g.f]] row by row, for many pairs in one array call
+    rng = random.Random(65)
+    pairs = [sample_pair(rng) for _ in range(144)] + [EncodingPair.identity()]
+    rows = assembled_rows([p.f.rows for p in pairs], [p.g.rows for p in pairs])
+    assert rows.shape == (145, 8) and rows.dtype == np.uint8
+    for pair, got in zip(pairs, rows.tolist()):
+        f, g = pair.f.rows, pair.g.rows
+        want = [(1 << (7 - i)) | f[i] for i in range(4)]
+        for i in range(4):
+            g_times_f = 0
+            for b in range(4):
+                if (g[i] >> (3 - b)) & 1:
+                    g_times_f ^= f[b]
+            want.append((g[i] << 4) | ((1 << (3 - i)) ^ g_times_f))
+        assert got == want
+        assert assemble_M(pair).rows == tuple(want)

@@ -9,6 +9,7 @@ import pytest
 
 from balaes.cipher import load_traces
 from balaes.cli import main
+from balaes.tablegen import deserialize_spec
 
 from conftest import STD_KEY
 
@@ -262,9 +263,36 @@ def test_bench_reports_timing(gen_dir, capfd):
     assert rc == 0
     summary = json.loads(capfd.readouterr().out)
     assert summary["mean_block_us"] > 0
+    # per-call latency percentiles, as perfbench's block_p95_us takes them
+    assert 0 < summary["p50_block_us"] <= summary["p95_block_us"]
     assert "19 us" in summary["note"]
     # measured lookups per block times the measured block rate
     assert summary["lookups_per_second"] == pytest.approx(1024 * 1e6 / summary["mean_block_us"], rel=1e-4)
+
+
+def test_bench_single_iteration_reports_its_latency(gen_dir, capfd):
+    assert main(["bench", "--tables", str(gen_dir), "--iterations", "1"]) == 0
+    summary = json.loads(capfd.readouterr().out)
+    assert summary["p50_block_us"] == summary["p95_block_us"] > 0
+
+
+MAX_SEED = 2**64 - 1 - 2 * 0x9E3779B9  # retry seeds seed + a * 0x9E3779B9, a < 3, fit a u64
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 2**64 + 5, 2**64 - 1, MAX_SEED + 1])
+def test_gen_seed_outside_u64_retry_range_is_usage_error(tmp_path, capfd, seed):
+    # -5 used to build the tables of seed 5 and record 2**64 - 5; 2**64 + 5 used
+    # to record 5 for other tables; near 2**64 a retry seed would not fit
+    rc = main(["gen", "--key", FIPS_KEY, "--seed", str(seed), "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert "seed must be in 0.." in capfd.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+def test_gen_largest_seed_is_recorded_exactly(tmp_path, capfd):
+    assert main(["gen", "--key", FIPS_KEY, "--seed", str(MAX_SEED), "--out", str(tmp_path)]) == 0
+    spec = deserialize_spec((tmp_path / "enc.spec").read_bytes())
+    assert spec.seed == MAX_SEED and json.loads(capfd.readouterr().out)["seed"] == MAX_SEED
 
 
 def test_usage_error_unknown_kind(gen_dir, capfd):

@@ -275,8 +275,9 @@ def test_pack_unpack_nibble_table(std_pair):
     with pytest.raises(FormatError):
         unpack_nibble_table(packed[:100])
     # the table file packs every XOR table the same way, and reads it back
-    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=std_pair.q0.tx.copy(), t10=std_pair.q0.t10)
-    ts.tx[0, 0, 0, 0, 0] = arr
+    tx = std_pair.q0.tx.copy()
+    tx[0, 0, 0, 0, 0] = arr
+    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=tx, t10=std_pair.q0.t10)
     blob = serialize_tableset(ts)
     assert blob[8 + tablegen.UT_BYTES : 8 + tablegen.UT_BYTES + 128] == packed
     assert np.array_equal(deserialize_tableset(blob).tx[0, 0, 0, 0, 0], arr)
@@ -370,10 +371,9 @@ def test_verify_passes_fresh_build(std_pair, std_spec):
 
 
 def test_verify_detects_flipped_bit(std_pair, std_spec):
-    ts = tablegen.TableSet(
-        set_id=0, ut=std_pair.q0.ut.copy(), tx=std_pair.q0.tx, t10=std_pair.q0.t10
-    )
-    ts.ut[0, 0, 0, 17, 2] ^= 0x10
+    ut = std_pair.q0.ut.copy()
+    ut[0, 0, 0, 17, 2] ^= 0x10
+    ts = tablegen.TableSet(set_id=0, ut=ut, tx=std_pair.q0.tx, t10=std_pair.q0.t10)
     report = verify_tableset(ts, std_spec)
     assert not report.passed
     assert not report.checks["ut_walsh_zero"]
@@ -390,15 +390,16 @@ def test_verify_detects_non_candidate_codec(std_spec, std_pair):
     if not bad:
         pytest.skip("pair admits every swap partner on this lane")
     old_cp = spec.ut_codecs[(r, j, k, i)]
-    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut.copy(), tx=std_pair.q0.tx, t10=std_pair.q0.t10)
-    col = ts.ut[0, i, j, :, k]
+    ut = std_pair.q0.ut.copy()
+    col = ut[0, i, j, :, k]
     # undo the good upper codec, apply the bad one
     redo = {}
     for v in range(256):
         hi = old_cp.upper.decode(v >> 4)
         hi = NibbleCodec(bad[0]).encode(hi)
         redo[v] = (hi << 4) | (v & 0xF)
-    ts.ut[0, i, j, :, k] = np.array([redo[int(v)] for v in col], dtype=np.uint8)
+    ut[0, i, j, :, k] = np.array([redo[int(v)] for v in col], dtype=np.uint8)
+    ts = tablegen.TableSet(set_id=0, ut=ut, tx=std_pair.q0.tx, t10=std_pair.q0.t10)
     report = verify_tableset(ts, std_spec)
     assert not report.checks["ut_walsh_zero"]
 
@@ -455,12 +456,13 @@ def test_serialize_tableset_matches_per_entry_serializer(std_pair):
         back = deserialize_tableset(blob)
         for name in ("ut", "tx", "t10"):
             got = getattr(back, name)
-            # unpacked entry by entry, and owned: writable, sharing no memory with the file bytes
+            # unpacked entry by entry, and owned: sharing no memory with the file bytes,
+            # and read-only, as every TableSet's tables are
             if name == "tx":
                 offsets = range(8 + tablegen.UT_BYTES, 8 + tablegen.UT_BYTES + tablegen.TX_BYTES, 128)
                 ref = np.array([unpack_nibble_table(blob[o : o + 128]) for o in offsets]).reshape(got.shape)
                 assert np.array_equal(got, ref)
-            assert got.flags.writeable and got.flags.owndata
+            assert got.flags.owndata and not got.flags.writeable
             assert np.array_equal(got, getattr(ts, name))
 
 
@@ -472,8 +474,9 @@ def test_verify_reports_corrupted_final_round_entry(std_pair, std_spec):
     _, samples, _ = encrypt_batch_with_tables(std_pair.q0, pts[n : n + 1], record=True)
     u, l = cipher.round_output_sample_indices(9, (j + i) % 4, i)
     x = (int(samples[0, u]) << 4) | int(samples[0, l])
-    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=std_pair.q0.tx, t10=std_pair.q0.t10.copy())
-    ts.t10[i, j, x] ^= 0x01
+    t10 = std_pair.q0.t10.copy()
+    t10[i, j, x] ^= 0x01
+    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut, tx=std_pair.q0.tx, t10=t10)
     report = verify_tableset(ts, std_spec)
     assert report.checks["functional_equality"] is False and not report.passed
     assert f"functional mismatch on plaintext #{n}" in report.failures
@@ -578,3 +581,53 @@ def test_batch_matches_scalar(std_pair):
         for n in (0, 7, 2499):
             ct, s, lookups = encrypt_with_tables(ts, bytes(pts[n]), record=True)
             assert ct == bytes(ref_cts[n]) and s == bytes(ref_samples[n]) and lookups == per_row
+
+
+def test_tables_are_read_only_so_walk_arrays_cannot_go_stale(std_pair):
+    ts = tablegen.TableSet(set_id=0, ut=std_pair.q0.ut.copy(), tx=std_pair.q0.tx.copy(),
+                           t10=std_pair.q0.t10.copy())
+    ts.walk  # built on the first walk, then kept
+    for name, index in (("ut", (0, 0, 0, 0, 0)), ("tx", (0, 0, 0, 0, 0, 0)), ("t10", (0, 0, 0))):
+        with pytest.raises(ValueError):
+            getattr(ts, name)[index] ^= 1
+        with pytest.raises(AttributeError):
+            setattr(ts, name, getattr(std_pair.q1, name))
+    assert ts == std_pair.q0
+
+
+def test_loaded_and_complement_sets_walk_like_the_generated_ones(std_pair, std_spec):
+    pts = np.frombuffer(random.Random(63).randbytes(1100 * 16), dtype=np.uint8).reshape(1100, 16)
+    rebuilt_q1 = build_q1(std_pair.q0, std_spec)
+    for ts, other in ((std_pair.q0, deserialize_tableset(serialize_tableset(std_pair.q0))),
+                      (std_pair.q1, deserialize_tableset(serialize_tableset(std_pair.q1))),
+                      (std_pair.q1, rebuilt_q1)):
+        assert other is not ts and "walk" not in vars(other)  # its walk arrays are its own
+        for mine, theirs in zip(ts.walk, other.walk):
+            assert np.array_equal(mine, theirs)
+        for n in (1, 1100):
+            for got, want in zip(encrypt_batch_with_tables(other, pts[:n], record=True),
+                                 encrypt_batch_with_tables(ts, pts[:n], record=True)):
+                assert np.array_equal(got, want)
+
+
+def test_walk_arrays_stay_small_and_lookups_per_row_fixed(std_pair):
+    ut, tx = std_pair.q0.walk
+    assert ut.dtype == tx.dtype == np.uint16
+    assert ut.nbytes + tx.nbytes < 2 * 2**20
+    pts = np.frombuffer(random.Random(64).randbytes(1025 * 16), dtype=np.uint8).reshape(1025, 16)
+    for n in (1, 1025):
+        for record in (False, True):
+            assert encrypt_batch_with_tables(std_pair.q0, pts[:n], record)[2] == 1024 * n
+
+
+def test_spec_blacklist_error_names_first_offending_pair_and_row(std_spec):
+    blob = bytearray(serialize_spec(std_spec))
+    # f row 0b0000 makes row `row` of the assembled matrix a single index the
+    # blacklist forbids; pairs are stored in (r, j, k) order, 8 bytes each
+    for pair_index, row in ((100, 1), (37, 2), (37, 3)):
+        blob[32 + 8 * pair_index + row] = 0b0000
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(bytes(blob))
+    # pair 37 is (r, j, k) = (3, 1, 1); its row 2 is 1 << (7 - 2)
+    assert str(exc.value) == "spec linear pair r=3 j=1 k=1 has blacklisted matrix row 00100000"
