@@ -10,10 +10,16 @@ observed or encoded tables against the hypothesis tables of every guess.
 DCA and MIA see each recorded byte as eight binary columns (MSB first) but
 never build that (N, 8W) bit matrix. Each hypothesis model groups the traces
 so that one hypothesis bit is a fixed function of the group label; the traces
-are sorted by label once and every bit plane is summed per group
-(`_grouped_bit_sums`). All 256 candidates are then scored from the per-group
-sums by one matrix product, which is exact in float64 because it only adds
-integers. Memory scales with 256 x 8W, not N x 8W.
+are sorted by label once and each group's rows are unpacked to bits and
+summed (`_grouped_bit_sums`, in the calling thread). Each hypothesis bit is
+then one worker-pool task (see pool: one worker per CPU in the process's
+affinity mask, at most 8, and at most workers + 1 tasks in flight) that
+scores all 256 candidates from the per-group sums: a matrix product of the
+0/1 matrix H and the group sums, in float32 while there are fewer than 2^24
+traces, which is exact because every partial sum is an integer no larger
+than the trace count, and then the float64 statistic over blocks of
+_COLUMN_BLOCK bit columns, so its temporaries stay small.  Memory scales
+with 256 x 8W, not N x 8W.
 
 The round-output analyses also score all 256 candidates at once. walsh-ro is
 one Walsh grid (tablegen.round_output_walsh); collision and cluster scores
@@ -40,6 +46,7 @@ from .binmat import (
     walsh_grid,
 )
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
+from .pool import ordered_map
 from .tablegen import round_output_walsh
 
 
@@ -220,41 +227,85 @@ def _grouped_bit_sums(labels: np.ndarray, V: np.ndarray, groups: int):
 
     counts[g] is the number of traces labelled g, and sums[g, 8 * s + k] the
     number of those whose sample s has bit k (MSB first) set: the column sums
-    of bit_expand(V) per group.  The traces are sorted by label once and each
-    bit plane is reduced group by group, so no (N, 8W) array is built.
+    of bit_expand(V) per group.  The traces are sorted by label once, and
+    each group's rows are unpacked to bits and summed _ROW_BLOCK rows at a
+    time, so no (N, 8W) array is built.  It runs in the calling thread: one
+    pass over the rows costs about a sixth of eight bit planes reduced with
+    np.add.reduceat, so a second core would have little to take over.
     """
     counts = np.bincount(labels, minlength=groups)
-    present = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[present]
-    # sample-major, so each group is one contiguous run per sample; a 16-bit
-    # accumulator is exact while no group exceeds 65535 traces, and faster
-    VsT = V[np.argsort(labels, kind="stable")].T.copy()
-    acc = np.uint16 if counts.max(initial=0) <= np.iinfo(np.uint16).max else np.int32
-    plane = np.empty_like(VsT)
-    sums = np.zeros((groups, V.shape[1], 8), dtype=np.int32)
-    for k in range(8):
-        np.bitwise_and(np.right_shift(VsT, 7 - k, out=plane), 1, out=plane)
-        sums[present, :, k] = np.add.reduceat(plane, starts, axis=1, dtype=acc).T
-    return counts, sums.reshape(groups, -1)
+    ends = np.cumsum(counts)
+    Vs = V[np.argsort(labels, kind="stable")]
+    sums = np.zeros((groups, 8 * V.shape[1]), dtype=np.int32)
+    for g in np.flatnonzero(counts):
+        for lo in range(ends[g] - counts[g], ends[g], _ROW_BLOCK):
+            rows = Vs[lo : min(lo + _ROW_BLOCK, ends[g])]
+            # a 16-bit sum is exact over at most _ROW_BLOCK rows, and faster
+            sums[g] += np.unpackbits(rows, axis=1).sum(axis=0, dtype=np.uint16)
+    return counts, sums
+
+
+_F32_EXACT = 2**24  # float32 holds every integer up to 2^24 exactly
+_ROW_BLOCK = 1024  # trace rows unpacked to bits at once: 8W bytes each
+_COLUMN_BLOCK = 1024  # bit columns per block of the float64 statistic
+
+
+def _bit_column_stats(counts: np.ndarray, sums: np.ndarray):
+    """float64 group counts, the group sums S of the bit columns that are not
+    constant (those score exactly 0 in DCA and MIA) and their float64 totals.
+    S is float32 when the trace count is below 2^24, so that H @ S, whose
+    partial sums are integers no larger than the trace count, is exact in
+    float32; otherwise it is float64."""
+    n = int(counts.sum())
+    sv = sums.sum(axis=0)
+    nz = (sv > 0) & (sv < n)
+    S = sums[:, nz].astype(np.float32 if n < _F32_EXACT else np.float64)
+    return counts.astype(np.float64), S, sv[nz].astype(np.float64)
 
 
 def _hypothesis_bit_stats(traces: TraceSet, model, window, bits):
-    """Per hypothesis bit, all float64: the model's (256, groups) matrix H,
-    per-group trace counts, and per-group sums and totals of the windowed bit
-    columns.  Constant columns, which score exactly 0 in DCA and MIA, are
-    left out.  The sums are recomputed only when the grouping changes."""
+    """Per hypothesis bit: the model's float64 (256, groups) matrix H and the
+    _bit_column_stats of the windowed bit columns under its grouping.  The
+    sums are recomputed only when the grouping changes."""
     V = traces.samples[:, _resolve_window(window, traces.samples.shape[1])]
     labels = None
     for bit in bits:
         new_labels, H = model.bit_groups(traces.plaintexts, bit)
         if labels is None or not np.array_equal(new_labels, labels):
             labels = new_labels
-            counts, sums = _grouped_bit_sums(labels, V, H.shape[1])
-            sv = sums.sum(axis=0)
-            nz = (sv > 0) & (sv < V.shape[0])
-            S, sv = sums[:, nz].astype(np.float64), sv[nz].astype(np.float64)
-            counts = counts.astype(np.float64)
+            counts, S, sv = _bit_column_stats(*_grouped_bit_sums(labels, V, H.shape[1]))
         yield H.astype(np.float64), counts, S, sv
+
+
+def _column_blocks(H: np.ndarray, S: np.ndarray):
+    """(columns, H @ S over those columns as float64), _COLUMN_BLOCK bit
+    columns at a time; the product runs in S's dtype (see _bit_column_stats)."""
+    H = H.astype(S.dtype)
+    for lo in range(0, S.shape[1], _COLUMN_BLOCK):
+        cols = slice(lo, lo + _COLUMN_BLOCK)
+        yield cols, (H @ S[:, cols]).astype(np.float64)
+
+
+def _dca_scores(H, counts, S, sv, n: int) -> np.ndarray:
+    """(256,) peak |r| per candidate of one hypothesis bit over the bit
+    columns: r = (H @ S - sh sv / n) / sqrt(var_h var_v), evaluated in place,
+    block by block."""
+    sh = H @ counts
+    var_h = sh - sh * sh / n
+    var_v = sv - sv * sv / n  # binary columns: sum of squares equals the sum
+    ok = var_h > 0  # a constant hypothesis bit scores 0
+    sh, var_h = sh[ok], var_h[ok]
+    peak = np.zeros(len(sh))
+    for cols, r in _column_blocks(H[ok], S):
+        tmp = np.outer(sh, sv[cols])
+        tmp /= n
+        r -= tmp
+        np.sqrt(np.outer(var_h, var_v[cols], out=tmp), out=tmp)
+        r /= tmp
+        np.maximum(peak, np.abs(r, out=r).max(axis=1), out=peak)
+    scores = np.zeros(256)
+    scores[ok] = peak
+    return scores
 
 
 def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
@@ -264,24 +315,9 @@ def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
     those bit columns, and candidates are ranked descending by score."""
     n = traces.samples.shape[0]
     bits = list(bits)
-    scores = np.zeros((256, len(bits)))
-    for bi, (H, counts, S, sv) in enumerate(_hypothesis_bit_stats(traces, model, window, bits)):
-        sh = H @ counts
-        var_h = sh - sh * sh / n
-        var_v = sv - sv * sv / n  # binary columns: sum of squares equals the sum
-        ok = var_h > 0  # a constant hypothesis bit scores 0
-        # r = (H @ S - sh sv / n) / sqrt(var_h var_v), evaluated in place
-        r = H[ok] @ S
-        tmp = np.outer(sh[ok], sv)
-        tmp /= n
-        r -= tmp
-        np.sqrt(np.outer(var_h[ok], var_v, out=tmp), out=tmp)
-        r /= tmp
-        scores[ok, bi] = np.abs(r, out=r).max(axis=1, initial=0.0)
-
+    stats = _hypothesis_bit_stats(traces, model, window, bits)
     rankings = []
-    for bi, bit in enumerate(bits):
-        col = scores[:, bi]
+    for bit, col in zip(bits, ordered_map(lambda st: _dca_scores(*st, n), stats)):
         rankings.append(
             BitRanking(bit=bit, scores=col, ranks=_ranks_from_scores(col), correct_guess=correct_guess)
         )
@@ -338,10 +374,11 @@ def collision_and_sse_scores(traces: TraceSet, known_k0: int):
 # --- mutual information -----------------------------------------------------------
 
 def _plogp(p: np.ndarray) -> np.ndarray:
+    """p * log2(p) where p > 0, else 0, computed in place of masked copies."""
     out = np.zeros_like(p)
     nz = p > 0
-    out[nz] = p[nz] * np.log2(p[nz])
-    return out
+    np.log2(p, where=nz, out=out)
+    return np.multiply(p, out, where=nz, out=out)
 
 
 def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.ndarray:
@@ -359,7 +396,16 @@ def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.
     return np.clip(mi, 0.0, None)
 
 
-_MI_CHUNK = 1024
+def _mia_scores(H, counts, S, sv, n: int) -> np.ndarray:
+    """(256,) peak bit-level MI per candidate of one hypothesis bit.  A block
+    of bit columns per _binary_mi call bounds its (4, 256, columns)
+    temporaries; the running max is the same in any order."""
+    p1_ = (H @ counts / n)[:, None]
+    peak = np.zeros(256)
+    for cols, hs in _column_blocks(H, S):
+        hs /= n
+        np.maximum(peak, _binary_mi(hs, p1_, sv[cols] / n).max(axis=1), out=peak)
+    return peak
 
 
 def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
@@ -370,14 +416,9 @@ def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
     n = traces.samples.shape[0]
     bits = list(bits)
     out = np.zeros((256, len(bits)))
-    for bi, (H, counts, S, sv) in enumerate(_hypothesis_bit_stats(traces, model, window, bits)):
-        p1_ = (H @ counts / n)[:, None]
-        # a fixed number of bit columns per _binary_mi call bounds its (4, 256,
-        # columns) temporaries; the running max is the same in any order
-        for lo in range(0, S.shape[1], _MI_CHUNK):
-            cols = slice(lo, lo + _MI_CHUNK)
-            mi = _binary_mi(H @ S[:, cols] / n, p1_, sv[cols] / n)
-            np.maximum(out[:, bi], mi.max(axis=1), out=out[:, bi])
+    stats = _hypothesis_bit_stats(traces, model, window, bits)
+    for bi, peak in enumerate(ordered_map(lambda st: _mia_scores(*st, n), stats)):
+        out[:, bi] = peak
     return out
 
 

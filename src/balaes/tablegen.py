@@ -580,11 +580,15 @@ def deserialize_tableset(data: bytes) -> TableSet:
 
 
 def serialize_spec(spec: EncodingSpec) -> bytes:
+    """The spec file of a spec; raises ValueError if its seed does not fit the
+    file's u64 seed field, since the file would name another seed."""
+    if not 0 <= spec.seed <= 2**64 - 1:
+        raise ValueError(f"spec seed {spec.seed} is outside 0..2**64 - 1 and cannot be saved")
     out = bytearray()
     out += SPEC_MAGIC
     mode = 0 if spec.xor_boundary_mode == "balanced" else 1
     out += struct.pack("<HBB", FORMAT_VERSION, mode, 0)
-    out += struct.pack("<Q", spec.seed & 0xFFFFFFFFFFFFFFFF)
+    out += struct.pack("<Q", spec.seed)
     out += spec.key
     for rjk in _RJK:
         out += bytes(spec.pairs[rjk].f.rows + spec.pairs[rjk].g.rows)

@@ -79,10 +79,10 @@ def _select_set_per_row(policy, pts, rng):
 
 
 @pytest.mark.parametrize("text", [
-    "q0", "q1", "random:0.5", "random:0.3",
+    "q0", "q1", "random:0.5", "random:0.3", "random:0", "random:1",
     "pt-derived:1", "pt-derived:5", "pt-derived:16", "pt-derived:256",
 ])
-@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("n", [0, 1, 300, 65536])
 def test_select_set_matches_per_row_reference(text, n):
     policy = SelectorPolicy.parse(text)
     pts = random_plaintexts(n, random.Random(n))
@@ -90,7 +90,7 @@ def test_select_set_matches_per_row_reference(text, n):
     bits = select_set(policy, pts, rng)
     assert bits.dtype == np.uint8 and bits.shape == (n,)
     assert bits.tolist() == _select_set_per_row(policy, pts, ref_rng)
-    assert rng.random() == ref_rng.random()  # same number of draws
+    assert rng.getstate() == ref_rng.getstate()  # the same draws, so the same next ones
 
 
 def test_random_policy_fraction_close_to_alpha():
@@ -242,7 +242,7 @@ def test_streamed_campaign_file_matches_collected_traces(tmp_path, std_pair, pol
     rng, ref_rng = random.Random(21), random.Random(21)
     cipher.write_campaign(std_pair, pol, pts, rng, streamed)
     ts = collect_traces(std_pair, pol, pts, ref_rng)
-    assert rng.random() == ref_rng.random()  # same number of draws
+    assert rng.getstate() == ref_rng.getstate()  # the same draws, so the same next ones
     cipher.save_traces(ts, saved)
     assert streamed.read_bytes() == saved.read_bytes() == _reference_trace_file(ts)
     assert ts.set_bits.tolist() == select_set(pol, pts, random.Random(21)).tolist()

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 import tracemalloc
@@ -7,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from balaes import pool
 from balaes.cipher import load_traces
 from balaes.cli import main
 from balaes.tablegen import deserialize_spec
@@ -268,6 +270,8 @@ def test_bench_reports_timing(gen_dir, capfd):
     assert "19 us" in summary["note"]
     # measured lookups per block times the measured block rate
     assert summary["lookups_per_second"] == pytest.approx(1024 * 1e6 / summary["mean_block_us"], rel=1e-4)
+    # the pool size campaigns and DCA/MIA scoring use
+    assert summary["workers"] == pool.worker_count() == min(len(os.sched_getaffinity(0)), 8)
 
 
 def test_bench_single_iteration_reports_its_latency(gen_dir, capfd):

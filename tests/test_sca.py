@@ -426,6 +426,36 @@ def test_grouped_bit_sums_match_bit_expand():
     assert sums.tolist() == [[70000, 0, 0, 0, 0, 0, 0, 70000]]
 
 
+@pytest.mark.parametrize("group_size, gemm", [(65000, np.float32), (70000, np.float64)])
+def test_group_sums_past_2_24_traces_are_scored_in_float64(group_size, gemm):
+    # 256 groups: 16,640,000 traces, below 2^24, or 17,920,000, past it
+    rng = np.random.default_rng(11)
+    counts = np.full(256, group_size)
+    sums = np.where(rng.random((1, 2500)) < 0.5, rng.integers(0, group_size + 1, (256, 2500)),
+                    group_size - rng.integers(0, 4, (256, 2500)))  # random and nearly full columns
+    sums[:, 7] = 0  # a constant column is left out
+    H = (rng.random((256, 256)) < np.where(np.arange(256) % 2, 0.5, 0.97)[:, None]).astype(np.float64)
+    H[5] = 1  # a constant hypothesis bit scores 0
+    n = int(counts.sum())
+    counts_f, S, sv = sca._bit_column_stats(counts, sums)
+    assert S.dtype == gemm and S.shape == (256, 2499)
+    # the float64 reference: one product, then the statistics over all columns at once
+    S64 = np.delete(sums, 7, axis=1).astype(np.float64)
+    HS = H @ S64
+    sh = H @ counts_f
+    var_h, var_v = sh - sh * sh / n, sv - sv * sv / n
+    ok = var_h > 0
+    r = (HS[ok] - np.outer(sh[ok], sv) / n) / np.sqrt(np.outer(var_h[ok], var_v))
+    dca = np.zeros(256)
+    dca[ok] = np.abs(r).max(axis=1)
+    mi = sca._binary_mi(HS / n, (sh / n)[:, None], sv / n).max(axis=1)
+    assert np.array_equal(sca._dca_scores(H, counts_f, S, sv, n), dca)
+    assert np.array_equal(sca._mia_scores(H, counts_f, S, sv, n), mi)
+    # float32 sums of integers past 2^24 round, so the switch is needed there
+    exact32 = np.array_equal(H.astype(np.float32) @ S64.astype(np.float32), HS)
+    assert exact32 == (gemm == np.float32)
+
+
 def test_dca_rank_full_window_memory_bound(traces_mixed_10k):
     # the (N, 8W) bit matrix alone would take 116 MB as uint8, 932 MB as float64
     tracemalloc.start()

@@ -513,6 +513,13 @@ def test_spec_serialization_round_trip(std_spec):
         deserialize_spec(bytes(blob))
 
 
+def test_serialize_spec_rejects_seed_outside_u64():
+    # masked to 64 bits, these were saved as 2**64 - 5 and 5, seeds that sample other specs
+    for seed in (-5, 2**64 + 5):
+        with pytest.raises(ValueError, match=str(seed)):
+            serialize_spec(tablegen.build_spec(STD_KEY, seed))
+    assert deserialize_spec(serialize_spec(tablegen.build_spec(STD_KEY, 2**64 - 1))).seed == 2**64 - 1
+
 def test_identity_xor_boundary_mode_still_encrypts():
     key = bytes(range(16))
     pair, spec = build_table_pair(key, 5, xor_boundary_mode="identity", verify=False)
