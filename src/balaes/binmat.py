@@ -53,13 +53,6 @@ class BitMat4:
 
 
 @dataclass(frozen=True)
-class BitMat8:
-    """8x8 binary matrix; rows[i] is an 8-bit int, MSB = column 1."""
-
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class EncodingPair:
     f: BitMat4
     g: BitMat4
@@ -67,15 +60,6 @@ class EncodingPair:
     @classmethod
     def identity(cls) -> "EncodingPair":
         return cls(f=BitMat4.zero(), g=BitMat4.zero())
-
-
-def mat_vec_mul(m: BitMat4, v: int) -> int:
-    """Multiply a 4x4 bit matrix by a 4-bit column vector."""
-    out = 0
-    for i in range(4):
-        if (m.rows[i] & v).bit_count() & 1:
-            out |= 1 << (3 - i)
-    return out
 
 
 def row_times_mat(row: int, m: BitMat4) -> int:
@@ -105,33 +89,30 @@ def assembled_rows(f, g) -> np.ndarray:
     return np.concatenate([_UNIT8[:4] | f, (g << 4) | (_UNIT8[4:] ^ g_times_f)], axis=-1)
 
 
-def assemble_M(pair: EncodingPair) -> BitMat8:
-    """Block matrix [[I, f], [g, I + g.f]] realizing the shear encoding."""
-    return BitMat8(rows=tuple(assembled_rows(pair.f.rows, pair.g.rows).tolist()))
+_X = np.arange(256, dtype=np.uint8)
+_PARITY4 = np.array([v.bit_count() & 1 for v in range(16)], dtype=np.uint8)
+
+
+def shear_maps(fg) -> tuple:
+    """Encode and decode maps of a (..., 2, 4) stack of linear pairs, each the
+    4 f rows then the 4 g rows: two (..., 256) uint8 arrays.  Encoding is
+    Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H; decoding inverts it for every pair,
+    singular blocks included."""
+    fg = np.asarray(fg, dtype=np.uint8)
+    # times[..., m, v]: block m (f, then g) times the nibble v; bit i is the parity of row i & v
+    times = (_PARITY4[fg[..., None] & _X[:16]] << _MSB_SHIFT4[:, None]).sum(axis=-2, dtype=np.uint8)
+    f, g = times[..., 0, :], times[..., 1, :]
+    hi, lo = _X >> 4, _X & 0xF
+    zh = hi ^ f[..., lo]
+    yl = lo ^ g[..., hi]
+    return ((zh << 4) | (lo ^ np.take_along_axis(g, zh, axis=-1)),
+            ((hi ^ np.take_along_axis(f, yl, axis=-1)) << 4) | yl)
 
 
 @functools.lru_cache(maxsize=8192)
 def encode_map(pair: EncodingPair) -> bytes:
-    """The shear encoding as a 256-entry map: Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H."""
-    fm = [mat_vec_mul(pair.f, v) for v in range(16)]
-    gm = [mat_vec_mul(pair.g, v) for v in range(16)]
-    out = bytearray(256)
-    for x in range(256):
-        zh = (x >> 4) ^ fm[x & 0xF]
-        out[x] = (zh << 4) | ((x & 0xF) ^ gm[zh])
-    return bytes(out)
-
-
-@functools.lru_cache(maxsize=8192)
-def decode_map(pair: EncodingPair) -> bytes:
-    """Inverse of encode_map; valid for every pair, singular blocks included."""
-    fm = [mat_vec_mul(pair.f, v) for v in range(16)]
-    gm = [mat_vec_mul(pair.g, v) for v in range(16)]
-    out = bytearray(256)
-    for z in range(256):
-        yl = (z & 0xF) ^ gm[z >> 4]
-        out[z] = (((z >> 4) ^ fm[yl]) << 4) | yl
-    return bytes(out)
+    """The shear encoding of one pair as a 256-entry map (shear_maps)."""
+    return shear_maps((pair.f.rows, pair.g.rows))[0].tobytes()
 
 
 # --- coefficient tables ------------------------------------------------------
@@ -263,13 +244,6 @@ def derive_blacklist_F() -> tuple:
 def allowed_f_rows() -> tuple:
     bf = derive_blacklist_F()
     return tuple(tuple(b for b in range(16) if b not in bf[i]) for i in range(4))
-
-
-def f_family_size() -> int:
-    size = 1
-    for rows in allowed_f_rows():
-        size *= len(rows)
-    return size
 
 
 def sample_f(rng: random.Random) -> BitMat4:

@@ -1,9 +1,10 @@
 """Zero-swap nibble codecs and their balance-preserving candidate searches.
 
-A codec exchanges the nibble value 0 with a partner e and fixes everything
-else, hiding zeros at table boundaries without disturbing the first-order
-balance of the linear layer, provided e passes the candidate condition for
-that boundary.
+A codec exchanges the nibble value 0 with a partner e (e = 0 is the
+identity) and fixes everything else; a byte boundary carries one per nibble
+half, given by its (upper, lower) partners.  It hides zeros at table
+boundaries without disturbing the first-order balance of the linear layer,
+provided e passes the candidate condition for that boundary.
 
 Both candidate searches (coefficient-table boundaries and XOR-tree outputs)
 run on one helper: per-nibble-value bit sums of the relevant bit planes, as
@@ -12,7 +13,6 @@ one one-hot matrix product; e qualifies when its sums equal those of 0."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,42 +22,9 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class NibbleCodec:
-    """Involution on 4-bit values swapping 0 with e (e = 0 is the identity)."""
-
-    e: int
-
-    def __post_init__(self):
-        if not 0 <= self.e <= 0xF:
-            raise ValueError("codec partner must be a nibble")
-
-    def encode(self, v: int) -> int:
-        if v == 0:
-            return self.e
-        if v == self.e:
-            return 0
-        return v
-
-    decode = encode
-
-
-@dataclass(frozen=True)
-class CodecPair:
-    upper: NibbleCodec
-    lower: NibbleCodec
-
-    @classmethod
-    def identity(cls) -> "CodecPair":
-        return cls(upper=NibbleCodec(0), lower=NibbleCodec(0))
-
-    @classmethod
-    def of(cls, e_upper: int, e_lower: int) -> "CodecPair":
-        return cls(upper=NibbleCodec(e_upper), lower=NibbleCodec(e_lower))
-
-
 _V = np.arange(16, dtype=np.uint8)
-# NIB[e, v] is NibbleCodec(e).encode(v): every zero-swap codec over every nibble.
+# NIB[e, v] is the nibble v under the codec swapping 0 with e: every zero-swap
+# codec over every nibble.
 NIB = np.where(_V == 0, _V[:, None], np.where(_V == _V[:, None], 0, _V)).astype(np.uint8)
 NIB.flags.writeable = False
 
@@ -66,11 +33,6 @@ def codec_bytes(y, e_upper, e_lower):
     """Bytes y under the codec pair (e_upper, e_lower), elementwise with
     broadcasting; every codec is an involution, so this also decodes."""
     return (NIB[e_upper, y >> 4] << 4) | NIB[e_lower, y & 0xF]
-
-
-def codec_map(cp: CodecPair) -> bytes:
-    """The codec pair as a 256-entry map; an involution, so it also decodes."""
-    return codec_bytes(np.arange(256, dtype=np.uint8), cp.upper.e, cp.lower.e).tobytes()
 
 
 def _swap_candidates(tables: np.ndarray, half: str, planes: np.ndarray) -> set:

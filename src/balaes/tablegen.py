@@ -6,9 +6,10 @@ products of one output byte are folded by packed 4-bit XOR tables.  The final
 round uses plain-output 256-byte tables.  Every internal boundary carries a
 zero-swap nibble codec; the complement set flips all internal bits.
 
-Generation works on whole arrays: the spec's codec partners and linear-pair
-maps are gathered once, and every table family is then one gather through
-COEFF, the byte maps and the nibble-swap table NIB.
+Generation works on whole arrays and reads the spec's arrays directly: one
+shear_maps call gives the encode and decode maps of all 144 linear pairs, and
+every table family is then one gather through COEFF, those maps and the
+nibble-swap table NIB.
 
 The walk runs on a walk-ready copy of the round and XOR tables (walk_tables),
 made once per TableSet, whose uint16 values fold in the index arithmetic: a
@@ -24,13 +25,13 @@ A table file is an 8-byte header (magic, version, set id), then the TableSet
 arrays in their index order: ut (9*16*1024 bytes), tx packed two nibbles per
 byte with the even entry of each pair in the low nibble (864*128 bytes), t10
 (16*256 bytes), and a CRC-32 of everything before it.  A spec file is its
-header, seed and key, then the f and g rows of each linear pair, the table
-output codec partners and the XOR-stage codec partners, in (r, j, k, ...)
-order, and a CRC-32."""
+header, seed and key, then the EncodingSpec arrays fg, ut_partners and
+stage_partners in their index order, and a CRC-32."""
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 import struct
 import zlib
@@ -39,27 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gfcore import MC, RoundKeys, reference_encrypt_batch
-from .binmat import (
-    COEFF,
-    BitMat4,
-    EncodingPair,
-    assembled_rows,
-    coeff_tables,
-    decode_map,
-    derive_blacklist_W,
-    encode_map,
-    sample_pair,
-    walsh_grid,
-)
-from .nibenc import (
-    LOWER,
-    NIB,
-    UPPER,
-    CodecPair,
-    codec_bytes,
-    find_candidates,
-    find_round_output_candidates,
-)
+from .binmat import COEFF, assembled_rows, coeff_tables, derive_blacklist_W, sample_pair, shear_maps, walsh_grid
+from .nibenc import LOWER, NIB, UPPER, codec_bytes, find_candidates, find_round_output_candidates
 
 TABLE_MAGIC = b"BAE1"
 SPEC_MAGIC = b"BAS1"
@@ -84,27 +66,33 @@ class FormatError(ValueError):
     """Raised on malformed serialized tables, specs or traces."""
 
 
-@dataclass
+@dataclass(eq=False)
 class EncodingSpec:
-    """Secret encoding material of one table-set pair.
+    """Secret encoding material of one table-set pair, as the spec file's
+    uint8 arrays, all indexed [r-1, j, k, ...]: round r in 1..9, column j and
+    output byte k.
 
-    Keys: rounds r in 1..9; columns j, output bytes k, input rows i and XOR
-    stages s are 0-based.  pairs[(r, j, k)] is the linear pair shared by the
-    four partial products of output byte k in column j; ut_codecs[(r, j, k, i)]
-    sits on the table output produced from input row i; stage_codecs[(r, j, k, s)]
-    sits on XOR stage s, stage 2 being the round-output boundary.
-    """
+    fg (9, 4, 4, 2, 4): the linear pair shared by the four partial products of
+    output byte k in column j, its 4 f rows then its 4 g rows.
+    ut_partners (9, 4, 4, 4, 2), [r-1, j, k, i, (upper, lower)]: the codec
+    partners on the table output produced from input row i.
+    stage_partners (9, 4, 4, 3, 2), [r-1, j, k, s, (upper, lower)]: those on
+    XOR stage s, stage 2 being the round-output boundary."""
 
     seed: int
     key: bytes
-    pairs: dict
-    ut_codecs: dict
-    stage_codecs: dict
+    fg: np.ndarray
+    ut_partners: np.ndarray
+    stage_partners: np.ndarray
     xor_boundary_mode: str = "balanced"
     round_keys: RoundKeys = field(init=False, repr=False)
 
     def __post_init__(self):
         self.round_keys = RoundKeys.from_key(self.key)
+
+
+# EncodingSpec's arrays in spec file order; the file stores each whole, in its index order.
+_SPEC_SHAPES = {"fg": (9, 4, 4, 2, 4), "ut_partners": (9, 4, 4, 4, 2), "stage_partners": (9, 4, 4, 3, 2)}
 
 
 @dataclass(frozen=True)
@@ -151,27 +139,6 @@ class TableSetPair:
         return self.q1 if bit else self.q0
 
 
-_RJK = [(r, j, k) for r in range(1, 10) for j in range(4) for k in range(4)]
-
-
-def _partners(codecs: dict, n: int) -> np.ndarray:
-    """Codec partners of n boundaries per slot as (9, 4, 4, n, 2) uint8,
-    indexed [r-1][j][k][boundary][upper, lower]: the spec file's order."""
-    return np.array([[(cp.upper.e, cp.lower.e) for cp in (codecs[(*rjk, b)] for b in range(n))] for rjk in _RJK],
-                    dtype=np.uint8).reshape(9, 4, 4, n, 2)
-
-
-def _codecs(partners: bytes, n: int) -> dict:
-    """Inverse of _partners: the (r, j, k, boundary) -> CodecPair dict."""
-    it = iter(partners)
-    return {(*rjk, b): CodecPair.of(next(it), next(it)) for rjk in _RJK for b in range(n)}
-
-
-def _byte_maps(spec: EncodingSpec, byte_map) -> np.ndarray:
-    """encode_map or decode_map of every linear pair as (9, 4, 4, 256) uint8."""
-    return np.frombuffer(b"".join(byte_map(spec.pairs[rjk]) for rjk in _RJK), dtype=np.uint8).reshape(9, 4, 4, 256)
-
-
 def xor_tables(left, right, out) -> np.ndarray:
     """4-bit XOR tables for codec partner arrays of one shape: entry (a << 4) | b
     decodes a with left and b with right, XORs them and encodes with out.
@@ -182,60 +149,50 @@ def xor_tables(left, right, out) -> np.ndarray:
     return np.take_along_axis(NIB[out], xor.reshape(*xor.shape[:-2], 256), axis=-1)
 
 
-def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced", retry_budget: int = 32) -> EncodingSpec:
+def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced") -> EncodingSpec:
     """Sample all linear pairs and codecs for one table set.
 
     A pair is accepted for a (round, column, out-byte) slot only if every
     boundary it serves has at least one nonzero swap candidate; otherwise the
-    slot is resampled, up to the retry budget.
+    slot is resampled, up to RETRY_BUDGET times.
     """
     if xor_boundary_mode not in ("balanced", "identity"):
         raise ValueError("xor_boundary_mode must be 'balanced' or 'identity'")
     rng = random.Random(seed)
-    pairs = {}
-    ut_codecs = {}
-    stage_codecs = {}
-    for r in range(1, 10):
-        for j in range(4):
-            for k in range(4):
-                for attempt in range(retry_budget + 1):
-                    pair = sample_pair(rng)
-                    # Candidate sets are key independent; evaluate once at key 0.
-                    ut_cands = {}
-                    ok = True
-                    for ell in (1, 2, 3):
-                        ch = sorted(find_candidates(pair, 0, UPPER, ell) - {0})
-                        cl = sorted(find_candidates(pair, 0, LOWER, ell) - {0})
-                        if not ch or not cl:
-                            ok = False
-                            break
-                        ut_cands[ell] = (ch, cl)
-                    if ok and xor_boundary_mode == "balanced":
-                        raw_h = sorted(find_round_output_candidates(pair, UPPER) - {0})
-                        raw_l = sorted(find_round_output_candidates(pair, LOWER) - {0})
-                        if not raw_h or not raw_l:
-                            ok = False
-                    if ok:
-                        break
-                else:
-                    raise GenerationError(f"no admissible encoding for slot r={r} j={j} k={k}")
-                pairs[(r, j, k)] = pair
-                for i in range(4):
-                    ch, cl = ut_cands[MC[k][i]]
-                    ut_codecs[(r, j, k, i)] = CodecPair.of(rng.choice(ch), rng.choice(cl))
-                for s in range(3):
-                    if xor_boundary_mode == "balanced":
-                        stage_codecs[(r, j, k, s)] = CodecPair.of(rng.choice(raw_h), rng.choice(raw_l))
-                    else:
-                        stage_codecs[(r, j, k, s)] = CodecPair.identity()
-    return EncodingSpec(
-        seed=seed,
-        key=bytes(key),
-        pairs=pairs,
-        ut_codecs=ut_codecs,
-        stage_codecs=stage_codecs,
-        xor_boundary_mode=xor_boundary_mode,
-    )
+    fg = np.zeros(_SPEC_SHAPES["fg"], dtype=np.uint8)
+    ut_partners = np.zeros(_SPEC_SHAPES["ut_partners"], dtype=np.uint8)
+    stage_partners = np.zeros(_SPEC_SHAPES["stage_partners"], dtype=np.uint8)
+    for r, j, k in np.ndindex(9, 4, 4):
+        for attempt in range(RETRY_BUDGET + 1):
+            pair = sample_pair(rng)
+            # Candidate sets are key independent; evaluate once at key 0.
+            ut_cands = {}
+            ok = True
+            for ell in (1, 2, 3):
+                ch = sorted(find_candidates(pair, 0, UPPER, ell) - {0})
+                cl = sorted(find_candidates(pair, 0, LOWER, ell) - {0})
+                if not ch or not cl:
+                    ok = False
+                    break
+                ut_cands[ell] = (ch, cl)
+            if ok and xor_boundary_mode == "balanced":
+                raw_h = sorted(find_round_output_candidates(pair, UPPER) - {0})
+                raw_l = sorted(find_round_output_candidates(pair, LOWER) - {0})
+                if not raw_h or not raw_l:
+                    ok = False
+            if ok:
+                break
+        else:
+            raise GenerationError(f"no admissible encoding for slot r={r + 1} j={j} k={k}")
+        fg[r, j, k] = pair.f.rows, pair.g.rows
+        for i in range(4):
+            ch, cl = ut_cands[MC[k][i]]
+            ut_partners[r, j, k, i] = rng.choice(ch), rng.choice(cl)
+        if xor_boundary_mode == "balanced":  # identity mode keeps every stage partner 0
+            for s in range(3):
+                stage_partners[r, j, k, s] = rng.choice(raw_h), rng.choice(raw_l)
+    return EncodingSpec(seed=seed, key=bytes(key), fg=fg, ut_partners=ut_partners,
+                        stage_partners=stage_partners, xor_boundary_mode=xor_boundary_mode)
 
 
 _X = np.arange(256, dtype=np.uint8)
@@ -248,20 +205,21 @@ _PJ = (_I4 + _I4[:, None]) % 4
 
 
 def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
-    ut_e, st_e = _partners(spec.ut_codecs, 4), _partners(spec.stage_codecs, 3)
+    ut_e, st_e = spec.ut_partners, spec.stage_partners
+    enc, dec = shear_maps(spec.fg)  # (9, 4, 4, 256) each
     kh = np.array(spec.round_keys.khat, dtype=np.uint8)  # (10, 4, 4), [r-1][i][j]
     # din[r-1, i, j, x]: the plain byte behind input x of table (i, j) of round r,
     # undoing the producing round-output boundary's codec and linear encoding.
     din = np.empty((10, 4, 4, 256), dtype=np.uint8)
     din[0] = _X  # round 1 reads the plaintext
     e_in = st_e[:, _PJ, _I4[:, None], 2]  # (9, 4, 4, 2)
-    din[1:] = np.take_along_axis(_byte_maps(spec, decode_map)[:, _PJ, _I4[:, None]],
+    din[1:] = np.take_along_axis(dec[:, _PJ, _I4[:, None]],
                                  codec_bytes(_X, e_in[..., :1], e_in[..., 1:]), axis=-1)
     # Rounds 1..9: ell * S(x ^ k), then the slot's linear encoding, then the codec
     # on the table output; indexed [r-1][i][j][x][k].
     y = COEFF[_ELL[:, None, None, :], kh[:9, :, :, None, None], din[:9, :, :, :, None]]
     r, j, k = np.arange(9)[:, None, None, None, None], _I4[:, None, None], _I4
-    y = _byte_maps(spec, encode_map)[r, j, k, y]
+    y = enc[r, j, k, y]
     e_ut = ut_e.transpose(0, 3, 1, 2, 4)[:, :, :, None]  # [r-1][i][j][-][k][half]
     ut = codec_bytes(y, e_ut[..., 0], e_ut[..., 1])
     # XOR stage s folds the running value (row 0's table output for s = 0, else
@@ -272,6 +230,7 @@ def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
     return TableSet(set_id=set_id, ut=ut, tx=tx, t10=t10)
 
 
+RETRY_BUDGET = 32  # resamples of one slot in build_spec before it gives up
 BUILD_ATTEMPTS = 3
 RETRY_SEED_STEP = 0x9E3779B9
 # The spec file stores the seed of the attempt that built the tables as a u64.
@@ -493,7 +452,7 @@ def walsh_round_output_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarr
     return round_output_walsh(round_output_bytes_grid(ts), [spec.round_keys.khat[0][1][0]])[0]
 
 
-def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None = None) -> VerifyReport:
+def verify_tableset(ts: TableSet, spec: EncodingSpec) -> VerifyReport:
     """Static balance of all round-1 table outputs, round-output balance on the
     two-byte input subspace, and functional equality with plain AES."""
     failures = []
@@ -513,8 +472,7 @@ def verify_tableset(ts: TableSet, spec: EncodingSpec, rng: random.Random | None 
         for idx in bad[:8]:
             failures.append(f"round-output walsh nonzero at (i,iprime)={tuple(int(x) for x in idx)}")
 
-    rng = rng or random.Random(0xBA1A)
-    pts = np.frombuffer(rng.randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
+    pts = np.frombuffer(random.Random(0xBA1A).randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
     cts, _, _ = encrypt_batch_with_tables(ts, pts)
     bad = np.flatnonzero((cts != reference_encrypt_batch(pts, spec.key)).any(axis=1))
     ok = not bad.size
@@ -584,26 +542,22 @@ def serialize_spec(spec: EncodingSpec) -> bytes:
     file's u64 seed field, since the file would name another seed."""
     if not 0 <= spec.seed <= 2**64 - 1:
         raise ValueError(f"spec seed {spec.seed} is outside 0..2**64 - 1 and cannot be saved")
-    out = bytearray()
-    out += SPEC_MAGIC
     mode = 0 if spec.xor_boundary_mode == "balanced" else 1
-    out += struct.pack("<HBB", FORMAT_VERSION, mode, 0)
-    out += struct.pack("<Q", spec.seed)
-    out += spec.key
-    for rjk in _RJK:
-        out += bytes(spec.pairs[rjk].f.rows + spec.pairs[rjk].g.rows)
-    out += _partners(spec.ut_codecs, 4).tobytes() + _partners(spec.stage_codecs, 3).tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+    out = b"".join((SPEC_MAGIC, struct.pack("<HBBQ", FORMAT_VERSION, mode, 0, spec.seed), spec.key,
+                    *(getattr(spec, name).tobytes() for name in _SPEC_SHAPES)))
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
-_SPEC_PAYLOAD = 8 + 16 + 9 * 16 * 8 + 9 * 64 * 2 + 9 * 48 * 2
+_SPEC_SIZES = [math.prod(shape) for shape in _SPEC_SHAPES.values()]
+_SPEC_PAYLOAD = 8 + 16 + sum(_SPEC_SIZES)
 
 
 def deserialize_spec(data: bytes) -> EncodingSpec:
-    """Parse a spec file; any malformed field, or a linear pair that
-    build_spec could not have sampled (a row of its assembled matrix on the
-    blacklist), raises FormatError."""
+    """Parse a spec file into slices of one array over its bytes.  Any
+    malformed field raises FormatError, and so does material build_spec could
+    not have sampled: a linear pair with a row of its assembled matrix on the
+    blacklist, a table-output codec partner 0, or an XOR-stage partner 0 in
+    balanced mode or nonzero in identity mode."""
 
     if len(data) < 12 or data[:4] != SPEC_MAGIC:
         raise FormatError("bad magic for spec file")
@@ -618,28 +572,25 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
         raise FormatError("spec file checksum mismatch")
     if mode not in (0, 1):
         raise FormatError(f"unknown spec xor-boundary mode {mode}")
+    body = np.frombuffer(data, dtype=np.uint8, count=sum(_SPEC_SIZES), offset=32)
     # Every field after the seed and key is a BitMat4 row or a codec partner: one nibble each.
-    if max(data[32:-4]) > 0xF:
+    if body.max() > 0xF:
         raise FormatError("spec matrix row or codec partner is not a nibble")
+    fg, ut_partners, stage_partners = (part.reshape(shape) for part, shape in
+                                       zip(np.split(body, np.cumsum(_SPEC_SIZES[:-1])), _SPEC_SHAPES.values()))
+    rows = assembled_rows(fg[..., 0, :], fg[..., 1, :])  # (9, 4, 4, 8)
+    bad = np.array(derive_blacklist_W().rows)[rows]
+    if bad.any():
+        r, j, k, i = np.argwhere(bad)[0].tolist()
+        row = rows[r, j, k, i]
+        raise FormatError(f"spec linear pair r={r + 1} j={j} k={k} has blacklisted matrix row {row:08b}")
+    stage_rule = (stage_partners == 0, "is 0") if mode == 0 else (stage_partners != 0, "is not 0 in identity mode")
+    for name, b, (bad, rule) in (("table-output", "i", (ut_partners == 0, "is 0")),
+                                 ("XOR-stage", "s", stage_rule)):
+        if bad.any():
+            r, j, k, n, half = np.argwhere(bad)[0].tolist()
+            half = (UPPER, LOWER)[half]
+            raise FormatError(f"spec {name} codec partner r={r + 1} j={j} k={k} {b}={n} {half} {rule}")
     (seed,) = struct.unpack("<Q", data[8:16])
-    key = data[16:32]
-    fg = np.frombuffer(data, dtype=np.uint8, count=9 * 16 * 8, offset=32).reshape(144, 2, 4)
-    rows = assembled_rows(fg[:, 0], fg[:, 1])  # (pair, row) in (r, j, k) order
-    bad = np.flatnonzero(np.array(derive_blacklist_W().rows)[rows])
-    if bad.size:
-        (r, j, k), row = _RJK[bad[0] // 8], rows.flat[bad[0]]
-        raise FormatError(f"spec linear pair r={r} j={j} k={k} has blacklisted matrix row {row:08b}")
-    pairs = {rjk: EncodingPair(f=BitMat4(rows=tuple(data[off : off + 4])),
-                               g=BitMat4(rows=tuple(data[off + 4 : off + 8])))
-             for rjk, off in zip(_RJK, range(32, 32 + 9 * 16 * 8, 8))}
-    off = 32 + 9 * 16 * 8
-    ut_codecs = _codecs(data[off : off + 9 * 64 * 2], 4)
-    stage_codecs = _codecs(data[off + 9 * 64 * 2 : -4], 3)
-    return EncodingSpec(
-        seed=seed,
-        key=key,
-        pairs=pairs,
-        ut_codecs=ut_codecs,
-        stage_codecs=stage_codecs,
-        xor_boundary_mode="balanced" if mode == 0 else "identity",
-    )
+    return EncodingSpec(seed=seed, key=data[16:32], fg=fg, ut_partners=ut_partners, stage_partners=stage_partners,
+                        xor_boundary_mode="balanced" if mode == 0 else "identity")

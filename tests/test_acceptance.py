@@ -11,12 +11,10 @@ import pytest
 
 from balaes import cipher, sca, tablegen
 from balaes.binmat import (
-    assemble_M,
     coeff_tables,
     count_valid_pairs,
     derive_blacklist_F,
     derive_blacklist_W,
-    f_family_size,
     idx_of,
     sample_pair,
     table_bits,
@@ -31,7 +29,7 @@ from balaes.tablegen import (
     walsh_ut_grid_static,
 )
 
-from conftest import STD_KEY
+from conftest import STD_KEY, assemble_M, f_family_size
 
 
 def _ok(n, msg):

@@ -8,24 +8,30 @@ from balaes.binmat import (
     BitMat4,
     EncodingPair,
     allowed_f_rows,
-    assemble_M,
     assembled_rows,
     count_valid_pairs,
-    decode_map,
     derive_blacklist_F,
     derive_blacklist_W,
     encode_map,
-    f_family_size,
     idx_of,
-    mat_vec_mul,
     sample_f,
     sample_g,
     sample_pair,
+    shear_maps,
     valid_g_rows,
     walsh_grid,
 )
 
-from conftest import bit_rows, s_matrix_rows, walsh_balance_check
+from conftest import (
+    assemble_M,
+    bit_rows,
+    decode_map,
+    f_family_size,
+    mat_vec_mul,
+    reference_encode_map,
+    s_matrix_rows,
+    walsh_balance_check,
+)
 
 
 def vec4(b1, b2, b3, b4):
@@ -198,6 +204,21 @@ def test_linear_decode_round_trip_including_singular_blocks():
             assert dmap[emap[x]] == x
     assert decode_map(sample_pair(rng))[0] == 0
     assert decode_map(EncodingPair.identity())[0xAB] == 0xAB
+
+
+def test_shear_maps_match_per_entry_maps_on_any_stack():
+    # random blocks, singular ones included, as one (5, 40, 2, 4) stack; then one
+    # pair through encode_map, the kernel applied to a single pair
+    rng = random.Random(21)
+    pairs = [EncodingPair(f=BitMat4(rows=tuple(rng.randrange(16) for _ in range(4))),
+                          g=BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))) for _ in range(200)]
+    pairs[:2] = [EncodingPair.identity(), sample_pair(rng)]
+    enc, dec = shear_maps(np.array([(p.f.rows, p.g.rows) for p in pairs], dtype=np.uint8).reshape(5, 40, 2, 4))
+    assert enc.shape == dec.shape == (5, 40, 256) and enc.dtype == dec.dtype == np.uint8
+    for pair, e, d in zip(pairs, enc.reshape(200, 256), dec.reshape(200, 256)):
+        assert e.tobytes() == reference_encode_map(pair) == encode_map(pair)
+        assert d.tobytes() == decode_map(pair)
+    assert encode_map(pairs[1]) is encode_map(EncodingPair(f=pairs[1].f, g=pairs[1].g))  # still cached
 
 
 def test_linear_encode_is_bijective_and_linear():

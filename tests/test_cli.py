@@ -421,7 +421,13 @@ def _write_crc_fixed(path, blob: bytearray) -> None:
     (6, 7),  # xor-boundary mode byte: only 0 (balanced) and 1 (identity) exist
     (32, 0x1F),  # first BitMat4 row of the first linear pair
     (32 + 9 * 16 * 8, 0x10),  # first codec partner
-], ids=["mode", "bitmat-row", "codec-partner"])
+    # partners build_spec never draws: a table-output partner 0, an XOR-stage
+    # partner 0 in balanced mode, and the balanced file relabelled identity
+    (32 + 9 * 16 * 8 + 5, 0),
+    (32 + 9 * 16 * 8 + 9 * 16 * 4 * 2, 0),
+    (6, 1),
+], ids=["mode", "bitmat-row", "codec-partner", "zero-table-output-partner", "zero-stage-partner",
+        "identity-mode-stage-partner"])
 def test_malformed_spec_field_is_format_error(gen_dir, tmp_path, capfd, offset, value):
     blob = bytearray((gen_dir / "enc.spec").read_bytes())
     blob[offset] = value

@@ -5,18 +5,9 @@ import numpy as np
 import pytest
 
 from balaes.binmat import coeff_tables, encode_map, encoded_coeff_tables, sample_pair, walsh_grid
-from balaes.nibenc import (
-    LOWER,
-    UPPER,
-    CodecPair,
-    NibbleCodec,
-    codec_bytes,
-    codec_map,
-    find_candidates,
-    find_round_output_candidates,
-)
+from balaes.nibenc import LOWER, UPPER, codec_bytes, find_candidates, find_round_output_candidates
 
-from conftest import s_matrix_rows
+from conftest import CodecPair, NibbleCodec, codec_map, s_matrix_rows
 
 
 def encode_byte(x: int, cp: CodecPair) -> int:

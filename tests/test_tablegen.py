@@ -7,9 +7,9 @@ import struct
 import zlib
 
 from balaes import cipher, tablegen
-from balaes.binmat import COEFF, EncodingPair, decode_map, encode_map
+from balaes.binmat import COEFF
 from balaes.gfcore import MC, SBOX, RoundKeys, gf_mul, reference_encrypt
-from balaes.nibenc import CodecPair, NibbleCodec, codec_map, find_candidates
+from balaes.nibenc import find_candidates
 from balaes.tablegen import (
     TABLE_MAGIC,
     FormatError,
@@ -29,17 +29,29 @@ from balaes.tablegen import (
     xor_tables,
 )
 
-from conftest import STD_KEY, STD_SEED, bit_rows, s_matrix_rows
+from conftest import (
+    STD_KEY,
+    STD_SEED,
+    CodecPair,
+    NibbleCodec,
+    bit_rows,
+    codec_map,
+    decode_map,
+    reference_encode_map,
+    s_matrix_rows,
+    spec_codec,
+    spec_pair,
+)
 
 
 def identity_spec(key: bytes) -> tablegen.EncodingSpec:
-    """All-identity encodings; the network then computes bare fused AES steps."""
-    slots = [(r, j, k) for r in range(1, 10) for j in range(4) for k in range(4)]
+    """All-identity encodings (every f, g and codec partner 0); the network
+    then computes bare fused AES steps."""
     return tablegen.EncodingSpec(
         seed=0, key=bytes(key),
-        pairs={slot: EncodingPair.identity() for slot in slots},
-        ut_codecs={(*slot, i): CodecPair.identity() for slot in slots for i in range(4)},
-        stage_codecs={(*slot, s): CodecPair.identity() for slot in slots for s in range(3)},
+        fg=np.zeros((9, 4, 4, 2, 4), dtype=np.uint8),
+        ut_partners=np.zeros((9, 4, 4, 4, 2), dtype=np.uint8),
+        stage_partners=np.zeros((9, 4, 4, 3, 2), dtype=np.uint8),
         xor_boundary_mode="identity",
     )
 
@@ -61,8 +73,8 @@ def _input_decode_map(spec, r: int, i: int, j: int) -> bytes:
     if r == 1:
         return bytes(range(256))
     pr, pj, pk = r - 1, (j + i) % 4, i
-    cmap = codec_map(spec.stage_codecs[(pr, pj, pk, 2)])
-    return cmap.translate(decode_map(spec.pairs[(pr, pj, pk)]))
+    cmap = codec_map(spec_codec(spec.stage_partners[pr - 1, pj, pk, 2]))
+    return cmap.translate(decode_map(spec_pair(spec, pr, pj, pk)))
 
 
 def gen_ut(r: int, i: int, j: int, spec) -> np.ndarray:
@@ -71,8 +83,8 @@ def gen_ut(r: int, i: int, j: int, spec) -> np.ndarray:
     dec = np.frombuffer(_input_decode_map(spec, r, i, j), dtype=np.uint8)
     out = np.empty((256, 4), dtype=np.uint8)
     for k in range(4):
-        emap = encode_map(spec.pairs[(r, j, k)])
-        cod = codec_map(spec.ut_codecs[(r, j, k, i)])
+        emap = reference_encode_map(spec_pair(spec, r, j, k))
+        cod = codec_map(spec_codec(spec.ut_partners[r - 1, j, k, i]))
         col = COEFF[MC[k][i] - 1, kb][dec].tobytes().translate(emap).translate(cod)
         out[:, k] = np.frombuffer(col, dtype=np.uint8)
     return out
@@ -120,10 +132,10 @@ def reference_generate_tableset(spec) -> tablegen.TableSet:
     for r in range(1, 10):
         for j in range(4):
             for k in range(4):
-                feeders = [spec.ut_codecs[(r, j, k, i)] for i in range(4)]
+                feeders = [spec_codec(spec.ut_partners[r - 1, j, k, i]) for i in range(4)]
                 left = feeders[0]
                 for s in range(3):
-                    out_cp = spec.stage_codecs[(r, j, k, s)]
+                    out_cp = spec_codec(spec.stage_partners[r - 1, j, k, s])
                     right = feeders[s + 1]
                     tx[r - 1, j, k, s, 0] = gen_xor_table(left.upper, right.upper, out_cp.upper)
                     tx[r - 1, j, k, s, 1] = gen_xor_table(left.lower, right.lower, out_cp.lower)
@@ -221,7 +233,8 @@ def test_gen_ut_outputs_decode_to_partial_products(std_spec, std_pair):
             x = SBOX[p ^ kb]
             for k in range(4):
                 w = int(table[p][k])
-                y = decode_map(spec.pairs[(r, j, k)])[codec_map(spec.ut_codecs[(r, j, k, i)])[w]]
+                cod = codec_map(spec_codec(spec.ut_partners[r - 1, j, k, i]))
+                y = decode_map(spec_pair(spec, r, j, k))[cod[w]]
                 assert y == gf_mul(MC[k][i], x)
 
 
@@ -384,12 +397,12 @@ def test_verify_detects_non_candidate_codec(std_spec, std_pair):
     # candidate set; the static grid must notice
     spec = std_spec
     r, j, k, i = 1, 0, 0, 0
-    pair = spec.pairs[(r, j, k)]
+    pair = spec_pair(spec, r, j, k)
     cands = find_candidates(pair, 0, "upper", ell=MC[k][i])
     bad = sorted(set(range(1, 16)) - cands)
     if not bad:
         pytest.skip("pair admits every swap partner on this lane")
-    old_cp = spec.ut_codecs[(r, j, k, i)]
+    old_cp = spec_codec(spec.ut_partners[r - 1, j, k, i])
     ut = std_pair.q0.ut.copy()
     col = ut[0, i, j, :, k]
     # undo the good upper codec, apply the bad one
@@ -412,14 +425,14 @@ def test_verify_detects_bad_round_output_codec():
     key = STD_KEY
     for attempt in range(8):
         pair, spec = build_table_pair(key, STD_SEED + 9 + attempt, verify=False)
-        p = spec.pairs[(1, 0, 0)]
-        old = spec.stage_codecs[(1, 0, 0, 2)]
+        p = spec_pair(spec, 1, 0, 0)
+        partners = spec.stage_partners[0, 0, 0, 2]  # (upper, lower) of slot (1, 0, 0), stage 2
         non_hi = sorted(set(range(1, 16)) - find_round_output_candidates(p, "upper"))
         non_lo = sorted(set(range(1, 16)) - find_round_output_candidates(p, "lower"))
         if non_hi:
-            spec.stage_codecs[(1, 0, 0, 2)] = CodecPair.of(non_hi[0], old.lower.e)
+            partners[0] = non_hi[0]
         elif non_lo:
-            spec.stage_codecs[(1, 0, 0, 2)] = CodecPair.of(old.upper.e, non_lo[0])
+            partners[1] = non_lo[0]
         else:
             continue
         ts = tablegen.generate_tableset(spec, set_id=0)
@@ -504,9 +517,11 @@ def test_spec_serialization_round_trip(std_spec):
     spec2 = deserialize_spec(blob)
     assert spec2.key == std_spec.key
     assert spec2.seed == std_spec.seed
-    assert spec2.pairs == std_spec.pairs
-    assert spec2.ut_codecs == std_spec.ut_codecs
-    assert spec2.stage_codecs == std_spec.stage_codecs
+    for name, shape in (("fg", (9, 4, 4, 2, 4)), ("ut_partners", (9, 4, 4, 4, 2)),
+                        ("stage_partners", (9, 4, 4, 3, 2))):
+        got = getattr(spec2, name)
+        assert got.dtype == np.uint8 and got.shape == shape, name
+        assert np.array_equal(got, getattr(std_spec, name)), name
     blob = bytearray(blob)
     blob[50] ^= 0xFF
     with pytest.raises(FormatError):
@@ -523,7 +538,7 @@ def test_serialize_spec_rejects_seed_outside_u64():
 def test_identity_xor_boundary_mode_still_encrypts():
     key = bytes(range(16))
     pair, spec = build_table_pair(key, 5, xor_boundary_mode="identity", verify=False)
-    assert spec.stage_codecs[(3, 1, 2, 0)] == CodecPair.identity()
+    assert spec_codec(spec.stage_partners[2, 1, 2, 0]) == CodecPair.identity()
     pt = bytes(range(16, 32))
     ct, _, _ = encrypt_with_tables(pair.q0, pt)
     assert ct == reference_encrypt(pt, key)
@@ -638,3 +653,72 @@ def test_spec_blacklist_error_names_first_offending_pair_and_row(std_spec):
         deserialize_spec(bytes(blob))
     # pair 37 is (r, j, k) = (3, 1, 1); its row 2 is 1 << (7 - 2)
     assert str(exc.value) == "spec linear pair r=3 j=1 k=1 has blacklisted matrix row 00100000"
+
+
+# Byte offsets of the partner arrays in a spec file, after the header, seed,
+# key and the 144 linear pairs.
+UT_PARTNERS_AT = 32 + 9 * 16 * 8
+STAGE_PARTNERS_AT = UT_PARTNERS_AT + 9 * 16 * 4 * 2
+
+
+def _spec_with(spec, edits: dict) -> bytes:
+    """spec's file with the bytes at the given offsets replaced, CRC fixed."""
+    blob = bytearray(serialize_spec(spec))
+    for offset, value in edits.items():
+        blob[offset] = value
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    return bytes(blob)
+
+
+def _ut_at(r, j, k, i, half):
+    return UT_PARTNERS_AT + int(np.ravel_multi_index((r - 1, j, k, i, half), (9, 4, 4, 4, 2)))
+
+
+def _stage_at(r, j, k, s, half):
+    return STAGE_PARTNERS_AT + int(np.ravel_multi_index((r - 1, j, k, s, half), (9, 4, 4, 3, 2)))
+
+
+@pytest.fixture(scope="module")
+def identity_boundary_spec():
+    return tablegen.build_spec(STD_KEY, STD_SEED, xor_boundary_mode="identity")
+
+
+def test_spec_arrays_are_the_file_layout(std_spec):
+    blob = serialize_spec(std_spec)
+    assert blob[32:UT_PARTNERS_AT] == std_spec.fg.tobytes()
+    assert blob[UT_PARTNERS_AT:STAGE_PARTNERS_AT] == std_spec.ut_partners.tobytes()
+    assert blob[STAGE_PARTNERS_AT:-4] == std_spec.stage_partners.tobytes()
+    # the first pair's f and g rows, and one partner pair, at their indices
+    pair = spec_pair(std_spec, 1, 0, 0)
+    assert blob[32:40] == bytes(pair.f.rows + pair.g.rows)
+    at = _ut_at(3, 2, 1, 3, 0)
+    assert tuple(blob[at : at + 2]) == tuple(std_spec.ut_partners[2, 2, 1, 3])
+
+
+def test_spec_zero_table_output_partner_is_format_error(std_spec):
+    # build_spec drops the identity partner 0 from every candidate set; the
+    # first offending slot in file order is named
+    blob = _spec_with(std_spec, {_ut_at(7, 0, 0, 0, 0): 0, _ut_at(2, 1, 3, 2, 1): 0})
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(blob)
+    assert str(exc.value) == "spec table-output codec partner r=2 j=1 k=3 i=2 lower is 0"
+
+
+def test_spec_zero_stage_partner_in_balanced_mode_is_format_error(std_spec, identity_boundary_spec):
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(_spec_with(std_spec, {_stage_at(9, 3, 0, 1, 0): 0}))
+    assert str(exc.value) == "spec XOR-stage codec partner r=9 j=3 k=0 s=1 upper is 0"
+    # an identity-mode file relabelled balanced (mode byte 0) has every stage partner 0
+    with pytest.raises(FormatError, match="r=1 j=0 k=0 s=0 upper is 0$"):
+        deserialize_spec(_spec_with(identity_boundary_spec, {6: 0}))
+
+
+def test_spec_nonzero_stage_partner_in_identity_mode_is_format_error(std_spec, identity_boundary_spec):
+    assert not identity_boundary_spec.stage_partners.any()
+    assert deserialize_spec(serialize_spec(identity_boundary_spec)).xor_boundary_mode == "identity"
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(_spec_with(identity_boundary_spec, {_stage_at(1, 0, 2, 2, 1): 5}))
+    assert str(exc.value) == "spec XOR-stage codec partner r=1 j=0 k=2 s=2 lower is not 0 in identity mode"
+    # a balanced file relabelled identity keeps its nonzero stage partners
+    with pytest.raises(FormatError, match="r=1 j=0 k=0 s=0 upper is not 0"):
+        deserialize_spec(_spec_with(std_spec, {6: 1}))
