@@ -2,16 +2,21 @@
 tables, and the one Walsh-grid kernel every balance check runs on.
 
 COEFF holds every coefficient table ell * S(x ^ k) the program uses: the
-blacklist derivation, the candidate searches (nibenc), the static table checks
+blacklist derivation, the candidate kernel (nibenc), the static table checks
 (tablegen) and every hypothesis of the analyses (sca) read it.
 
 The encoding is the shear map Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H built from
-4x4 bit blocks f and g. A (f, g) pair is admissible when no row of the
-assembled 8x8 matrix selects a row combination whose XOR collapses onto a
-single row of any coefficient-multiplied SubBytes bit matrix; those forbidden
-combinations form the blacklist derived here by brute force. Because idx_of
-is a bijection between 8-bit rows and index sets, the blacklist is also a
-256-entry table over row values, which is what BlacklistW.forbids reads.
+4x4 bit blocks f and g. A linear pair has one form everywhere, from sampling
+to the spec file: (2, 4) uint8, its 4 f rows then its 4 g rows, each a 4-bit
+value with column 1 at the MSB; stacks of pairs are (..., 2, 4), and
+shear_maps gives the encode and decode maps of any stack. A pair is
+admissible when no row of the assembled 8x8 matrix selects a row combination
+whose XOR collapses onto a single row of any coefficient-multiplied SubBytes
+bit matrix; those forbidden combinations form the blacklist derived here by
+brute force. Because idx_of is a bijection between 8-bit rows and index sets,
+the blacklist is also a 256-entry table over row values, BlacklistW.rows:
+admissible_g reads it at the assembled rows of any stack of f for every g row
+value at once, which is all that sampling and the exhaustive pair count need.
 
 The paper's balance claim is that every first-order Walsh sum between a
 table output bit and a key-dependent hypothesis bit is zero. walsh_grid(a, b)
@@ -25,50 +30,13 @@ their width (4 or 8)."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gfcore import MUL2, MUL3, SBOX
-
-
-@dataclass(frozen=True)
-class BitMat4:
-    """4x4 binary matrix; rows[i] is a 4-bit int, MSB = column 1."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        if len(self.rows) != 4 or any(not 0 <= r <= 0xF for r in self.rows):
-            raise ValueError("BitMat4 needs 4 rows of 4-bit values")
-
-    @classmethod
-    def zero(cls) -> "BitMat4":
-        return cls(rows=(0, 0, 0, 0))
-
-    @classmethod
-    def identity(cls) -> "BitMat4":
-        return cls(rows=(0b1000, 0b0100, 0b0010, 0b0001))
-
-
-@dataclass(frozen=True)
-class EncodingPair:
-    f: BitMat4
-    g: BitMat4
-
-    @classmethod
-    def identity(cls) -> "EncodingPair":
-        return cls(f=BitMat4.zero(), g=BitMat4.zero())
-
-
-def row_times_mat(row: int, m: BitMat4) -> int:
-    """Multiply a 4-bit row vector by a 4x4 bit matrix."""
-    out = 0
-    for j in range(4):
-        if (row >> (3 - j)) & 1:
-            out ^= m.rows[j]
-    return out
 
 
 def idx_of(v: int, width: int = 8) -> frozenset:
@@ -82,11 +50,15 @@ _MSB_SHIFT4 = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 def assembled_rows(f, g) -> np.ndarray:
     """Rows of the block matrix [[I, f], [g, I + g.f]] for f and g rows given
-    as (..., 4) arrays of 4-bit values: (..., 8) uint8, MSB = column 1."""
+    as (..., 4) arrays of 4-bit values, broadcast against each other: (..., 8)
+    uint8, MSB = column 1."""
     f, g = np.asarray(f, dtype=np.uint8), np.asarray(g, dtype=np.uint8)
     g_bits = (g[..., :, None] >> _MSB_SHIFT4) & 1  # [..., i, j]: bit j of g row i
-    g_times_f = np.bitwise_xor.reduce(g_bits * f[..., None, :], axis=-1)
-    return np.concatenate([_UNIT8[:4] | f, (g << 4) | (_UNIT8[4:] ^ g_times_f)], axis=-1)
+    lower = (g << 4) | (_UNIT8[4:] ^ np.bitwise_xor.reduce(g_bits * f[..., None, :], axis=-1))
+    rows = np.empty((*lower.shape[:-1], 8), dtype=np.uint8)
+    rows[..., :4] = _UNIT8[:4] | f
+    rows[..., 4:] = lower
+    return rows
 
 
 _X = np.arange(256, dtype=np.uint8)
@@ -99,20 +71,16 @@ def shear_maps(fg) -> tuple:
     Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H; decoding inverts it for every pair,
     singular blocks included."""
     fg = np.asarray(fg, dtype=np.uint8)
-    # times[..., m, v]: block m (f, then g) times the nibble v; bit i is the parity of row i & v
-    times = (_PARITY4[fg[..., None] & _X[:16]] << _MSB_SHIFT4[:, None]).sum(axis=-2, dtype=np.uint8)
-    f, g = times[..., 0, :], times[..., 1, :]
+    # times[n, m, v]: block m (f, then g) of pair n times the nibble v; bit i is the parity of row i & v
+    times = (_PARITY4[fg[..., None] & _X[:16]] << _MSB_SHIFT4[:, None]).sum(axis=-2, dtype=np.uint8).reshape(-1, 2, 16)
+    f, g = (times[:, m].reshape(-1) for m in (0, 1))  # flat, block of pair n at 16n
+    row = 16 * np.arange(len(times))[:, None]
     hi, lo = _X >> 4, _X & 0xF
-    zh = hi ^ f[..., lo]
-    yl = lo ^ g[..., hi]
-    return ((zh << 4) | (lo ^ np.take_along_axis(g, zh, axis=-1)),
-            ((hi ^ np.take_along_axis(f, yl, axis=-1)) << 4) | yl)
-
-
-@functools.lru_cache(maxsize=8192)
-def encode_map(pair: EncodingPair) -> bytes:
-    """The shear encoding of one pair as a 256-entry map (shear_maps)."""
-    return shear_maps((pair.f.rows, pair.g.rows))[0].tobytes()
+    zh = hi ^ f.take(row + lo)
+    yl = lo ^ g.take(row + hi)
+    enc = (zh << 4) | (lo ^ g.take(row + zh))
+    dec = ((hi ^ f.take(row + yl)) << 4) | yl
+    return enc.reshape(*fg.shape[:-2], 256), dec.reshape(*fg.shape[:-2], 256)
 
 
 # --- coefficient tables ------------------------------------------------------
@@ -128,11 +96,6 @@ def _coeff() -> np.ndarray:
 # Every coefficient table of the analyses and checks: COEFF[ell - 1, k, x] is
 # ell * S(x ^ k), for the MixColumns coefficients ell = 1, 2, 3.
 COEFF = _coeff()
-
-
-def coeff_tables(key_byte: int) -> np.ndarray:
-    """(3, 256) uint8 hypothesis tables: row ell - 1 maps x to ell * S(x ^ key_byte)."""
-    return COEFF[:, key_byte]
 
 
 # --- blacklists -------------------------------------------------------------
@@ -176,16 +139,16 @@ _TRANSCRIBED_F_ROWSETS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlacklistW:
     """Forbidden row-index combinations, grouped by (ell, ell', target row)."""
 
     by_group: dict  # (ell, ellp, iprime) -> frozenset of 1-based indices
     flat: frozenset  # union of all index sets
-    rows: tuple  # rows[v] is True when the 8-bit row v selects a set in flat
+    rows: np.ndarray  # (256,) bool, read-only: rows[v] is True when the 8-bit row v selects a set in flat
 
     def forbids(self, row8: int) -> bool:
-        return self.rows[row8]
+        return bool(self.rows[row8])
 
 
 @functools.lru_cache(maxsize=1)
@@ -211,7 +174,9 @@ def derive_blacklist_W() -> BlacklistW:
                     by_group[(ell, ellp, iprime)] = idx_of(mask)
     flat = frozenset(by_group.values())
     _cross_check_transcription(by_group)
-    return BlacklistW(by_group=by_group, flat=flat, rows=tuple(idx_of(v) in flat for v in range(256)))
+    rows = np.array([idx_of(v) in flat for v in range(256)])
+    rows.flags.writeable = False
+    return BlacklistW(by_group=by_group, flat=flat, rows=rows)
 
 
 def _cross_check_transcription(by_group: dict) -> None:
@@ -246,8 +211,8 @@ def allowed_f_rows() -> tuple:
     return tuple(tuple(b for b in range(16) if b not in bf[i]) for i in range(4))
 
 
-def sample_f(rng: random.Random) -> BitMat4:
-    """Row-wise rejection sampling of f against the per-row blacklist."""
+def sample_f(rng: random.Random) -> np.ndarray:
+    """Row-wise rejection sampling of f against the per-row blacklist: (4,) uint8."""
     bf = derive_blacklist_F()
     rows = []
     for i in range(4):
@@ -256,54 +221,39 @@ def sample_f(rng: random.Random) -> BitMat4:
             if b not in bf[i]:
                 rows.append(b)
                 break
-    return BitMat4(rows=tuple(rows))
+    return np.array(rows, dtype=np.uint8)
 
 
-@functools.lru_cache(maxsize=None)
-def valid_g_rows(f: BitMat4) -> tuple:
-    """For each row i, the g-row values keeping row 4+i of M off the blacklist."""
-    W = derive_blacklist_W()
-    g_times_f = [row_times_mat(gr, f) for gr in range(16)]
-    return tuple(
-        tuple(gr for gr in range(16) if not W.forbids((gr << 4) | ((1 << (3 - i)) ^ g_times_f[gr])))
-        for i in range(4)
-    )
+_G_ROWS = np.repeat(_X[:16, None], 4, axis=1)  # [v, i] = v: every value in every g row
 
 
-def sample_g(rng: random.Random, f: BitMat4) -> BitMat4:
-    """Row-wise rejection sampling of g; every accepted row keeps the assembled
-    matrix row off the blacklist."""
-    candidates = valid_g_rows(f)
-    rows = []
-    for i in range(4):
-        if not candidates[i]:
-            raise ValueError(f"no admissible g row at index {i} for f={f.rows}")
-        rows.append(rng.choice(candidates[i]))
-    return BitMat4(rows=tuple(rows))
+def admissible_g(f) -> np.ndarray:
+    """(..., 4, 16) bool for a (..., 4) stack of f rows: [..., i, v] is True
+    when g row i = v keeps row 4 + i of the assembled matrix off the
+    blacklist.  That row depends on f and g row i only, so one assembled_rows
+    call with every g row value at once decides them all."""
+    lower = assembled_rows(np.asarray(f, dtype=np.uint8)[..., None, :], _G_ROWS)[..., 4:]  # [..., v, i]
+    return ~derive_blacklist_W().rows[lower].swapaxes(-1, -2)
 
 
-def sample_pair(rng: random.Random) -> EncodingPair:
-    return EncodingPair(f=(f := sample_f(rng)), g=sample_g(rng, f))
+def sample_pair(rng: random.Random) -> np.ndarray:
+    """One admissible linear pair as (2, 4) uint8, its f rows then its g rows:
+    f by sample_f, then each g row by rng.choice over its admissible values in
+    ascending order."""
+    f = sample_f(rng)
+    g = [rng.choice([v for v in range(16) if ok[v]]) for ok in admissible_g(f).tolist()]
+    return np.array([f, g], dtype=np.uint8)
 
 
 def count_valid_pairs() -> int:
     """Exhaustive count of admissible (f, g) pairs.
 
     The lower-row condition factorizes per row of g, so the count is the sum
-    over all admissible f of the product of per-row g counts.
+    over all 27,000 admissible f of the product of per-row g counts: one
+    admissible_g call over the stack of every f.
     """
-    total = 0
-    allowed = allowed_f_rows()
-    for r1 in allowed[0]:
-        for r2 in allowed[1]:
-            for r3 in allowed[2]:
-                for r4 in allowed[3]:
-                    f = BitMat4(rows=(r1, r2, r3, r4))
-                    prod = 1
-                    for rows in valid_g_rows(f):
-                        prod *= len(rows)
-                    total += prod
-    return total
+    f = np.array(list(itertools.product(*allowed_f_rows())), dtype=np.uint8)
+    return int(admissible_g(f).sum(axis=-1).prod(axis=-1).sum())
 
 
 # --- Walsh grids ---------------------------------------------------------------
@@ -331,9 +281,3 @@ def table_bits(t: np.ndarray) -> np.ndarray:
 def _signs(t: np.ndarray) -> np.ndarray:
     """(T, 256) byte tables to the (8T, 256) float32 matrix of (-1)^bit."""
     return (1 - 2 * table_bits(t).astype(np.float32)).reshape(-1, 256)
-
-
-def encoded_coeff_tables(pair: EncodingPair, key_byte: int) -> np.ndarray:
-    """(3, 256) uint8: the coefficient tables under the pair's linear encoding,
-    whose bits are the rows of M . S^ell."""
-    return np.frombuffer(encode_map(pair), dtype=np.uint8)[coeff_tables(key_byte)]

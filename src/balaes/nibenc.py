@@ -1,4 +1,4 @@
-"""Zero-swap nibble codecs and their balance-preserving candidate searches.
+"""Zero-swap nibble codecs and the one balance-preserving candidate kernel.
 
 A codec exchanges the nibble value 0 with a partner e (e = 0 is the
 identity) and fixes everything else; a byte boundary carries one per nibble
@@ -6,21 +6,16 @@ half, given by its (upper, lower) partners.  It hides zeros at table
 boundaries without disturbing the first-order balance of the linear layer,
 provided e passes the candidate condition for that boundary.
 
-Both candidate searches (coefficient-table boundaries and XOR-tree outputs)
-run on one helper: per-nibble-value bit sums of the relevant bit planes, as
-one one-hot matrix product; e qualifies when its sums equal those of 0."""
+find_candidates scores every codec boundary of a stack of linear pairs at
+once: e qualifies when the inputs whose encoded half-nibble is e carry the
+same bit sums as those whose half-nibble is 0, for every bit plane the
+boundary must stay balanced against."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .binmat import EncodingPair, coeff_tables, encode_map, encoded_coeff_tables, table_bits
-
-UPPER = "upper"
-LOWER = "lower"
-
+from .binmat import COEFF, shear_maps, table_bits
 
 _V = np.arange(16, dtype=np.uint8)
 # NIB[e, v] is the nibble v under the codec swapping 0 with e: every zero-swap
@@ -35,61 +30,47 @@ def codec_bytes(y, e_upper, e_lower):
     return (NIB[e_upper, y >> 4] << 4) | NIB[e_lower, y & 0xF]
 
 
-def _swap_candidates(tables: np.ndarray, half: str, planes: np.ndarray) -> set:
-    """Partners e whose half-nibble class carries the same bit sums as class 0.
-
-    tables is (L, 256) bytes over 256 inputs x, and planes (256, P) holds P
-    0/1 bit planes over the same inputs.  Per table, the bit sums of every
-    plane over the inputs whose selected half-nibble is v are one (16, 256)
-    one-hot by (256, P) product; e qualifies when its row equals row 0 for all
-    L tables.  Swapping 0 and e then moves inputs between two classes with
-    identical sums, so no Walsh sum against a plane changes.  float32 holds
-    every sum (at most 256) exactly."""
-    nibbles = tables >> 4 if half == UPPER else tables & 0xF
-    onehot = (nibbles[:, None, :] == np.arange(16, dtype=np.uint8)[:, None]).astype(np.float32)
-    sums = onehot @ planes  # (L, 16, P)
-    return set(np.flatnonzero((sums == sums[:, :1]).all(axis=(0, 2))).tolist())
-
-
-def _bit_planes(tables: np.ndarray) -> np.ndarray:
-    """(T, 256) byte tables to (256, 8T) float32 bit planes, MSB first per table."""
-    return table_bits(tables).reshape(-1, 256).T.astype(np.float32)
+def _planes() -> np.ndarray:
+    """_PLANES[256b + y]: the bit planes boundary b is balanced against, at the
+    input whose byte before the linear encoding is y, as 24 0/1 bytes viewed
+    as three uint64 words.  Boundaries 0..2 carry ell * S(x) for ell = b + 1,
+    so their input is x = S^-1(y / ell) and their planes are the 24 bits of
+    S(x), 2 * S(x) and 3 * S(x); boundary 3 (XOR stages and the round output)
+    carries a free byte, so its planes are the 8 bits of y itself."""
+    planes = np.zeros((4, 256, 24), dtype=np.uint8)
+    inverse = np.argsort(COEFF[:, 0], axis=-1)  # inverse[b, y]: the x with COEFF[b, 0, x] == y
+    planes[:3] = table_bits(COEFF[:, 0]).transpose(2, 0, 1).reshape(256, 24)[inverse]
+    planes[3, :, :8] = table_bits(np.arange(256, dtype=np.uint8)[None])[0].T
+    planes = planes.view(np.uint64).reshape(1024, 3)  # row 256b + y
+    planes.flags.writeable = False
+    return planes
 
 
-_RAW_PLANES = _bit_planes(np.arange(256, dtype=np.uint8)[None])  # the plain bits of x
+_PLANES = _planes()
+_BOUNDARY_ROW = 256 * np.arange(4)[:, None]
 
 
-@functools.lru_cache(maxsize=None)
-def _coeff_planes(key_byte: int) -> np.ndarray:
-    return _bit_planes(coeff_tables(key_byte))
+def find_candidates(fg) -> np.ndarray:
+    """The codec partners that keep each boundary of a (..., 2, 4) stack of
+    linear pairs balanced: (..., 4, 2, 16) bool, indexed [boundary, half, e].
 
+    Boundaries 0..2 are the table outputs of coefficients 1, 2 and 3 and
+    boundary 3 the XOR stages and the round output; halves are (upper,
+    lower).  e qualifies when, for every bit plane of its boundary, the
+    inputs whose encoded half-nibble is 0 and those whose half-nibble is e
+    carry identical bit sums; swapping 0 and e then moves inputs between two
+    classes with identical sums, so no Walsh sum changes.  The identity e = 0
+    always qualifies.  The condition is evaluated at key 0: a key only
+    permutes the inputs, which leaves every class sum unchanged.
 
-def find_candidates(pair: EncodingPair, key_byte: int, half: str, ell: int | None = None) -> set:
-    """Swap partners preserving the balance of the encoded coefficient matrix.
-
-    e qualifies when, for every target coefficient ell' and every row of its
-    bit matrix, the columns whose selected half-nibble equals 0 and those
-    equal to e carry identical bit sums (both sets always have 16 members).
-    With ell given the condition is evaluated on that coefficient's encoded
-    matrix, matching the table boundary it protects; ell=None intersects over
-    all three.  The identity e = 0 always qualifies and is included in the
-    returned set; build-time selection discards it.
-    """
-    if ell is not None and ell not in (1, 2, 3):
-        raise ValueError("ell must be 1, 2 or 3")
-    encoded = encoded_coeff_tables(pair, key_byte)
-    if ell is not None:
-        encoded = encoded[ell - 1 : ell]
-    return _swap_candidates(encoded, half, _coeff_planes(key_byte))
-
-
-def find_round_output_candidates(pair: EncodingPair, half: str) -> set:
-    """Swap partners for boundaries carrying the encoding of a free byte.
-
-    XOR-tree outputs hold the linear encoding of a (partial) XOR of table
-    outputs, which sweeps all byte values uniformly; balance must therefore
-    hold against every plain bit of the pre-encoding byte rather than against
-    a coefficient matrix.  Same sum condition, with the identity bit rows in
-    place of the coefficient rows.
-    """
-    return _swap_candidates(np.frombuffer(encode_map(pair), dtype=np.uint8)[None], half, _RAW_PLANES)
+    Every encoding is a permutation, so each nibble class holds 16 encoded
+    values z, and their inputs are the decode map at those z: dec[16v:16v+16]
+    for the upper half, dec[v::16] for the lower.  One gather of _PLANES at
+    dec then gives every class sum, eight byte lanes per uint64 add (a lane
+    sums at most 16 ones, so no carry crosses lanes)."""
+    dec = shear_maps(fg)[1]
+    planes = _PLANES.take(dec[..., None, :] + _BOUNDARY_ROW, axis=0)  # [..., b, z, word]
+    planes = planes.reshape(*dec.shape[:-1], 4, 16, 16, 3)  # [..., b, z >> 4, z & 0xF, word]
+    classes = np.stack([np.einsum("...hlw->...hw", planes), np.einsum("...hlw->...lw", planes)], axis=-3)
+    differ = classes ^ classes[..., :1, :]
+    return (differ[..., 0] | differ[..., 1] | differ[..., 2]) == 0

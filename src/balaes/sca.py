@@ -34,17 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfcore import MC, pt_index_for_position, position_for_pt_index
-from .binmat import (
-    COEFF,
-    BitMat4,
-    EncodingPair,
-    coeff_tables,
-    derive_blacklist_W,
-    encoded_coeff_tables,
-    sample_f,
-    valid_g_rows,
-    walsh_grid,
-)
+from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
 from .pool import ordered_map
 from .tablegen import round_output_walsh
@@ -465,19 +455,20 @@ def baseline_unbalanced_demo(seed: int = 0) -> dict:
     The forbidden combination {8} collapses the table's last output bit onto
     the first hypothesis bit of the plain SubBytes output, a full-magnitude
     Walsh value; wrong candidates show only S-box cross-correlation noise.
+    The returned "pair" is that pair's (2, 4) uint8 f and g rows.
     """
     rng = random.Random(seed)
     while True:
         f = sample_f(rng)
-        cand = valid_g_rows(f)
-        if all(cand[i] for i in range(3)):
-            g_rows = [rng.choice(cand[i]) for i in range(3)] + [0]
+        cand = admissible_g(f)
+        if cand[:3].any(axis=-1).all():
+            g = [rng.choice(np.flatnonzero(ok)) for ok in cand[:3]] + [0]
             break
-    bad_pair = EncodingPair(f=f, g=BitMat4(rows=tuple(g_rows)))
+    bad_pair = np.array([f, g], dtype=np.uint8)
     key_byte = rng.randrange(256)
 
-    table = encoded_coeff_tables(bad_pair, key_byte)[1:2]  # linear encoding of 2 * S(p ^ key_byte)
-    grid = walsh_grid(table, coeff_tables(key_byte))[0]  # (i, ellp, iprime)
+    table = shear_maps(bad_pair)[0][COEFF[1:2, key_byte]]  # linear encoding of 2 * S(p ^ key_byte)
+    grid = walsh_grid(table, COEFF[:, key_byte])[0]  # (i, ellp, iprime)
     leaks = [(int(i) + 1, int(lp) + 1, int(ip) + 1) for i, lp, ip in np.argwhere(np.abs(grid) == 256)]
 
     # table bit 8 against hypothesis bit 1 of S(p ^ guess), every wrong guess

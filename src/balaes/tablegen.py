@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gfcore import MC, RoundKeys, reference_encrypt_batch
-from .binmat import COEFF, assembled_rows, coeff_tables, derive_blacklist_W, sample_pair, shear_maps, walsh_grid
-from .nibenc import LOWER, NIB, UPPER, codec_bytes, find_candidates, find_round_output_candidates
+from .binmat import COEFF, assembled_rows, derive_blacklist_W, sample_pair, shear_maps, walsh_grid
+from .nibenc import NIB, codec_bytes, find_candidates
 
 TABLE_MAGIC = b"BAE1"
 SPEC_MAGIC = b"BAS1"
@@ -153,11 +153,14 @@ def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced") -> En
     """Sample all linear pairs and codecs for one table set.
 
     A pair is accepted for a (round, column, out-byte) slot only if every
-    boundary it serves has at least one nonzero swap candidate; otherwise the
-    slot is resampled, up to RETRY_BUDGET times.
+    boundary it serves has at least one nonzero swap candidate (one
+    find_candidates call); otherwise the slot is resampled, up to
+    RETRY_BUDGET times.  Each partner is then drawn with rng.choice over its
+    boundary's nonzero candidates in ascending order.
     """
     if xor_boundary_mode not in ("balanced", "identity"):
         raise ValueError("xor_boundary_mode must be 'balanced' or 'identity'")
+    balanced = xor_boundary_mode == "balanced"
     rng = random.Random(seed)
     fg = np.zeros(_SPEC_SHAPES["fg"], dtype=np.uint8)
     ut_partners = np.zeros(_SPEC_SHAPES["ut_partners"], dtype=np.uint8)
@@ -165,32 +168,20 @@ def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced") -> En
     for r, j, k in np.ndindex(9, 4, 4):
         for attempt in range(RETRY_BUDGET + 1):
             pair = sample_pair(rng)
-            # Candidate sets are key independent; evaluate once at key 0.
-            ut_cands = {}
-            ok = True
-            for ell in (1, 2, 3):
-                ch = sorted(find_candidates(pair, 0, UPPER, ell) - {0})
-                cl = sorted(find_candidates(pair, 0, LOWER, ell) - {0})
-                if not ch or not cl:
-                    ok = False
-                    break
-                ut_cands[ell] = (ch, cl)
-            if ok and xor_boundary_mode == "balanced":
-                raw_h = sorted(find_round_output_candidates(pair, UPPER) - {0})
-                raw_l = sorted(find_round_output_candidates(pair, LOWER) - {0})
-                if not raw_h or not raw_l:
-                    ok = False
-            if ok:
+            cands = find_candidates(pair)  # (boundary, half, e)
+            cands[..., 0] = False
+            if cands[: 4 if balanced else 3].any(axis=-1).all():
                 break
         else:
             raise GenerationError(f"no admissible encoding for slot r={r + 1} j={j} k={k}")
-        fg[r, j, k] = pair.f.rows, pair.g.rows
+        fg[r, j, k] = pair
+        choices = [[[e for e in range(16) if half[e]] for half in boundary] for boundary in cands.tolist()]
         for i in range(4):
-            ch, cl = ut_cands[MC[k][i]]
+            ch, cl = choices[_ELL[i, k]]
             ut_partners[r, j, k, i] = rng.choice(ch), rng.choice(cl)
-        if xor_boundary_mode == "balanced":  # identity mode keeps every stage partner 0
+        if balanced:  # identity mode keeps every stage partner 0
             for s in range(3):
-                stage_partners[r, j, k, s] = rng.choice(raw_h), rng.choice(raw_l)
+                stage_partners[r, j, k, s] = rng.choice(choices[3][0]), rng.choice(choices[3][1])
     return EncodingSpec(seed=seed, key=bytes(key), fg=fg, ut_partners=ut_partners,
                         stage_partners=stage_partners, xor_boundary_mode=xor_boundary_mode)
 
@@ -409,7 +400,7 @@ def walsh_ut_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
     grid = np.empty((4, 4, 4, 8, 3, 8), dtype=np.int32)
     for i in range(4):
         for j in range(4):
-            grid[i, j] = walsh_grid(ts.ut[0, i, j].T, coeff_tables(spec.round_keys.khat[0][i][j]))
+            grid[i, j] = walsh_grid(ts.ut[0, i, j].T, COEFF[:, spec.round_keys.khat[0][i][j]])
     return grid
 
 
@@ -556,8 +547,9 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
     """Parse a spec file into slices of one array over its bytes.  Any
     malformed field raises FormatError, and so does material build_spec could
     not have sampled: a linear pair with a row of its assembled matrix on the
-    blacklist, a table-output codec partner 0, or an XOR-stage partner 0 in
-    balanced mode or nonzero in identity mode."""
+    blacklist, a table-output codec partner 0, an XOR-stage partner 0 in
+    balanced mode or nonzero in identity mode, or a partner outside its
+    boundary's candidate set (one find_candidates call over all 144 pairs)."""
 
     if len(data) < 12 or data[:4] != SPEC_MAGIC:
         raise FormatError("bad magic for spec file")
@@ -573,23 +565,30 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
     if mode not in (0, 1):
         raise FormatError(f"unknown spec xor-boundary mode {mode}")
     body = np.frombuffer(data, dtype=np.uint8, count=sum(_SPEC_SIZES), offset=32)
-    # Every field after the seed and key is a BitMat4 row or a codec partner: one nibble each.
+    # Every field after the seed and key is an f or g row or a codec partner: one nibble each.
     if body.max() > 0xF:
         raise FormatError("spec matrix row or codec partner is not a nibble")
     fg, ut_partners, stage_partners = (part.reshape(shape) for part, shape in
                                        zip(np.split(body, np.cumsum(_SPEC_SIZES[:-1])), _SPEC_SHAPES.values()))
     rows = assembled_rows(fg[..., 0, :], fg[..., 1, :])  # (9, 4, 4, 8)
-    bad = np.array(derive_blacklist_W().rows)[rows]
+    bad = derive_blacklist_W().rows[rows]
     if bad.any():
         r, j, k, i = np.argwhere(bad)[0].tolist()
         row = rows[r, j, k, i]
         raise FormatError(f"spec linear pair r={r + 1} j={j} k={k} has blacklisted matrix row {row:08b}")
+    # Whether each partner lies in its boundary's candidate set: the table
+    # output of input row i in output byte k is boundary _ELL[i, k], every XOR stage boundary 3.
+    cands = find_candidates(fg)  # (9, 4, 4, boundary, half, e)
+    ut_ok = np.take_along_axis(cands[:, :, _I4[:, None], _ELL.T], ut_partners[..., None], axis=-1)[..., 0]
+    stage_ok = np.take_along_axis(cands[:, :, :, 3:], stage_partners[..., None], axis=-1)[..., 0]
     stage_rule = (stage_partners == 0, "is 0") if mode == 0 else (stage_partners != 0, "is not 0 in identity mode")
     for name, b, (bad, rule) in (("table-output", "i", (ut_partners == 0, "is 0")),
-                                 ("XOR-stage", "s", stage_rule)):
+                                 ("XOR-stage", "s", stage_rule),
+                                 ("table-output", "i", (~ut_ok, "is not a candidate")),
+                                 ("XOR-stage", "s", (~stage_ok, "is not a candidate"))):
         if bad.any():
             r, j, k, n, half = np.argwhere(bad)[0].tolist()
-            half = (UPPER, LOWER)[half]
+            half = ("upper", "lower")[half]
             raise FormatError(f"spec {name} codec partner r={r + 1} j={j} k={k} {b}={n} {half} {rule}")
     (seed,) = struct.unpack("<Q", data[8:16])
     return EncodingSpec(seed=seed, key=data[16:32], fg=fg, ut_partners=ut_partners, stage_partners=stage_partners,

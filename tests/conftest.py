@@ -5,15 +5,9 @@ from dataclasses import dataclass
 import pytest
 
 from balaes import cipher, tablegen
-from balaes.binmat import (
-    BitMat4,
-    EncodingPair,
-    allowed_f_rows,
-    assembled_rows,
-    coeff_tables,
-    encoded_coeff_tables,
-    walsh_grid,
-)
+import numpy as np
+
+from balaes.binmat import COEFF, allowed_f_rows, assembled_rows, shear_maps, walsh_grid
 from balaes.gfcore import SBOX, gf_mul
 
 STD_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -83,15 +77,25 @@ def s_matrix_rows(ell: int, key_byte: int) -> tuple:
 
 
 def walsh_balance_check(pair, key_byte: int):
-    """Walsh sums between the encoded and plain coefficient matrices: entry
-    [i][ip][ell-1][ellp-1] is row i of M.S^ell against row ip of S^ell', and a
-    balanced pair gives the all-zero grid."""
-    return walsh_grid(encoded_coeff_tables(pair, key_byte), coeff_tables(key_byte)).transpose(1, 3, 0, 2)
+    """Walsh sums between the encoded and plain coefficient matrices of a
+    (2, 4) linear pair: entry [i][ip][ell-1][ellp-1] is row i of M.S^ell
+    against row ip of S^ell', and a balanced pair gives the all-zero grid."""
+    plain = COEFF[:, key_byte]
+    return walsh_grid(shear_maps(pair)[0][plain], plain).transpose(1, 3, 0, 2)
+
+
+# A linear pair is (2, 4) uint8: its 4 f rows, then its 4 g rows.
+IDENTITY_PAIR = np.zeros((2, 4), dtype=np.uint8)
+
+
+def random_pair(rng) -> np.ndarray:
+    """Any f and g blocks, singular and blacklisted ones included."""
+    return np.array([[rng.randrange(16) for _ in range(4)] for _ in range(2)], dtype=np.uint8)
 
 
 # --- per-entry references of the encoding material ------------------------------
 # The shear maps, the block matrix and the zero-swap codecs one entry at a
-# time, with the 4x4 blocks and codec partners as objects; binmat.shear_maps,
+# time, with the codec partners as objects; binmat.shear_maps,
 # binmat.assembled_rows and nibenc.codec_bytes must agree with them exactly.
 
 @dataclass(frozen=True)
@@ -101,18 +105,18 @@ class BitMat8:
     rows: tuple
 
 
-def mat_vec_mul(m: BitMat4, v: int) -> int:
-    """Multiply a 4x4 bit matrix by a 4-bit column vector."""
+def mat_vec_mul(rows, v: int) -> int:
+    """Multiply a 4x4 bit matrix, given by its 4 rows, by a 4-bit column vector."""
     out = 0
     for i in range(4):
-        if (m.rows[i] & v).bit_count() & 1:
+        if (int(rows[i]) & v).bit_count() & 1:
             out |= 1 << (3 - i)
     return out
 
 
-def assemble_M(pair: EncodingPair) -> BitMat8:
+def assemble_M(pair) -> BitMat8:
     """Block matrix [[I, f], [g, I + g.f]] realizing the shear encoding."""
-    return BitMat8(rows=tuple(assembled_rows(pair.f.rows, pair.g.rows).tolist()))
+    return BitMat8(rows=tuple(assembled_rows(pair[0], pair[1]).tolist()))
 
 
 def f_family_size() -> int:
@@ -123,27 +127,28 @@ def f_family_size() -> int:
 
 
 @functools.lru_cache(maxsize=8192)
-def reference_encode_map(pair: EncodingPair) -> bytes:
-    """The shear encoding as a 256-entry map: Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H."""
-    fm = [mat_vec_mul(pair.f, v) for v in range(16)]
-    gm = [mat_vec_mul(pair.g, v) for v in range(16)]
-    out = bytearray(256)
+def _reference_maps(fg: bytes) -> tuple:
+    f, g = fg[:4], fg[4:]
+    fm = [mat_vec_mul(f, v) for v in range(16)]
+    gm = [mat_vec_mul(g, v) for v in range(16)]
+    enc, dec = bytearray(256), bytearray(256)
     for x in range(256):
         zh = (x >> 4) ^ fm[x & 0xF]
-        out[x] = (zh << 4) | ((x & 0xF) ^ gm[zh])
-    return bytes(out)
+        enc[x] = (zh << 4) | ((x & 0xF) ^ gm[zh])
+        yl = (x & 0xF) ^ gm[x >> 4]
+        dec[x] = (((x >> 4) ^ fm[yl]) << 4) | yl
+    return bytes(enc), bytes(dec)
 
 
-@functools.lru_cache(maxsize=8192)
-def decode_map(pair: EncodingPair) -> bytes:
+def reference_encode_map(pair) -> bytes:
+    """The shear encoding of a (2, 4) pair as a 256-entry map:
+    Z^H = X^H + f.X^L, Z^L = X^L + g.Z^H."""
+    return _reference_maps(np.asarray(pair, dtype=np.uint8).tobytes())[0]
+
+
+def decode_map(pair) -> bytes:
     """Inverse of the encode map; valid for every pair, singular blocks included."""
-    fm = [mat_vec_mul(pair.f, v) for v in range(16)]
-    gm = [mat_vec_mul(pair.g, v) for v in range(16)]
-    out = bytearray(256)
-    for z in range(256):
-        yl = (z & 0xF) ^ gm[z >> 4]
-        out[z] = (((z >> 4) ^ fm[yl]) << 4) | yl
-    return bytes(out)
+    return _reference_maps(np.asarray(pair, dtype=np.uint8).tobytes())[1]
 
 
 @dataclass(frozen=True)
@@ -184,12 +189,6 @@ def codec_map(cp: CodecPair) -> bytes:
     """The codec pair as a 256-entry map, one nibble at a time; an
     involution, so it also decodes."""
     return bytes((cp.upper.encode(x >> 4) << 4) | cp.lower.encode(x & 0xF) for x in range(256))
-
-
-def spec_pair(spec, r: int, j: int, k: int) -> EncodingPair:
-    """The linear pair of slot (r, j, k), round r in 1..9, from spec.fg."""
-    f, g = spec.fg[r - 1, j, k].tolist()
-    return EncodingPair(f=BitMat4(rows=tuple(f)), g=BitMat4(rows=tuple(g)))
 
 
 def spec_codec(partners) -> CodecPair:

@@ -11,7 +11,8 @@ import pytest
 
 from balaes import cipher, sca, tablegen
 from balaes.binmat import (
-    coeff_tables,
+    COEFF,
+    assembled_rows,
     count_valid_pairs,
     derive_blacklist_F,
     derive_blacklist_W,
@@ -21,7 +22,7 @@ from balaes.binmat import (
 )
 from balaes.cipher import SelectorPolicy, collect_traces, grid_plaintexts, random_plaintexts
 from balaes.gfcore import RoundKeys, reference_encrypt
-from balaes.nibenc import LOWER, UPPER, find_candidates
+from balaes.nibenc import find_candidates
 from balaes.tablegen import (
     build_table_pair,
     encrypt_with_tables,
@@ -29,7 +30,7 @@ from balaes.tablegen import (
     walsh_ut_grid_static,
 )
 
-from conftest import STD_KEY, assemble_M, f_family_size
+from conftest import STD_KEY, f_family_size
 
 
 def _ok(n, msg):
@@ -127,10 +128,9 @@ def test_criterion_02_blacklist_oracle_equivalence():
 def test_criterion_03_pair_count_surrogate():
     W = derive_blacklist_W()
     rng = random.Random(0xF3)
-    for _ in range(100000):
-        pair = sample_pair(rng)
-        for row in assemble_M(pair).rows:
-            assert idx_of(row) not in W.flat
+    pairs = np.array([sample_pair(rng) for _ in range(100000)])
+    for row in np.unique(assembled_rows(pairs[:, 0], pairs[:, 1])).tolist():  # each distinct row once
+        assert idx_of(row) not in W.flat
     _ok(3, "surrogate: 100000 sampled pairs all satisfy the forbidden-rowset condition")
 
 
@@ -152,7 +152,7 @@ def test_criterion_04_row_subset_hw_property():
     start = time.perf_counter()
     rng = random.Random(0xF4)
     # bit-matrix rows of each coefficient table, one 0/1 row per output bit
-    mats = {(ell, kb): table_bits(coeff_tables(kb))[ell - 1] for ell in (1, 2, 3) for kb in (0, 0x7A, 0xC3)}
+    mats = {(ell, kb): table_bits(COEFF[:, kb])[ell - 1] for ell in (1, 2, 3) for kb in (0, 0x7A, 0xC3)}
     for _ in range(1000):
         m = mats[(rng.choice((1, 2, 3)), rng.choice((0, 0x7A, 0xC3)))]
         acc = np.zeros(256, dtype=np.uint8)
@@ -211,12 +211,9 @@ def test_criterion_07_structural_accounting(std_pair):
 def test_criterion_08_nibble_candidate_statistic():
     start = time.perf_counter()
     rng = random.Random(7)
-    counts = []
-    for _ in range(100):
-        pair = sample_pair(rng)
-        for half in (UPPER, LOWER):
-            for ell in (1, 2, 3):
-                counts.append(len(find_candidates(pair, 0, half, ell)))
+    pairs = np.array([sample_pair(rng) for _ in range(100)])
+    # per pair, coefficient boundary and half: the number of admitted partners
+    counts = find_candidates(pairs)[:, :3].sum(axis=-1).ravel().tolist()
     mean = statistics.mean(counts)
     elapsed = time.perf_counter() - start
     assert 12.48 - 1.5 <= mean <= 12.48 + 1.5, mean

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,29 +6,27 @@ import numpy as np
 import pytest
 
 from balaes.binmat import (
-    BitMat4,
-    EncodingPair,
+    admissible_g,
     allowed_f_rows,
     assembled_rows,
     count_valid_pairs,
     derive_blacklist_F,
     derive_blacklist_W,
-    encode_map,
     idx_of,
     sample_f,
-    sample_g,
     sample_pair,
     shear_maps,
-    valid_g_rows,
     walsh_grid,
 )
 
 from conftest import (
+    IDENTITY_PAIR,
     assemble_M,
     bit_rows,
     decode_map,
     f_family_size,
     mat_vec_mul,
+    random_pair,
     reference_encode_map,
     s_matrix_rows,
     walsh_balance_check,
@@ -38,13 +37,18 @@ def vec4(b1, b2, b3, b4):
     return (b1 << 3) | (b2 << 2) | (b3 << 1) | b4
 
 
+def encode_map(pair) -> bytes:
+    """binmat.shear_maps applied to one (2, 4) pair."""
+    return shear_maps(pair)[0].tobytes()
+
+
 def test_mat_vec_mul_identity_zero_permutation():
-    ident = BitMat4.identity()
+    ident = (0b1000, 0b0100, 0b0010, 0b0001)
     for v in range(16):
         assert mat_vec_mul(ident, v) == v
-    anym = BitMat4(rows=(0b1011, 0b0110, 0b1111, 0b0001))
+    anym = (0b1011, 0b0110, 0b1111, 0b0001)
     assert mat_vec_mul(anym, 0) == 0
-    reversed_perm = BitMat4(rows=(0b0001, 0b0010, 0b0100, 0b1000))
+    reversed_perm = (0b0001, 0b0010, 0b0100, 0b1000)
     assert mat_vec_mul(reversed_perm, 0b0001) == 0b1000
 
 
@@ -93,9 +97,10 @@ def test_sample_f_never_blacklisted_and_deterministic():
     rng = random.Random(9)
     for _ in range(10000):
         f = sample_f(rng)
+        assert f.shape == (4,) and f.dtype == np.uint8
         for i in range(4):
-            assert f.rows[i] not in bf[i]
-    assert sample_f(random.Random(5)).rows == sample_f(random.Random(5)).rows
+            assert f[i] not in bf[i]
+    assert sample_f(random.Random(5)).tolist() == sample_f(random.Random(5)).tolist()
 
 
 def test_sample_f_row_frequencies_uniform():
@@ -104,9 +109,8 @@ def test_sample_f_row_frequencies_uniform():
     counts = [{}, {}, {}, {}]
     n = 100000
     for _ in range(n):
-        f = sample_f(rng)
-        for i in range(4):
-            counts[i][f.rows[i]] = counts[i].get(f.rows[i], 0) + 1
+        for i, row in enumerate(sample_f(rng).tolist()):
+            counts[i][row] = counts[i].get(row, 0) + 1
     for i, allowed in enumerate(allowed_f_rows()):
         k = len(allowed)
         expected = n / k
@@ -119,27 +123,15 @@ def test_sample_g_rows_satisfy_blacklist_condition():
     W = derive_blacklist_W()
     rng = random.Random(7)
     for _ in range(200):
-        f = sample_f(rng)
-        g = sample_g(rng, f)
-        M = assemble_M(EncodingPair(f=f, g=g))
+        M = assemble_M(sample_pair(rng))  # its g rows are drawn after its f rows
         for row in M.rows:
             assert idx_of(row) not in W.flat
 
 
 def mean_valid_g_rows() -> tuple:
     """Average number of admissible g rows per row index, over the whole f family."""
-    sums = [0, 0, 0, 0]
-    n = 0
-    allowed = allowed_f_rows()
-    for r1 in allowed[0]:
-        for r2 in allowed[1]:
-            for r3 in allowed[2]:
-                for r4 in allowed[3]:
-                    n += 1
-                    counts = valid_g_rows(BitMat4(rows=(r1, r2, r3, r4)))
-                    for i in range(4):
-                        sums[i] += len(counts[i])
-    return tuple(s / n for s in sums)
+    family = np.array(list(itertools.product(*allowed_f_rows())), dtype=np.uint8)
+    return tuple(admissible_g(family).sum(axis=-1).mean(axis=0).tolist())
 
 
 def test_valid_g_row_means_match_brute_force_average():
@@ -157,7 +149,7 @@ def test_count_valid_pairs_brute_force_value():
 
 
 def test_assemble_M_zero_pair_is_identity():
-    M = assemble_M(EncodingPair.identity())
+    M = assemble_M(IDENTITY_PAIR)
     assert M.rows == (0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01)
 
 
@@ -173,9 +165,7 @@ def test_assemble_M_upper_left_identity():
 def test_linear_encode_matches_matrix_product():
     rng = random.Random(13)
     for _ in range(100):
-        f = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
-        g = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
-        pair = EncodingPair(f=f, g=g)
+        pair = random_pair(rng)
         M = assemble_M(pair)
         emap = encode_map(pair)
         for x in range(256):
@@ -187,7 +177,7 @@ def test_linear_encode_matches_matrix_product():
 
 
 def test_linear_encode_identity_and_zero():
-    assert encode_map(EncodingPair.identity()) == bytes(range(256))
+    assert encode_map(IDENTITY_PAIR) == bytes(range(256))
     rng = random.Random(17)
     for _ in range(20):
         assert encode_map(sample_pair(rng))[0] == 0
@@ -196,29 +186,25 @@ def test_linear_encode_identity_and_zero():
 def test_linear_decode_round_trip_including_singular_blocks():
     rng = random.Random(19)
     for _ in range(1000):
-        f = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
-        g = BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))
-        pair = EncodingPair(f=f, g=g)
+        pair = random_pair(rng)
         emap, dmap = encode_map(pair), decode_map(pair)
         for x in (0, 1, 0x5A, 0xFF, rng.randrange(256)):
             assert dmap[emap[x]] == x
     assert decode_map(sample_pair(rng))[0] == 0
-    assert decode_map(EncodingPair.identity())[0xAB] == 0xAB
+    assert decode_map(IDENTITY_PAIR)[0xAB] == 0xAB
 
 
 def test_shear_maps_match_per_entry_maps_on_any_stack():
-    # random blocks, singular ones included, as one (5, 40, 2, 4) stack; then one
-    # pair through encode_map, the kernel applied to a single pair
+    # random blocks, singular ones included, as one (5, 40, 2, 4) stack; then
+    # each pair alone, the kernel applied to a single pair
     rng = random.Random(21)
-    pairs = [EncodingPair(f=BitMat4(rows=tuple(rng.randrange(16) for _ in range(4))),
-                          g=BitMat4(rows=tuple(rng.randrange(16) for _ in range(4)))) for _ in range(200)]
-    pairs[:2] = [EncodingPair.identity(), sample_pair(rng)]
-    enc, dec = shear_maps(np.array([(p.f.rows, p.g.rows) for p in pairs], dtype=np.uint8).reshape(5, 40, 2, 4))
+    pairs = [random_pair(rng) for _ in range(200)]
+    pairs[:2] = [IDENTITY_PAIR, sample_pair(rng)]
+    enc, dec = shear_maps(np.array(pairs).reshape(5, 40, 2, 4))
     assert enc.shape == dec.shape == (5, 40, 256) and enc.dtype == dec.dtype == np.uint8
     for pair, e, d in zip(pairs, enc.reshape(200, 256), dec.reshape(200, 256)):
         assert e.tobytes() == reference_encode_map(pair) == encode_map(pair)
         assert d.tobytes() == decode_map(pair)
-    assert encode_map(pairs[1]) is encode_map(EncodingPair(f=pairs[1].f, g=pairs[1].g))  # still cached
 
 
 def test_linear_encode_is_bijective_and_linear():
@@ -245,11 +231,11 @@ def test_walsh_balance_check_detects_forbidden_row():
     rng = random.Random(31)
     while True:
         f = sample_f(rng)
-        cand = valid_g_rows(f)
+        cand = [[v for v in range(16) if ok[v]] for ok in admissible_g(f).tolist()]
         if all(cand[:3]):
-            g = BitMat4(rows=(rng.choice(cand[0]), rng.choice(cand[1]), rng.choice(cand[2]), 0))
+            g = (rng.choice(cand[0]), rng.choice(cand[1]), rng.choice(cand[2]), 0)
             break
-    pair = EncodingPair(f=f, g=g)
+    pair = np.array([f, g], dtype=np.uint8)
     grid = walsh_balance_check(pair, key_byte=0xA7)
     assert abs(int(grid[7, 0, 1, 0])) == 256  # (i=8, i'=1, ell=2, ell'=1)
 
@@ -257,19 +243,37 @@ def test_walsh_balance_check_detects_forbidden_row():
 def test_pair_count_surrogate_sampled_pairs_all_admissible():
     W = derive_blacklist_W()
     rng = random.Random(37)
-    for _ in range(2000):
-        pair = sample_pair(rng)
-        for row in assemble_M(pair).rows:
-            assert idx_of(row) not in W.flat
+    pairs = np.array([sample_pair(rng) for _ in range(2000)])
+    for row in np.unique(assembled_rows(pairs[:, 0], pairs[:, 1])).tolist():
+        assert idx_of(row) not in W.flat
 
 
 def test_sample_g_never_exhausts_for_family_members():
     rng = random.Random(41)
     for _ in range(500):
-        f = sample_f(rng)
-        counts = [len(c) for c in valid_g_rows(f)]
+        counts = admissible_g(sample_f(rng)).sum(axis=-1).tolist()
         assert all(c > 0 for c in counts)
         assert all(c <= 16 for c in counts)
+
+
+def test_admissible_g_matches_scalar_rows_on_any_stack():
+    # g row i = v is admissible when row 4 + i of the assembled matrix, one row at a
+    # time, is off the blacklist; random f rows too, as one (3, 50, 4) stack
+    W = derive_blacklist_W()
+    rng = random.Random(42)
+    fs = np.array([random_pair(rng)[0] for _ in range(150)]).reshape(3, 50, 4)
+    mask = admissible_g(fs)
+    assert mask.shape == (3, 50, 4, 16) and mask.dtype == bool
+    for f, got in zip(fs.reshape(150, 4).tolist(), mask.reshape(150, 4, 16).tolist()):
+        for i in range(4):
+            want = []
+            for v in range(16):
+                g_times_f = 0
+                for b in range(4):
+                    if (v >> (3 - b)) & 1:
+                        g_times_f ^= f[b]
+                want.append(not W.forbids((v << 4) | ((1 << (3 - i)) ^ g_times_f)))
+            assert got[i] == want
 
 
 def test_forbids_reads_the_index_set_blacklist():
@@ -277,10 +281,6 @@ def test_forbids_reads_the_index_set_blacklist():
     assert [W.forbids(v) for v in range(256)] == [idx_of(v) in W.flat for v in range(256)]
     assert sum(W.rows) == len(W.flat)  # idx_of is a bijection between rows and index sets
 
-
-def test_valid_g_rows_cached_per_f():
-    f = sample_f(random.Random(43))
-    assert valid_g_rows(f) is valid_g_rows(BitMat4(rows=f.rows))
 
 
 # --- Walsh grid -----------------------------------------------------------------
@@ -337,7 +337,7 @@ def _reference_walsh_balance_check(pair, key_byte: int) -> np.ndarray:
 def test_walsh_balance_check_matches_popcount_reference():
     rng = random.Random(61)
     pairs = [sample_pair(rng) for _ in range(20)]
-    pairs += [EncodingPair.identity(), EncodingPair(f=BitMat4.identity(), g=BitMat4(rows=(1, 2, 3, 0)))]
+    pairs += [IDENTITY_PAIR, np.array([(0b1000, 0b0100, 0b0010, 0b0001), (1, 2, 3, 0)], dtype=np.uint8)]
     for pair in pairs:
         key_byte = rng.randrange(256)
         grid = walsh_balance_check(pair, key_byte)
@@ -348,11 +348,11 @@ def test_walsh_balance_check_matches_popcount_reference():
 def test_assembled_rows_match_scalar_block_matrix():
     # [[I, f], [g, I + g.f]] row by row, for many pairs in one array call
     rng = random.Random(65)
-    pairs = [sample_pair(rng) for _ in range(144)] + [EncodingPair.identity()]
-    rows = assembled_rows([p.f.rows for p in pairs], [p.g.rows for p in pairs])
+    pairs = np.array([sample_pair(rng) for _ in range(144)] + [IDENTITY_PAIR])
+    rows = assembled_rows(pairs[:, 0], pairs[:, 1])
     assert rows.shape == (145, 8) and rows.dtype == np.uint8
     for pair, got in zip(pairs, rows.tolist()):
-        f, g = pair.f.rows, pair.g.rows
+        f, g = pair.tolist()
         want = [(1 << (7 - i)) | f[i] for i in range(4)]
         for i in range(4):
             g_times_f = 0

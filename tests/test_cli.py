@@ -11,6 +11,8 @@ import pytest
 from balaes import pool
 from balaes.cipher import load_traces
 from balaes.cli import main
+from balaes.gfcore import MC
+from balaes.nibenc import find_candidates
 from balaes.tablegen import deserialize_spec
 
 from conftest import STD_KEY
@@ -419,7 +421,7 @@ def _write_crc_fixed(path, blob: bytearray) -> None:
 
 @pytest.mark.parametrize("offset, value", [
     (6, 7),  # xor-boundary mode byte: only 0 (balanced) and 1 (identity) exist
-    (32, 0x1F),  # first BitMat4 row of the first linear pair
+    (32, 0x1F),  # first f row of the first linear pair
     (32 + 9 * 16 * 8, 0x10),  # first codec partner
     # partners build_spec never draws: a table-output partner 0, an XOR-stage
     # partner 0 in balanced mode, and the balanced file relabelled identity
@@ -446,6 +448,19 @@ def test_spec_with_blacklisted_f_row_is_format_error(gen_dir, tmp_path, capfd, p
     rc = main(["verify", "--tables", str(gen_dir), "--spec", str(tmp_path / "enc.spec")])
     assert rc == 3
     assert "blacklisted matrix row" in capfd.readouterr().err
+
+
+def test_spec_with_non_candidate_partner_is_format_error(gen_dir, tmp_path, capfd):
+    # the first nonzero table-output partner outside its boundary's candidate
+    # set; build_spec draws partners from those sets only
+    blob = bytearray((gen_dir / "enc.spec").read_bytes())
+    spec = deserialize_spec(bytes(blob))
+    masks = find_candidates(spec.fg[0, 0, 0])[MC[0][0] - 1, 0]  # slot (1, 0, 0), input row 0, upper half
+    blob[32 + 9 * 16 * 8] = int(np.flatnonzero(~masks)[0])
+    _write_crc_fixed(tmp_path / "enc.spec", blob)
+    rc = main(["verify", "--tables", str(gen_dir), "--spec", str(tmp_path / "enc.spec")])
+    assert rc == 3
+    assert "spec table-output codec partner r=1 j=0 k=0 i=0 upper is not a candidate" in capfd.readouterr().err
 
 
 def test_table_set_id_outside_0_1_is_format_error(gen_dir, tmp_path, capfd):

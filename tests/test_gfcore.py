@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balaes import gfcore
-from balaes.binmat import COEFF, coeff_tables, table_bits
+from balaes.binmat import COEFF, table_bits
 from balaes.gfcore import (
     SBOX,
     RoundKeys,
@@ -137,22 +137,22 @@ def _parity_rows(table: np.ndarray, mask: int) -> np.ndarray:
 
 
 def test_coeff_tables_examples():
-    assert coeff_tables(0)[0].tobytes() == SBOX
-    assert coeff_tables(0)[1][0x00] == gf_mul(2, 0x63) == 0xC6
+    assert COEFF[0, 0].tobytes() == SBOX
+    assert COEFF[1, 0][0x00] == gf_mul(2, 0x63) == 0xC6
     mul = np.array([[gf_mul(ell, v) for v in range(256)] for ell in (1, 2, 3)], dtype=np.uint8)
     x = np.arange(256)
     for k in (0x00, 0x01, 0x5A, 0xFF):
-        assert np.array_equal(coeff_tables(k), mul[:, np.frombuffer(SBOX, dtype=np.uint8)[x ^ k]])
+        assert np.array_equal(COEFF[:, k], mul[:, np.frombuffer(SBOX, dtype=np.uint8)[x ^ k]])
     assert COEFF.shape == (3, 256, 256) and not COEFF.flags.writeable
 
 
 def test_s_matrix_columns_enumerate_all_bytes():
     for ell in (1, 2, 3):
-        assert sorted(coeff_tables(0x3C)[ell - 1].tolist()) == list(range(256))
+        assert sorted(COEFF[ell - 1, 0x3C].tolist()) == list(range(256))
 
 
 def test_s_matrix_rows_balanced_and_key_change_permutes_columns():
-    m0, mk = coeff_tables(0)[0], coeff_tables(0x5A)[0]
+    m0, mk = COEFF[0, 0], COEFF[0, 0x5A]
     assert (table_bits(m0[None]).sum(axis=-1) == 128).all()
     assert (table_bits(mk[None]).sum(axis=-1) == 128).all()
     # same column multiset, different order
@@ -162,7 +162,7 @@ def test_s_matrix_rows_balanced_and_key_change_permutes_columns():
 
 def test_s_matrix_row_subset_xors_have_hw_0_or_128():
     rng = random.Random(4)
-    mats = {ell: coeff_tables(rng.randrange(256))[ell - 1] for ell in (1, 2, 3)}
+    mats = {ell: COEFF[ell - 1, rng.randrange(256)] for ell in (1, 2, 3)}
     for _ in range(1000):
         m = mats[rng.choice((1, 2, 3))]
         subset = rng.sample(range(8), rng.randint(1, 8))
@@ -170,11 +170,11 @@ def test_s_matrix_row_subset_xors_have_hw_0_or_128():
 
 
 def test_s_matrix_example_column_is_sbox_of_zero():
-    assert coeff_tables(0)[0][0x00] == 0x63
+    assert COEFF[0, 0][0x00] == 0x63
 
 
 def test_row_xor_pair_hw():
-    assert _parity_rows(coeff_tables(0)[0], 0b11000000).sum() in (0, 128)
+    assert _parity_rows(COEFF[0, 0], 0b11000000).sum() in (0, 128)
 
 
 def test_pt_index_position_mapping_round_trip():

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from balaes.binmat import sample_pair
 from balaes.cli import main
 
 from conftest import STD_KEY, STD_SEED
@@ -36,6 +37,23 @@ SEED0_GEN_DIGESTS = {
     "q1.tbl": "99532433d75ad1015a9fb6e9c707ff822f2e986b97401f7bc5d23bd1fe96b05c",
     "enc.spec": "8e658d95268e9f1e916670bbedb972e49be195df96e458a63cd4939efdd91e1e",
 }
+
+# 10,000 `sample_pair` draws from random.Random(0xF3): SHA-256 of their f and
+# g rows (8 bytes per pair, f rows first) and the generator's next random(),
+# recorded while pairs were still BitMat4 objects, so the draw order is pinned.
+SAMPLED_PAIRS_SHA256 = "a80ef675741d4352af9648fdf2de65ed44ffb218a5ee9fc372a109ebb34e4f33"
+SAMPLED_PAIRS_NEXT_RANDOM = 0.10560145412924882
+
+
+def test_sampled_pairs_match_golden_digest():
+    rng = random.Random(0xF3)
+    digest = hashlib.sha256()
+    for _ in range(10000):
+        pair = sample_pair(rng)
+        assert pair.shape == (2, 4) and pair.dtype.name == "uint8"
+        digest.update(pair.tobytes())
+    assert (digest.hexdigest(), rng.random()) == (SAMPLED_PAIRS_SHA256, SAMPLED_PAIRS_NEXT_RANDOM)
+
 
 FIXED_PT = "00112233445566778899aabbccddeeff"
 

@@ -4,10 +4,24 @@ import statistics
 import numpy as np
 import pytest
 
-from balaes.binmat import coeff_tables, encode_map, encoded_coeff_tables, sample_pair, walsh_grid
-from balaes.nibenc import LOWER, UPPER, codec_bytes, find_candidates, find_round_output_candidates
+from balaes.binmat import COEFF, sample_pair, shear_maps, walsh_grid
+from balaes.nibenc import codec_bytes, find_candidates
 
-from conftest import CodecPair, NibbleCodec, codec_map, s_matrix_rows
+from conftest import CodecPair, NibbleCodec, codec_map, reference_encode_map, s_matrix_rows
+
+UPPER, LOWER = 0, 1  # the half axis of find_candidates
+
+
+def partners(mask) -> set:
+    """The partners e a (16,) row of a find_candidates mask admits."""
+    return set(np.flatnonzero(mask).tolist())
+
+
+def candidate_set(pair, half: int, ell=None) -> set:
+    """find_candidates of one pair as a set: the table-output boundary of
+    coefficient ell, or with ell None the intersection over all three."""
+    mask = find_candidates(pair)
+    return partners(mask[ell - 1, half] if ell is not None else mask[:3].all(axis=0)[half])
 
 
 def encode_byte(x: int, cp: CodecPair) -> int:
@@ -19,13 +33,13 @@ def encode_byte(x: int, cp: CodecPair) -> int:
 def verify_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
     """Recompute the full Walsh grid after applying the codec pair to every
     encoded coefficient column; true iff every sum is still zero."""
-    swapped = np.frombuffer(codec_map(cp), dtype=np.uint8)[encoded_coeff_tables(pair, key_byte)]
-    return not walsh_grid(swapped, coeff_tables(key_byte)).any()
+    swapped = np.frombuffer(codec_map(cp), dtype=np.uint8)[shear_maps(pair)[0][COEFF[:, key_byte]]]
+    return not walsh_grid(swapped, COEFF[:, key_byte]).any()
 
 
 # --- bitmask references ------------------------------------------------------------
 # The searches and the swap check as 256-bit integer masks and popcounts, one
-# candidate at a time; the one-hot sums and the Walsh grid must agree exactly.
+# candidate at a time; the candidate kernel and the Walsh grid must agree exactly.
 
 def _nibble_masks(values) -> list:
     """256-bit membership masks per nibble value from a 256-long value list."""
@@ -35,7 +49,7 @@ def _nibble_masks(values) -> list:
     return masks
 
 
-def _half_nibble(v: int, half: str) -> int:
+def _half_nibble(v: int, half: int) -> int:
     return v >> 4 if half == UPPER else v & 0xF
 
 
@@ -43,11 +57,11 @@ def _half_nibble(v: int, half: str) -> int:
 _RAW_ROWS = tuple(sum(1 << u for u in range(256) if (u >> (7 - i)) & 1) for i in range(8))
 
 
-def _reference_candidates(pair, key_byte: int, half: str, ell=None) -> set:
+def _reference_candidates(pair, key_byte: int, half: int, ell=None) -> set:
     smats = {lp: s_matrix_rows(lp, key_byte) for lp in (1, 2, 3)}
     result = set(range(16))
     for l in (ell,) if ell is not None else (1, 2, 3):
-        cols = coeff_tables(key_byte)[l - 1].tobytes().translate(encode_map(pair))
+        cols = COEFF[l - 1, key_byte].tobytes().translate(reference_encode_map(pair))
         masks = _nibble_masks([_half_nibble(c, half) for c in cols])
         result = {e for e in result
                   if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count()
@@ -55,8 +69,8 @@ def _reference_candidates(pair, key_byte: int, half: str, ell=None) -> set:
     return result
 
 
-def _reference_round_output_candidates(pair, half: str) -> set:
-    masks = _nibble_masks([_half_nibble(c, half) for c in encode_map(pair)])
+def _reference_round_output_candidates(pair, half: int) -> set:
+    masks = _nibble_masks([_half_nibble(c, half) for c in reference_encode_map(pair)])
     return {e for e in range(16)
             if all((row & masks[0]).bit_count() == (row & masks[e]).bit_count() for row in _RAW_ROWS)}
 
@@ -64,7 +78,7 @@ def _reference_round_output_candidates(pair, half: str) -> set:
 def _reference_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
     smats = {lp: s_matrix_rows(lp, key_byte) for lp in (1, 2, 3)}
     for ell in (1, 2, 3):
-        cols = [encode_byte(c, cp) for c in coeff_tables(key_byte)[ell - 1].tobytes().translate(encode_map(pair))]
+        cols = [encode_byte(c, cp) for c in COEFF[ell - 1, key_byte].tobytes().translate(reference_encode_map(pair))]
         for i in range(8):
             fmask = sum(1 << j for j, c in enumerate(cols) if (c >> (7 - i)) & 1)
             if any((fmask ^ row).bit_count() != 128 for lp in (1, 2, 3) for row in smats[lp]):
@@ -73,22 +87,20 @@ def _reference_swap_balance(pair, key_byte: int, cp: CodecPair) -> bool:
 
 
 def test_candidate_searches_match_bitmask_reference():
+    # the kernel over a (3, 100, 2, 4) stack, against the reference at three keys
+    # (candidate sets are key independent), and against itself on each pair alone
     rng = random.Random(57)
-    for _ in range(300):
-        pair = sample_pair(rng)
+    pairs = np.array([sample_pair(rng) for _ in range(300)])
+    masks = find_candidates(pairs.reshape(3, 100, 2, 4))
+    assert masks.shape == (3, 100, 4, 2, 16) and masks.dtype == bool
+    for pair, mask in zip(pairs, masks.reshape(300, 4, 2, 16)):
+        assert np.array_equal(find_candidates(pair), mask)
         for half in (UPPER, LOWER):
-            assert find_round_output_candidates(pair, half) == _reference_round_output_candidates(pair, half)
+            assert partners(mask[3, half]) == _reference_round_output_candidates(pair, half)
             for key_byte in (0x00, 0x5A, 0xFF):
                 for ell in (1, 2, 3, None):
-                    assert find_candidates(pair, key_byte, half, ell) == _reference_candidates(
-                        pair, key_byte, half, ell)
-
-
-def test_find_candidates_rejects_unknown_coefficient():
-    pair = sample_pair(random.Random(58))
-    for ell in (0, 4):
-        with pytest.raises(ValueError, match="ell must be 1, 2 or 3"):
-            find_candidates(pair, 0, UPPER, ell)
+                    got = mask[ell - 1, half] if ell is not None else mask[:3].all(axis=0)[half]
+                    assert partners(got) == _reference_candidates(pair, key_byte, half, ell)
 
 
 def test_verify_swap_balance_matches_bitmask_reference():
@@ -96,7 +108,7 @@ def test_verify_swap_balance_matches_bitmask_reference():
     for _ in range(40):
         pair = sample_pair(rng)
         key_byte = rng.randrange(256)
-        hi, lo = find_candidates(pair, key_byte, UPPER), find_candidates(pair, key_byte, LOWER)
+        hi, lo = candidate_set(pair, UPPER), candidate_set(pair, LOWER)
         # candidate pairs, identity halves and non-candidates
         for e_hi, e_lo in ((min(hi - {0}, default=0), max(lo)), (0, rng.randrange(16)), (rng.randrange(16), 0),
                            (rng.randrange(16), rng.randrange(16))):
@@ -153,7 +165,7 @@ def test_nibble_value_counts_are_16_per_value():
     rng = random.Random(50)
     pair = sample_pair(rng)
     for ell in (1, 2, 3):
-        cols = coeff_tables(0x21)[ell - 1].tobytes().translate(encode_map(pair))
+        cols = COEFF[ell - 1, 0x21].tobytes().translate(shear_maps(pair)[0].tobytes())
         for half_shift in (4, 0):
             counts = [0] * 16
             for c in cols:
@@ -166,9 +178,9 @@ def test_find_candidates_contains_identity_and_is_key_independent():
     for _ in range(10):
         pair = sample_pair(rng)
         for half in (UPPER, LOWER):
-            base = find_candidates(pair, 0, half, ell=2)
+            base = candidate_set(pair, half, ell=2)
             assert 0 in base
-            assert base == find_candidates(pair, rng.randrange(256), half, ell=2)
+            assert base == _reference_candidates(pair, rng.randrange(256), half, ell=2)
 
 
 def test_candidate_statistics_range():
@@ -180,7 +192,7 @@ def test_candidate_statistics_range():
         pair = sample_pair(rng)
         for half in (UPPER, LOWER):
             for ell in (1, 2, 3):
-                counts.append(len(find_candidates(pair, 0, half, ell)))
+                counts.append(len(candidate_set(pair, half, ell)))
     assert min(counts) >= 1
     assert max(counts) <= 16
     assert 10.5 < statistics.mean(counts) < 14.0
@@ -190,17 +202,17 @@ def test_intersection_contained_in_per_ell_sets():
     rng = random.Random(53)
     pair = sample_pair(rng)
     for half in (UPPER, LOWER):
-        inter = find_candidates(pair, 0, half)
+        inter = candidate_set(pair, half)
         for ell in (1, 2, 3):
-            assert inter <= find_candidates(pair, 0, half, ell)
+            assert inter <= candidate_set(pair, half, ell)
 
 
 def test_verify_swap_balance_accepts_candidates_rejects_others():
     rng = random.Random(54)
     pair = sample_pair(rng)
     key = 0x3D
-    hi = find_candidates(pair, key, UPPER)
-    lo = find_candidates(pair, key, LOWER)
+    hi = candidate_set(pair, UPPER)
+    lo = candidate_set(pair, LOWER)
     good_h = sorted(hi - {0})
     good_l = sorted(lo - {0})
     if good_h and good_l:
@@ -214,9 +226,9 @@ def test_verify_swap_balance_accepts_candidates_rejects_others():
 def test_round_output_candidates_preserve_raw_bit_balance():
     rng = random.Random(55)
     pair = sample_pair(rng)
-    emap = encode_map(pair)
+    emap = shear_maps(pair)[0].tolist()
     for half in (UPPER, LOWER):
-        cands = find_round_output_candidates(pair, half)
+        cands = partners(find_candidates(pair)[3, half])
         assert 0 in cands
         shift = 4 if half == UPPER else 0
         for e in sorted(cands - {0})[:2] + [c for c in range(1, 16) if c not in cands][:2]:
@@ -240,7 +252,7 @@ def test_zero_hiding():
     rng = random.Random(56)
     pair = sample_pair(rng)
     cp = CodecPair.of(7, 2)
-    assert encode_byte(encode_map(pair)[0], cp) == 0x72  # L(0)=0, both halves swapped
+    assert encode_byte(int(shear_maps(pair)[0][0]), cp) == 0x72  # L(0)=0, both halves swapped
 
 
 def test_codec_map_round_trip():

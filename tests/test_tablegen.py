@@ -40,7 +40,6 @@ from conftest import (
     reference_encode_map,
     s_matrix_rows,
     spec_codec,
-    spec_pair,
 )
 
 
@@ -74,7 +73,7 @@ def _input_decode_map(spec, r: int, i: int, j: int) -> bytes:
         return bytes(range(256))
     pr, pj, pk = r - 1, (j + i) % 4, i
     cmap = codec_map(spec_codec(spec.stage_partners[pr - 1, pj, pk, 2]))
-    return cmap.translate(decode_map(spec_pair(spec, pr, pj, pk)))
+    return cmap.translate(decode_map(spec.fg[pr - 1, pj, pk]))
 
 
 def gen_ut(r: int, i: int, j: int, spec) -> np.ndarray:
@@ -83,7 +82,7 @@ def gen_ut(r: int, i: int, j: int, spec) -> np.ndarray:
     dec = np.frombuffer(_input_decode_map(spec, r, i, j), dtype=np.uint8)
     out = np.empty((256, 4), dtype=np.uint8)
     for k in range(4):
-        emap = reference_encode_map(spec_pair(spec, r, j, k))
+        emap = reference_encode_map(spec.fg[r - 1, j, k])
         cod = codec_map(spec_codec(spec.ut_partners[r - 1, j, k, i]))
         col = COEFF[MC[k][i] - 1, kb][dec].tobytes().translate(emap).translate(cod)
         out[:, k] = np.frombuffer(col, dtype=np.uint8)
@@ -234,7 +233,7 @@ def test_gen_ut_outputs_decode_to_partial_products(std_spec, std_pair):
             for k in range(4):
                 w = int(table[p][k])
                 cod = codec_map(spec_codec(spec.ut_partners[r - 1, j, k, i]))
-                y = decode_map(spec_pair(spec, r, j, k))[cod[w]]
+                y = decode_map(spec.fg[r - 1, j, k])[cod[w]]
                 assert y == gf_mul(MC[k][i], x)
 
 
@@ -397,9 +396,8 @@ def test_verify_detects_non_candidate_codec(std_spec, std_pair):
     # candidate set; the static grid must notice
     spec = std_spec
     r, j, k, i = 1, 0, 0, 0
-    pair = spec_pair(spec, r, j, k)
-    cands = find_candidates(pair, 0, "upper", ell=MC[k][i])
-    bad = sorted(set(range(1, 16)) - cands)
+    cands = find_candidates(spec.fg[r - 1, j, k])[MC[k][i] - 1, 0]  # upper half
+    bad = sorted(set(range(1, 16)) - set(np.flatnonzero(cands).tolist()))
     if not bad:
         pytest.skip("pair admits every swap partner on this lane")
     old_cp = spec_codec(spec.ut_partners[r - 1, j, k, i])
@@ -420,15 +418,12 @@ def test_verify_detects_non_candidate_codec(std_spec, std_pair):
 def test_verify_detects_bad_round_output_codec():
     # rebuild with a corrupted final-stage codec on the analyzed byte and check
     # the round-output grid turns nonzero
-    from balaes.nibenc import find_round_output_candidates
-
     key = STD_KEY
     for attempt in range(8):
         pair, spec = build_table_pair(key, STD_SEED + 9 + attempt, verify=False)
-        p = spec_pair(spec, 1, 0, 0)
         partners = spec.stage_partners[0, 0, 0, 2]  # (upper, lower) of slot (1, 0, 0), stage 2
-        non_hi = sorted(set(range(1, 16)) - find_round_output_candidates(p, "upper"))
-        non_lo = sorted(set(range(1, 16)) - find_round_output_candidates(p, "lower"))
+        # partner 0 is always a candidate, so these are the nonzero non-candidates
+        non_hi, non_lo = (np.flatnonzero(~half).tolist() for half in find_candidates(spec.fg[0, 0, 0])[3])
         if non_hi:
             partners[0] = non_hi[0]
         elif non_lo:
@@ -689,8 +684,7 @@ def test_spec_arrays_are_the_file_layout(std_spec):
     assert blob[UT_PARTNERS_AT:STAGE_PARTNERS_AT] == std_spec.ut_partners.tobytes()
     assert blob[STAGE_PARTNERS_AT:-4] == std_spec.stage_partners.tobytes()
     # the first pair's f and g rows, and one partner pair, at their indices
-    pair = spec_pair(std_spec, 1, 0, 0)
-    assert blob[32:40] == bytes(pair.f.rows + pair.g.rows)
+    assert blob[32:40] == std_spec.fg[0, 0, 0].tobytes()
     at = _ut_at(3, 2, 1, 3, 0)
     assert tuple(blob[at : at + 2]) == tuple(std_spec.ut_partners[2, 2, 1, 3])
 
@@ -722,3 +716,35 @@ def test_spec_nonzero_stage_partner_in_identity_mode_is_format_error(std_spec, i
     # a balanced file relabelled identity keeps its nonzero stage partners
     with pytest.raises(FormatError, match="r=1 j=0 k=0 s=0 upper is not 0"):
         deserialize_spec(_spec_with(std_spec, {6: 1}))
+
+
+def test_spec_non_candidate_table_output_partner_is_format_error(std_spec, std_pair):
+    # partner 4 is outside the candidate set of slot (1, 0, 0)'s coefficient-2
+    # boundary, upper half; the slot's last non-candidate is edited too, and the
+    # first slot in file order is named
+    masks = find_candidates(std_spec.fg[0, 0, 0])
+    assert not masks[MC[0][0] - 1, 0, 4]
+    r, j, k, i = 1, 0, 0, 3
+    last = int(np.flatnonzero(~masks[MC[k][i] - 1, 1])[-1])
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(_spec_with(std_spec, {_ut_at(r, j, k, i, 1): last, _ut_at(1, 0, 0, 0, 0): 4}))
+    assert str(exc.value) == "spec table-output codec partner r=1 j=0 k=0 i=0 upper is not a candidate"
+    # such a partner breaks the static balance of the round-1 tables
+    ut_partners = std_spec.ut_partners.copy()
+    ut_partners[0, 0, 0, 0, 0] = 4
+    spec = tablegen.EncodingSpec(seed=std_spec.seed, key=std_spec.key, fg=std_spec.fg, ut_partners=ut_partners,
+                                 stage_partners=std_spec.stage_partners)
+    assert not verify_tableset(generate_tableset(spec), spec).checks["ut_walsh_zero"]
+    assert verify_tableset(std_pair.q0, std_spec).passed
+
+
+def test_spec_non_candidate_stage_partner_in_balanced_mode_is_format_error(std_spec):
+    # lower partner 2 is outside slot (1, 0, 2)'s XOR-stage candidate set; the
+    # last non-candidate of the last slot that has one is edited too
+    stage_masks = find_candidates(std_spec.fg)[:, :, :, 3]  # (r-1, j, k, half, e)
+    assert not stage_masks[0, 0, 2, 1, 2]
+    r, j, k, half, e = np.argwhere(~stage_masks)[-1].tolist()
+    assert (r, j, k) > (0, 0, 2)
+    with pytest.raises(FormatError) as exc:
+        deserialize_spec(_spec_with(std_spec, {_stage_at(r + 1, j, k, 2, half): e, _stage_at(1, 0, 2, 1, 1): 2}))
+    assert str(exc.value) == "spec XOR-stage codec partner r=1 j=0 k=2 s=1 lower is not a candidate"
