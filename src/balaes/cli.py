@@ -54,6 +54,13 @@ def _parse_window(text: str | None):
         raise ValueError(f"window must be OFF:LEN or a named window, got {text!r}") from None
 
 
+def _seed(seed: int) -> int:
+    """A --seed for random.Random, which seeds -s as s; a negative one is a usage error."""
+    if seed < 0:
+        raise ValueError(f"--seed {seed} is negative; it would repeat seed {-seed}")
+    return seed
+
+
 def _key_check(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:8]
 
@@ -132,12 +139,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    rng = random.Random(_seed(args.seed))
     pair = _load_pair(args.tables)
     pt = bytes.fromhex(args.pt)
     if len(pt) != 16:
         raise ValueError("plaintext must be 32 hex digits")
     policy = SelectorPolicy.parse(args.policy)
-    rng = random.Random(args.seed)
     result = cipher.encrypt(pt, pair, policy, rng)
     sys.stdout.write(result.ciphertext.hex() + "\n")
     return PASS_EXIT
@@ -163,9 +170,9 @@ def _campaign_plaintexts(source: str, count: int | None, rng: random.Random):
 
 
 def cmd_trace(args) -> int:
+    rng = random.Random(_seed(args.seed))
     pair = _load_pair(args.tables)
     policy = SelectorPolicy.parse(args.policy)
-    rng = random.Random(args.seed)
     pts = _campaign_plaintexts(args.source, args.count, rng)
     cipher.write_campaign(pair, policy, pts, rng, args.out)
     _print_json({
@@ -383,7 +390,7 @@ def _tvla(args):
 
 
 def _baseline(args):
-    demo = sca.baseline_unbalanced_demo(args.seed)
+    demo = sca.baseline_unbalanced_demo(_seed(args.seed))
     grid = demo["grid"]
     rows = [[i + 1, lp + 1, ip + 1, int(grid[i, lp, ip])]
             for i in range(8) for lp in range(3) for ip in range(8) if grid[i, lp, ip]]

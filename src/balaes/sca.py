@@ -155,7 +155,7 @@ def _resolve_window(window, width: int) -> np.ndarray | slice:
         return slice(None)
     if isinstance(window, tuple) and len(window) == 2:
         off, length = window
-        sel, name = slice(off, off + length), f"{off}:{length}"
+        sel, name = slice(off, off + max(length, 0)), f"{off}:{length}"  # a negative stop would count from the end
     elif isinstance(window, slice):
         sel, name = window, f"[{window.start}:{window.stop}]"
     else:

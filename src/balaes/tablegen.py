@@ -18,8 +18,10 @@ plus the start of their stage-0 XOR table; XOR stages 0 and 1 yield 16v plus
 the start of the next stage's table; stage 2's upper half yields 16v plus the
 start of the next round's table row block, its lower half v.  An XOR stage is
 then one add and one gather, and the next round's indices are the sum of
-stage 2's halves put through ShiftRows.  A TableSet's arrays are read-only, so
-its walk-ready copy cannot go stale.
+stage 2's halves put through ShiftRows.  Every start is a multiple of 256, so
+a recorded walk cuts each trace sample from a value it gathered with one shift
+and mask, in the same pass.  A TableSet's arrays are read-only, so its
+walk-ready copy cannot go stale.
 
 A table file is an 8-byte header (magic, version, set id), then the TableSet
 arrays in their index order: ut (9*16*1024 bytes), tx packed two nibbles per
@@ -268,12 +270,10 @@ def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced",
 # --- network walk ------------------------------------------------------------
 
 WALK_CHUNK = 1024  # rows per pass; 2,048 and up were slower on the 65,536-row grid
-_TRACE_ROWS = 256  # rows per trace assembly; 1,024 at once ran about a quarter slower
 
 # Table (i, j) of a round starts at row (4i + j) * 256 of the round's flattened
 # tables, and XOR table (j, k, stage, half) at entry (((j*4 + k)*3 + stage)*2 + half) * 256.
 _TABLE_ROW = (np.arange(16, dtype=np.uint16) * 256).reshape(4, 4, 1)
-_ROUND_ROW = (np.arange(9, dtype=np.uint16) * 4096).reshape(9, 1, 1, 1)  # round r's first row in all of ut
 _XOR_ROW = (np.arange(96, dtype=np.uint16) * 256).reshape(4, 4, 3, 2)
 # Table (i, j) reads state byte i + 4 * ((i + j) % 4): ShiftRows, as a gather
 # of the (16, rows) state in plaintext byte order.
@@ -317,10 +317,12 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
     Per round: one gather of the 16 table rows; per XOR stage, one add of the
     running values and a row's nibbles and one gather; then one add of stage
     2's halves gives the next round's indices in state byte order, and one
-    ShiftRows gather puts them in table order.  With record, the trace is
-    gathered afterwards from ut and tx at the saved indices.  Returns
-    (ciphertexts (N, 16), samples (N, 1456) or None, lookups), the lookup
-    count summed from the sizes of the index arrays."""
+    ShiftRows gather puts them in table order.  With record, each round's
+    samples are written as it is walked, each a shift and a mask of a value
+    it gathered (see walk_tables): per column, byte pairs of table outputs
+    (i, k), then of XOR nibbles (k, stage), built sample-major and transposed
+    into the trace.  Returns (ciphertexts (N, 16), samples (N, 1456) or None,
+    lookups), the lookup count summed from the sizes of the index arrays."""
     pts = np.asarray(pts, dtype=np.uint8)
     n = pts.shape[0]
     ut, tx = ts.walk
@@ -333,48 +335,41 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
         m = block.shape[0]
         state = np.empty((16, m), dtype=np.uint16)
         halves = state.reshape(4, 4, m).transpose(0, 2, 1)  # byte 4j + k as (j, row, k)
-        rows = [block.T[_SHIFT_ROWS] + _TABLE_ROW]  # per round: (i, j, row) table-row indices
-        entries = []  # per round and stage: (j, row, 2k + half) XOR-entry indices
+        idx = block.T[_SHIFT_ROWS] + _TABLE_ROW  # (i, j, row) table-row indices
+        if record:
+            trace = samples[start : start + m].view(np.uint16)[:, :720].reshape(m, 9, 80)
+            # a row of 32 mod 64 bytes keeps the transpose's reads off one cache set
+            pairs = np.empty((80, m - m % 32 + 48), dtype=np.uint16)[:, :m].reshape(4, 20, m)  # (j, pair, row)
+            table = np.empty((4, 4, m, 4), dtype=np.uint8)  # (i, j, row, k)
+            xor = np.empty((3, 4, m, 8), dtype=np.uint8)  # (stage, j, row, 2k + half)
         for r in range(9):
-            nib = ut[r].take(rows[r], axis=0)  # (i, j, row, 2k + half)
+            nib = ut[r].take(idx, axis=0)  # (i, j, row, 2k + half)
+            lookups += idx.size
+            if record:
+                words = nib.view(np.uint32)  # (i, j, row, k): upper | lower << 16
+                np.bitwise_or(words[0] & 0xF0, words[0] >> 20 & 0xF, out=table[0], casting="unsafe")
+                np.bitwise_or(words[1:] << 4, words[1:] >> 16, out=table[1:], casting="unsafe")
             acc = nib[0]
             for s in range(3):
-                entries.append(acc + nib[s + 1])
-                acc = tx[r].take(entries[-1])
+                entry = acc + nib[s + 1]  # (j, row, 2k + half) XOR-entry indices
+                lookups += entry.size
+                acc = tx[r].take(entry)
+                if record:
+                    np.copyto(xor[s], acc, casting="unsafe")  # the low byte: 16v, or v
             np.add(acc[..., 0::2], acc[..., 1::2], out=halves)
-            rows.append(state.take(_SHIFT_ROWS, axis=0))
-        final = t10.take(rows[9])  # (i, j, row)
-        lookups += sum(idx.size for idx in rows) + sum(idx.size for idx in entries)
+            if record:
+                xor >>= 4
+                xor[2, ..., 1::2] = acc[..., 1::2]  # stage 2's lower half is v itself
+                pairs[:, :8].reshape(4, 4, 2, m)[...] = table.view(np.uint16).transpose(1, 0, 3, 2)
+                pairs[:, 8:].reshape(4, 4, 3, m)[...] = xor.view(np.uint16).transpose(1, 3, 0, 2)
+                trace[:, r] = pairs.reshape(80, m).T
+            idx = state.take(_SHIFT_ROWS, axis=0)
+        final = t10.take(idx)  # (i, j, row)
+        lookups += idx.size
         cts[start : start + m].reshape(m, 4, 4)[...] = final.transpose(2, 1, 0)
-        if record:
-            _record(ts, rows, entries, final, samples[start : start + m])
+    if record:
+        samples[:, 1440:] = cts
     return cts, samples, lookups
-
-
-def _record(ts: TableSet, rows: list, entries: list, final: np.ndarray, out: np.ndarray) -> None:
-    """Write the traces of one walked block into out, (rows, 1456) uint8,
-    _TRACE_ROWS rows at a time.
-
-    A trace is assembled sample-major in 4-sample words, (364, rows) uint32:
-    each round and column has 4 words of table-output bytes, from ut at the
-    saved row indices, then 6 of XOR nibbles, from tx at the saved entry
-    indices; then 4 words of final-round bytes."""
-    ut = ts.ut.reshape(-1).view(np.uint32)  # one word per table row
-    tx = ts.tx.reshape(9, -1)
-    rows = np.array(rows[:9]) + _ROUND_ROW  # (round, i, j, row), rows of ut
-    for a in range(0, final.shape[-1], _TRACE_ROWS):
-        cut = slice(a, a + _TRACE_ROWS)
-        m = len(out[cut])
-        trace = np.empty((364, m), dtype=np.uint32)
-        words = trace[:360].reshape(9, 4, 10, m)  # (round, j, word, row)
-        words[:, :, :4] = ut.take(rows[..., cut]).transpose(0, 2, 1, 3)
-        nibbles = np.empty((4, m, 4, 3), dtype=np.uint16)  # (j, row, k, stage), both halves in one
-        for r in range(9):
-            for s in range(3):
-                nibbles[..., s] = tx[r].take(entries[3 * r + s][:, cut]).view(np.uint16)
-            words[r, :, 4:] = nibbles.reshape(4, m, 12).view(np.uint32).transpose(0, 2, 1)
-        trace.view(np.uint8).reshape(364, m, 4)[360:] = final[..., cut].transpose(1, 2, 0)  # (j, row, i)
-        out[cut].view(np.uint32)[...] = trace.T
 
 
 def encrypt_with_tables(ts: TableSet, pt: bytes, record: bool = False):

@@ -295,6 +295,21 @@ def test_gen_seed_outside_u64_retry_range_is_usage_error(tmp_path, capfd, seed):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["encrypt", "--pt", FIPS_PT],
+    ["trace", "--count", "3", "--out", "{out}"],
+    ["analyze", "--kind", "baseline"],
+])
+def test_negative_seed_is_usage_error(gen_dir, tmp_path, capfd, command):
+    # random.Random(-5) is random.Random(5): these used to run seed 5 and echo -5
+    argv = [a.format(out=tmp_path / "t.btr") for a in command] + ["--seed", "-5"]
+    if command[0] != "analyze":
+        argv += ["--tables", str(gen_dir)]
+    assert main(argv) == 2
+    assert "--seed -5" in capfd.readouterr().err
+    assert not (tmp_path / "t.btr").exists()
+
+
 def test_gen_largest_seed_is_recorded_exactly(tmp_path, capfd):
     assert main(["gen", "--key", FIPS_KEY, "--seed", str(MAX_SEED), "--out", str(tmp_path)]) == 0
     spec = deserialize_spec((tmp_path / "enc.spec").read_bytes())
@@ -390,7 +405,7 @@ def test_window_parsing(gen_dir, trace_file, capfd):
     assert rc == 2
 
 
-@pytest.mark.parametrize("window", ["1450:100", "5:0"])
+@pytest.mark.parametrize("window", ["1450:100", "5:0", "0:-3"])  # 0:-3 used to select samples 0..1452
 def test_window_outside_trace_is_usage_error(trace_file, capfd, window):
     rc = main(
         ["analyze", "--kind", "dca", "--traces", str(trace_file), "--key", FIPS_KEY,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -635,6 +636,19 @@ def test_walk_arrays_stay_small_and_lookups_per_row_fixed(std_pair):
     for n in (1, 1025):
         for record in (False, True):
             assert encrypt_batch_with_tables(std_pair.q0, pts[:n], record)[2] == 1024 * n
+
+
+def test_recorded_walk_memory_bound(std_pair):
+    # recording from saved index arrays and a second gather held 3.45 MiB beyond the outputs
+    pts = np.frombuffer(random.Random(65).randbytes(10000 * 16), dtype=np.uint8).reshape(10000, 16)
+    std_pair.q0.walk  # built once per set, not part of a walk
+    tracemalloc.start()
+    try:
+        cts, samples, _ = encrypt_batch_with_tables(std_pair.q0, pts, record=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cts.nbytes + samples.nbytes + 1.5 * 2**20, peak
 
 
 def test_spec_blacklist_error_names_first_offending_pair_and_row(std_spec):
