@@ -9,11 +9,14 @@ bits in one call.
 Campaigns run in blocks of `tablegen.WALK_CHUNK` plaintext rows, walked in
 the calling thread.  `write_campaign` appends each block to the trace file as
 it is walked, so it never holds the whole campaign; `load_traces` reads the
-file block by block into the final arrays, so a campaign is held once, not
-twice.  (On a 2-core machine, walking the blocks on a worker pool made a
-65,536-row campaign about 20% faster while the other core was idle and no
-faster while another process kept it busy, so the campaign rate followed the
-neighbours' load.)
+file block by block and copies out only the sample columns it is asked for,
+so an analysis holds only the columns it reads.  A `TraceSet` records which
+absolute samples its columns hold, and analyses read them through
+`TraceSet.samples_at`, which refuses a sample that was not loaded.  (On a
+2-core machine, walking the blocks on a worker pool made a 65,536-row
+campaign about 20% faster while the other core was idle and no faster while
+another process kept it busy, so the campaign rate followed the neighbours'
+load.)
 
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
@@ -74,6 +77,31 @@ def ut_output_indices(r: int) -> np.ndarray:
 def round_output_sample_indices(r: int, j: int, k: int) -> tuple:
     """(upper, lower) nibble sample indices holding the encoded round-output byte."""
     return xor_sample_index(r, j, k, 2, 0), xor_sample_index(r, j, k, 2, 1)
+
+
+def resolve_window(window, width: int = SAMPLE_COUNT) -> np.ndarray | slice:
+    """Sample selection of a window over traces of `width` samples: None (all),
+    a slice, an (offset, length) pair or a sequence of indices.  A window that
+    selects nothing or reaches outside the trace raises ValueError."""
+    if window is None:
+        return slice(None)
+    if isinstance(window, tuple) and len(window) == 2:
+        off, length = window
+        sel, name = slice(off, off + max(length, 0)), f"{off}:{length}"  # a negative stop would count from the end
+    elif isinstance(window, slice):
+        sel, name = window, f"[{window.start}:{window.stop}]"
+    else:
+        sel, name = np.asarray(window, dtype=np.int64), "of indices"
+    if isinstance(sel, slice):
+        lo, hi = sel.start or 0, width if sel.stop is None else sel.stop
+        count = len(range(width)[sel])
+    else:
+        lo, hi, count = sel.min(initial=0), sel.max(initial=-1) + 1, sel.size
+    if lo < 0 or hi > width:
+        raise ValueError(f"window {name} reaches outside the {width}-sample traces")
+    if count == 0:
+        raise ValueError(f"window {name} selects none of the {width} trace samples")
+    return sel
 
 
 # --- selection policies -------------------------------------------------------
@@ -171,11 +199,34 @@ def select_set(policy: SelectorPolicy, pts: np.ndarray, rng: random.Random | Non
 class TraceSet:
     plaintexts: np.ndarray  # (N, 16) uint8
     set_bits: np.ndarray  # (N,) uint8
-    samples: np.ndarray  # (N, 1456) uint8
+    samples: np.ndarray  # (N, W) uint8: every sample, or the loaded ones
     metadata: dict = field(default_factory=dict)
+    sample_ids: np.ndarray | None = None  # absolute sample of each column; None: column s is sample s
 
     def __len__(self) -> int:
         return int(self.plaintexts.shape[0])
+
+    @property
+    def width(self) -> int:
+        """Samples per trace of the campaign, loaded or not."""
+        return self.samples.shape[1] if self.sample_ids is None else SAMPLE_COUNT
+
+    def samples_at(self, sel) -> np.ndarray:
+        """(N, len(sel)) samples at absolute sample indices `sel`, a slice or a
+        sequence of indices as resolve_window returns them.  When `sel` is
+        exactly the loaded columns this is `samples` itself; a sample that was
+        not loaded raises ValueError naming it."""
+        if self.sample_ids is None:
+            return self.samples[:, sel]
+        wanted = np.arange(SAMPLE_COUNT)[sel] if isinstance(sel, slice) else np.asarray(sel, dtype=np.int64)
+        if np.array_equal(wanted, self.sample_ids):
+            return self.samples
+        column = np.full(SAMPLE_COUNT, -1)
+        column[self.sample_ids] = np.arange(self.sample_ids.size)
+        cols = column[wanted]
+        if (cols < 0).any():
+            raise ValueError(f"sample {wanted[cols < 0][0]} was not loaded from the trace file")
+        return self.samples[:, cols]
 
 
 @dataclass
@@ -313,24 +364,37 @@ def _file_blocks(fh, count: int, crc: int):
         raise FormatError("trace file checksum mismatch")
 
 
-def _gather(count: int, blocks) -> TraceSet:
-    """Copy `count` records, block by block, into the TraceSet's own arrays."""
+def _record_columns(ids: np.ndarray | None):
+    """Record-block columns of the samples `ids` (every sample when None): a
+    slice when they are one ascending run, which copies faster."""
+    if ids is None:
+        return slice(17, None)
+    if np.array_equal(ids, np.arange(ids[0], ids[0] + ids.size)):
+        return slice(17 + ids[0], 17 + ids[0] + ids.size)
+    return 17 + ids
+
+
+def _gather(count: int, blocks, ids: np.ndarray | None = None) -> TraceSet:
+    """Copy `count` records, block by block, into the TraceSet's own arrays,
+    keeping every sample or only the absolute samples `ids`.  Every set bit
+    is checked, loaded columns or not."""
+    cols = _record_columns(ids)
     pts = np.empty((count, 16), dtype=np.uint8)
     bits = np.empty(count, dtype=np.uint8)
-    samples = np.empty((count, SAMPLE_COUNT), dtype=np.uint8)
+    samples = np.empty((count, SAMPLE_COUNT if ids is None else ids.size), dtype=np.uint8)
     start = 0
     for block in blocks:
         end = start + len(block)
         pts[start:end] = block[:, :16]
         bits[start:end] = block[:, 16]
-        samples[start:end] = block[:, 17:]
+        samples[start:end] = block[:, cols]
         start = end
     if (bits > 1).any():
         raise FormatError("trace set bit is not 0 or 1")
-    return TraceSet(plaintexts=pts, set_bits=bits, samples=samples)
+    return TraceSet(plaintexts=pts, set_bits=bits, samples=samples, sample_ids=ids)
 
 
-def _read_traces(fh, size: int) -> TraceSet:
+def _read_traces(fh, size: int, ids: np.ndarray | None = None) -> TraceSet:
     """Parse a trace file of `size` bytes from a binary stream at its start."""
     header = fh.read(_HEADER)
     if size < _HEADER + 4 or header[:4] != TRACE_MAGIC:
@@ -343,24 +407,30 @@ def _read_traces(fh, size: int) -> TraceSet:
     expected = _HEADER + count * _RECORD + 4
     if size != expected:
         raise FormatError(f"trace file length {size} != {expected}")
-    return _gather(count, _file_blocks(fh, count, zlib.crc32(header)))
+    return _gather(count, _file_blocks(fh, count, zlib.crc32(header)), ids)
 
 
 def deserialize_traces(data: bytes) -> TraceSet:
     return _read_traces(io.BytesIO(data), len(data))
 
 
-def _stored_block(ts: TraceSet, start: int) -> np.ndarray:
+def _stored_block(ts: TraceSet, samples: np.ndarray, start: int) -> np.ndarray:
     end = start + WALK_CHUNK
     block = _record_block(ts.plaintexts[start:end], ts.set_bits[start:end])
-    block[:, 17:] = ts.samples[start:end]
+    block[:, 17:] = samples[start:end]
     return block
 
 
 def save_traces(ts: TraceSet, path) -> None:
-    _write_blocks(path, len(ts), (_stored_block(ts, s) for s in range(0, len(ts), WALK_CHUNK)))
+    samples = ts.samples_at(slice(None))  # a set loaded with a window lacks samples
+    _write_blocks(path, len(ts), (_stored_block(ts, samples, s) for s in range(0, len(ts), WALK_CHUNK)))
 
 
-def load_traces(path) -> TraceSet:
+def load_traces(path, samples=None) -> TraceSet:
+    """The campaign in a trace file.  `samples`, a window as resolve_window
+    takes it, keeps only those sample columns (None keeps all); it is checked
+    before the file is opened.  Every record is still read, its set bit
+    checked and the whole file CRC-checked."""
+    ids = None if samples is None else np.arange(SAMPLE_COUNT)[resolve_window(samples)]
     with open(path, "rb") as fh:
-        return _read_traces(fh, os.fstat(fh.fileno()).st_size)
+        return _read_traces(fh, os.fstat(fh.fileno()).st_size, ids)

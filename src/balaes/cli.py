@@ -38,20 +38,24 @@ def _parse_key(text: str) -> bytes:
     return key
 
 
-def _parse_window(text: str | None):
+def _window(text: str | None):
+    """The samples a --window names, resolved and checked before any trace
+    file is read; None (no window) means every sample."""
     if text is None:
         return None
     if text == "round1":
-        return cipher.round_sample_slice(1)
-    if text == "round1-ut":
-        return cipher.ut_output_indices(1)
-    if text == "round1-col0":
-        return slice(0, 40)
-    off, _, length = text.partition(":")
-    try:
-        return (int(off), int(length))
-    except ValueError:
-        raise ValueError(f"window must be OFF:LEN or a named window, got {text!r}") from None
+        window = cipher.round_sample_slice(1)
+    elif text == "round1-ut":
+        window = cipher.ut_output_indices(1)
+    elif text == "round1-col0":
+        window = slice(0, 40)
+    else:
+        off, _, length = text.partition(":")
+        try:
+            window = (int(off), int(length))
+        except ValueError:
+            raise ValueError(f"window must be OFF:LEN or a named window, got {text!r}") from None
+    return cipher.resolve_window(window)
 
 
 def _seed(seed: int) -> int:
@@ -76,9 +80,10 @@ def _load_pair(tables_dir: str) -> tablegen.TableSetPair:
     return tablegen.TableSetPair(q0=q0, q1=q1)
 
 
-def _load_traces(path: str) -> cipher.TraceSet:
-    """A campaign for an analysis; one that holds no traces is a usage error."""
-    traces = cipher.load_traces(path)
+def _load_traces(path: str, samples=None) -> cipher.TraceSet:
+    """A campaign for an analysis, holding only the samples it reads (None:
+    all of them); one that holds no traces is a usage error."""
+    traces = cipher.load_traces(path, samples)
     if not len(traces):
         raise ValueError(f"trace file {path} holds 0 traces; an analysis needs a campaign")
     return traces
@@ -275,7 +280,8 @@ def _walsh_ut(args):
 
 def _walsh_ut_traces(args):
     m = _one_byte(args)
-    grid = sca.walsh_ut_trace_grid(_load_traces(args.traces), m, args.ell)
+    traces = _load_traces(args.traces, sca.walsh_ut_sample_indices(m))
+    grid = sca.walsh_ut_trace_grid(traces, m, args.ell)
     peak = np.abs(grid).reshape(256, -1).max(axis=1)
     rows = [[g, round(float(peak[g]), 2)] for g in range(256)]
     summary = {
@@ -293,7 +299,7 @@ def _walsh_ut_traces(args):
 
 def _walsh_ro(args):
     known, correct = _round_output_guesses(_parse_key(args.key))
-    grid = sca.walsh_round_output_all(_load_traces(args.traces))
+    grid = sca.walsh_round_output_all(_load_traces(args.traces, sca.ROUND_OUTPUT_SAMPLES))
     rows = [[g, i + 1, ip + 1, int(grid[g, i, ip])]
             for g in range(256) for i in range(8) for ip in range(8) if grid[g, i, ip]]
     summary = {
@@ -308,9 +314,9 @@ def _walsh_ro(args):
 
 def _rank(args):
     """cpa reports each bit's top guess, dca every guess's score and rank."""
-    traces = _load_traces(args.traces)
     key = _parse_key(args.key)
-    window = _parse_window(args.window)
+    window = _window(args.window)
+    traces = _load_traces(args.traces, window)
     rows = []
     summary_bits = {}
     for m in range(16) if args.pt_index == "all" else [int(args.pt_index)]:
@@ -335,7 +341,7 @@ def _rank(args):
 
 def _collision(args):
     known, correct = _round_output_guesses(_parse_key(args.key))
-    coll, sse = sca.collision_and_sse_scores(_load_traces(args.traces), known)
+    coll, sse = sca.collision_and_sse_scores(_load_traces(args.traces, sca.ROUND_OUTPUT_SAMPLES), known)
     rows = [[g, int(coll[g]), round(float(sse[g]), 3)] for g in range(256)]
     summary = {
         "command": "analyze", "kind": args.kind,
@@ -350,7 +356,7 @@ def _collision(args):
 
 def _mia(args):
     key = _parse_key(args.key)
-    window = _parse_window(args.window) if args.window else slice(0, 40)
+    window = _window(args.window or "round1-col0")
     if args.model == "sbox":
         m = _one_byte(args)
         model = sca.SboxHypothesis(ell=1, pt_index=m)
@@ -362,7 +368,7 @@ def _mia(args):
             known_keys={0: khat[0][0], 2: khat[2][0], 3: khat[3][0]},
         )
         correct = int(khat[1][0])
-    mi = sca.mia_max(_load_traces(args.traces), model, window=window)
+    mi = sca.mia_max(_load_traces(args.traces, window), model, window=window)
     rows = [[g, b + 1, round(float(mi[g, b]), 6)] for g in range(256) for b in range(8)]
     summary = {
         "command": "analyze", "kind": "mia", "model": args.model,
@@ -375,8 +381,8 @@ def _mia(args):
 
 
 def _tvla(args):
-    result = sca.tvla(_load_traces(args.fixed), _load_traces(args.random),
-                      window=_parse_window(args.window))
+    window = _window(args.window)
+    result = sca.tvla(_load_traces(args.fixed, window), _load_traces(args.random, window), window=window)
     rows = [[s, round(float(t), 4)] for s, t in enumerate(result.t)]
     passed = result.passed(4.5)
     summary = {

@@ -35,7 +35,7 @@ import numpy as np
 
 from .gfcore import MC, pt_index_for_position, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
-from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
+from .cipher import TraceSet, resolve_window, round_output_sample_indices, ut_sample_index
 from .pool import ordered_map
 from .tablegen import round_output_walsh
 
@@ -97,6 +97,13 @@ class RoundOutputHypothesis:
 
 # --- trace-mode table-output Walsh ----------------------------------------------
 
+def walsh_ut_sample_indices(pt_index: int) -> list:
+    """The four round-1 table-output samples of one plaintext byte, which
+    walsh_ut_trace_grid reads."""
+    i, j = position_for_pt_index(pt_index)
+    return [ut_sample_index(1, j, i, k) for k in range(4)]
+
+
 def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarray:
     """Trace-mode Walsh sums for every candidate at once.
 
@@ -108,22 +115,27 @@ def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarra
     selected, so the correct candidate no longer scores uniformly zero.
     Raises ValueError if some input value was never encrypted.
     """
-    i, j = position_for_pt_index(pt_index)
     values, first = np.unique(traces.plaintexts[:, pt_index], return_index=True)
     if values.size < 256:
         v = int(np.flatnonzero(values != np.arange(values.size)).min(initial=values.size))
         raise ValueError(f"input byte value {v:#04x} unobserved at pt index {pt_index}")
-    observed = traces.samples[first][:, [ut_sample_index(1, j, i, k) for k in range(4)]]  # (v, out_byte)
+    observed = traces.samples_at(walsh_ut_sample_indices(pt_index))[first]  # (v, out_byte)
     grid = walsh_grid(observed.T, COEFF[ellp - 1])  # (out_byte, out_bit, guess, iprime)
     return grid.transpose(2, 0, 1, 3).astype(np.float64)
 
 
 # --- round-output Walsh -----------------------------------------------------------
 
+# the (upper, lower) nibble samples of the encoded first-round output byte
+# (column 0, byte 0): all that walsh-ro, collision and cluster read.  A list,
+# because resolve_window reads a 2-tuple as (offset, length).
+ROUND_OUTPUT_SAMPLES = list(round_output_sample_indices(1, 0, 0))
+
+
 def _round_output_samples(traces: TraceSet) -> np.ndarray:
     """Encoded first-round output byte (column 0, byte 0) of every trace."""
-    u_idx, l_idx = round_output_sample_indices(1, 0, 0)
-    return (traces.samples[:, u_idx].astype(np.uint8) << 4) | traces.samples[:, l_idx]
+    upper, lower = traces.samples_at(ROUND_OUTPUT_SAMPLES).T
+    return (upper << 4) | lower
 
 
 def _grid_round_output_bytes(traces: TraceSet) -> np.ndarray:
@@ -146,31 +158,6 @@ def walsh_round_output_all(traces: TraceSet) -> np.ndarray:
 
 
 # --- DCA ------------------------------------------------------------------------
-
-def _resolve_window(window, width: int) -> np.ndarray | slice:
-    """Sample selection of a window over traces of `width` samples: None (all),
-    a slice, an (offset, length) pair or a sequence of indices.  A window that
-    selects nothing or reaches outside the trace raises ValueError."""
-    if window is None:
-        return slice(None)
-    if isinstance(window, tuple) and len(window) == 2:
-        off, length = window
-        sel, name = slice(off, off + max(length, 0)), f"{off}:{length}"  # a negative stop would count from the end
-    elif isinstance(window, slice):
-        sel, name = window, f"[{window.start}:{window.stop}]"
-    else:
-        sel, name = np.asarray(window, dtype=np.int64), "of indices"
-    if isinstance(sel, slice):
-        lo, hi = sel.start or 0, width if sel.stop is None else sel.stop
-        count = len(range(width)[sel])
-    else:
-        lo, hi, count = sel.min(initial=0), sel.max(initial=-1) + 1, sel.size
-    if lo < 0 or hi > width:
-        raise ValueError(f"window {name} reaches outside the {width}-sample traces")
-    if count == 0:
-        raise ValueError(f"window {name} selects none of the {width} trace samples")
-    return sel
-
 
 def bit_expand(V: np.ndarray) -> np.ndarray:
     """Serialize byte-valued samples to bit samples, MSB first: (N, W) -> (N, 8W).
@@ -257,7 +244,7 @@ def _hypothesis_bit_stats(traces: TraceSet, model, window, bits):
     """Per hypothesis bit: the model's float64 (256, groups) matrix H and the
     _bit_column_stats of the windowed bit columns under its grouping.  The
     sums are recomputed only when the grouping changes."""
-    V = traces.samples[:, _resolve_window(window, traces.samples.shape[1])]
+    V = traces.samples_at(resolve_window(window, traces.width))
     labels = None
     for bit in bits:
         new_labels, H = model.bit_groups(traces.plaintexts, bit)
@@ -427,11 +414,11 @@ class TvlaResult:
 def tvla(fixed: TraceSet, rand: TraceSet, window=None) -> TvlaResult:
     """Welch t statistic per sample between a fixed-plaintext and a
     random-plaintext campaign."""
-    if fixed.samples.shape[1] != rand.samples.shape[1]:
+    if fixed.width != rand.width:
         raise ValueError("trace layouts differ")
-    w = _resolve_window(window, fixed.samples.shape[1])
-    F = fixed.samples[:, w].astype(np.float64)
-    R = rand.samples[:, w].astype(np.float64)
+    w = resolve_window(window, fixed.width)
+    F = fixed.samples_at(w).astype(np.float64)
+    R = rand.samples_at(w).astype(np.float64)
     nf, nr = F.shape[0], R.shape[0]
     if nf < 2 or nr < 2:
         raise ValueError("both trace sets need at least two traces")

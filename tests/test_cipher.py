@@ -313,4 +313,6 @@ def test_trace_file_error_messages(tmp_path, std_pair, kind, message):
         cipher.load_traces(tmp_path / "bad.btr")
     with pytest.raises(FormatError) as parsed:
         deserialize_traces(bad)
-    assert str(loaded.value) == str(parsed.value) == message
+    with pytest.raises(FormatError) as windowed:  # the damage lies outside the two loaded samples
+        cipher.load_traces(tmp_path / "bad.btr", [20, 21])
+    assert str(loaded.value) == str(parsed.value) == str(windowed.value) == message

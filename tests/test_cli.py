@@ -158,6 +158,19 @@ def test_grid_campaign_load_memory_bound(grid_mixed_file):
     assert peak < 110 * 2**20, peak
 
 
+@pytest.mark.parametrize("kind", ["walsh-ro", "collision"])
+def test_grid_roundout_analysis_memory_bound(grid_mixed_file, capfd, kind):
+    # both read two samples per trace; loading all 1,456 peaked at 115-124 MiB
+    tracemalloc.start()
+    try:
+        rc = main(["analyze", "--kind", kind, "--traces", str(grid_mixed_file[0]), "--key", FIPS_KEY])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 48 * 2**20, peak
+
+
 def test_trace_determinism(gen_dir, tmp_path, trace_file):
     out = tmp_path / "again.btr"
     rc = main(
@@ -414,6 +427,29 @@ def test_window_outside_trace_is_usage_error(trace_file, capfd, window):
     assert rc == 2
     err = capfd.readouterr().err
     assert f"window {window}" in err and "1456" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "dca", "--traces", "{t}", "--pt-index", "1"],
+    ["--kind", "mia", "--traces", "{t}", "--pt-index", "1"],
+    ["--kind", "tvla", "--fixed", "{t}", "--random", "{t}"],
+], ids=["dca", "mia", "tvla"])
+def test_bad_window_is_usage_error_before_the_file_is_read(trace_file, tmp_path, capfd, argv):
+    bad = tmp_path / "truncated.btr"
+    bad.write_bytes(trace_file.read_bytes()[:-3])
+    rc = main(["analyze", *(a.format(t=bad) for a in argv), "--key", FIPS_KEY, "--window", "1450:100"])
+    assert rc == 2
+    assert "window 1450:100 reaches outside" in capfd.readouterr().err
+
+
+def test_damaged_sample_outside_the_window_is_format_error(trace_file, tmp_path, capfd):
+    blob = bytearray(trace_file.read_bytes())
+    blob[12 + 17 + 1000] ^= 1  # sample 1000 of the first record; the CRC is left as it was
+    (tmp_path / "bad.btr").write_bytes(bytes(blob))
+    rc = main(["analyze", "--kind", "cpa", "--traces", str(tmp_path / "bad.btr"), "--key", FIPS_KEY,
+               "--pt-index", "0", "--window", "0:40"])
+    assert rc == 3
+    assert "checksum mismatch" in capfd.readouterr().err
 
 
 def test_analyze_walsh_ut_trace_mode(gen_dir, trace_file, capfd):

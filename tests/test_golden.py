@@ -7,8 +7,10 @@ or the trace file format that moves a single byte shows up here."""
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
+from balaes import cipher, sca
 from balaes.binmat import sample_pair
 from balaes.cli import main
 
@@ -207,3 +209,18 @@ def test_analysis_report_matches_golden_digest(golden_campaigns, tmp_path, label
     rc = main(["analyze", *(o.format(**golden_campaigns) for o in options), "--out", str(prefix)])
     assert rc == 0
     assert (_sha256(prefix.with_suffix(".json")), _sha256(prefix.with_suffix(".csv"))) == (json_digest, csv_digest)
+
+
+@pytest.mark.parametrize("campaign", ["mixed", "grid", "fixed"])
+def test_windowed_load_equals_the_columns_of_a_full_load(golden_campaigns, campaign):
+    path = golden_campaigns[campaign]
+    full = cipher.load_traces(path)
+    for window in (cipher.round_sample_slice(1), np.array([1455, 20, 3, 700]), sca.ROUND_OUTPUT_SAMPLES):
+        part = cipher.load_traces(path, window)
+        ids = np.arange(cipher.SAMPLE_COUNT)[window]
+        assert np.array_equal(part.sample_ids, ids)
+        assert np.array_equal(part.plaintexts, full.plaintexts)
+        assert np.array_equal(part.set_bits, full.set_bits)
+        assert np.array_equal(part.samples, full.samples[:, window])
+        assert part.samples_at(window) is part.samples
+        assert np.array_equal(part.samples_at(ids[::-1]), full.samples_at(ids[::-1]))

@@ -41,7 +41,7 @@ def _toy_traceset(samples: np.ndarray, plaintexts: np.ndarray | None = None) -> 
 # grouped-sum engine behind dca_rank and mia_max must reproduce these exactly.
 
 def _bit_matrix(traces: TraceSet, window) -> np.ndarray:
-    w = sca._resolve_window(window, traces.samples.shape[1])
+    w = cipher.resolve_window(window, traces.samples.shape[1])
     return bit_expand(traces.samples[:, w]).astype(np.float64)
 
 
@@ -83,7 +83,7 @@ def pearson_binary(h: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def cpa_monobit(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
     """Correlation of one hypothesis bit against each (windowed) sample."""
-    w = sca._resolve_window(window, traces.samples.shape[1])
+    w = cipher.resolve_window(window, traces.samples.shape[1])
     return pearson_binary(_hyp_bit(model, guess, bit, traces.plaintexts), traces.samples[:, w])
 
 
@@ -103,7 +103,7 @@ def _entropy(p: np.ndarray) -> float:
 
 def mia_bytes(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
     """Byte-granular MI: raw sample values as 256 bins, one value per sample."""
-    V = traces.samples[:, sca._resolve_window(window, traces.samples.shape[1])]
+    V = traces.samples[:, cipher.resolve_window(window, traces.samples.shape[1])]
     h = _hyp_bit(model, guess, bit, traces.plaintexts).astype(np.int64)
     n = V.shape[0]
     out = np.empty(V.shape[1])
@@ -714,6 +714,30 @@ def test_tvla_layout_mismatch():
         tvla(a, b)
     with pytest.raises(ValueError):
         tvla(_toy_traceset(np.zeros((1, 2), dtype=np.uint8)), a)
+
+
+# --- windowed trace sets -----------------------------------------------------------
+
+def test_kernels_refuse_a_sample_that_was_not_loaded(std_pair, tmp_path):
+    pts = random_plaintexts(512, random.Random(9))
+    pts[:, 0] = np.arange(512) % 256  # every value of byte 0, so walsh_ut_trace_grid reads samples
+    path = tmp_path / "t.btr"
+    cipher.save_traces(collect_traces(std_pair, SelectorPolicy.fixed_q0(), pts), path)
+    ut = cipher.load_traces(path, cipher.ut_output_indices(1))  # 16..39 are XOR nibbles
+    with pytest.raises(ValueError, match="sample 20 was not loaded"):
+        walsh_round_output_all(ut)
+    with pytest.raises(ValueError, match="sample 20 was not loaded"):
+        collision_and_sse_scores(ut, 0)
+    with pytest.raises(ValueError, match="sample 16 was not loaded"):
+        dca_rank(ut, SboxHypothesis(ell=1, pt_index=0), correct_guess=0, window=cipher.round_sample_slice(1))
+    with pytest.raises(ValueError, match="sample 16 was not loaded"):
+        mia_max(ut, SboxHypothesis(ell=1, pt_index=0))
+    with pytest.raises(ValueError, match="sample 16 was not loaded"):
+        tvla(ut, ut)
+    with pytest.raises(ValueError, match="sample 16 was not loaded"):
+        cipher.save_traces(ut, tmp_path / "copy.btr")
+    with pytest.raises(ValueError, match="sample 0 was not loaded"):
+        sca.walsh_ut_trace_grid(cipher.load_traces(path, sca.ROUND_OUTPUT_SAMPLES), 0, 1)
 
 
 # --- baseline demo --------------------------------------------------------------------
