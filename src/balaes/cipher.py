@@ -10,13 +10,14 @@ Campaigns run in blocks of `tablegen.WALK_CHUNK` plaintext rows, walked in
 the calling thread.  `write_campaign` appends each block to the trace file as
 it is walked, so it never holds the whole campaign; `load_traces` reads the
 file block by block and copies out only the sample columns it is asked for,
-so an analysis holds only the columns it reads.  A `TraceSet` records which
-absolute samples its columns hold, and analyses read them through
-`TraceSet.samples_at`, which refuses a sample that was not loaded.  (On a
-2-core machine, walking the blocks on a worker pool made a 65,536-row
-campaign about 20% faster while the other core was idle and no faster while
-another process kept it busy, so the campaign rate followed the neighbours'
-load.)
+so an analysis holds only the columns it reads.  `resolve_window` turns a
+window (None, a slice or a sequence of indices) into the int64 array of the
+absolute samples it selects.  A `TraceSet` holds that array as `sample_ids`,
+one entry per column, and `TraceSet.samples_at` reads columns by absolute
+sample, refusing one that was not loaded.  (On a 2-core machine, walking the
+blocks on a worker pool made a 65,536-row campaign about 20% faster while the
+other core was idle and no faster while another process kept it busy, so the
+campaign rate followed the neighbours' load.)
 
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
@@ -25,7 +26,6 @@ final-round output bytes in ciphertext order."""
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import struct
@@ -79,29 +79,23 @@ def round_output_sample_indices(r: int, j: int, k: int) -> tuple:
     return xor_sample_index(r, j, k, 2, 0), xor_sample_index(r, j, k, 2, 1)
 
 
-def resolve_window(window, width: int = SAMPLE_COUNT) -> np.ndarray | slice:
-    """Sample selection of a window over traces of `width` samples: None (all),
-    a slice, an (offset, length) pair or a sequence of indices.  A window that
-    selects nothing or reaches outside the trace raises ValueError."""
+def resolve_window(window) -> np.ndarray:
+    """The absolute samples a window selects, as an int64 array: None (every
+    sample), a slice or a sequence of indices.  A window that selects nothing
+    or reaches outside the trace raises ValueError."""
     if window is None:
-        return slice(None)
-    if isinstance(window, tuple) and len(window) == 2:
-        off, length = window
-        sel, name = slice(off, off + max(length, 0)), f"{off}:{length}"  # a negative stop would count from the end
-    elif isinstance(window, slice):
-        sel, name = window, f"[{window.start}:{window.stop}]"
+        window = slice(None)
+    if isinstance(window, slice):
+        ids, name = np.arange(SAMPLE_COUNT)[window], f"[{window.start}:{window.stop}]"
+        lo, hi = window.start or 0, SAMPLE_COUNT if window.stop is None else window.stop
     else:
-        sel, name = np.asarray(window, dtype=np.int64), "of indices"
-    if isinstance(sel, slice):
-        lo, hi = sel.start or 0, width if sel.stop is None else sel.stop
-        count = len(range(width)[sel])
-    else:
-        lo, hi, count = sel.min(initial=0), sel.max(initial=-1) + 1, sel.size
-    if lo < 0 or hi > width:
-        raise ValueError(f"window {name} reaches outside the {width}-sample traces")
-    if count == 0:
-        raise ValueError(f"window {name} selects none of the {width} trace samples")
-    return sel
+        ids, name = np.asarray(window, dtype=np.int64), "of indices"
+        lo, hi = ids.min(initial=0), ids.max(initial=-1) + 1
+    if min(lo, hi) < 0 or hi > SAMPLE_COUNT:  # a negative bound would count from the end
+        raise ValueError(f"window {name} reaches outside the {SAMPLE_COUNT}-sample traces")
+    if ids.size == 0:
+        raise ValueError(f"window {name} selects none of the {SAMPLE_COUNT} trace samples")
+    return ids
 
 
 # --- selection policies -------------------------------------------------------
@@ -197,28 +191,28 @@ def select_set(policy: SelectorPolicy, pts: np.ndarray, rng: random.Random | Non
 
 @dataclass
 class TraceSet:
+    """A campaign, holding the sample columns it was built or loaded with."""
+
     plaintexts: np.ndarray  # (N, 16) uint8
     set_bits: np.ndarray  # (N,) uint8
-    samples: np.ndarray  # (N, W) uint8: every sample, or the loaded ones
+    samples: np.ndarray  # (N, W) uint8: the held sample columns
     metadata: dict = field(default_factory=dict)
-    sample_ids: np.ndarray | None = None  # absolute sample of each column; None: column s is sample s
+    sample_ids: np.ndarray = None  # (W,) int64 absolute sample of each column; default: column s is sample s
+
+    def __post_init__(self):
+        if self.sample_ids is None:
+            self.sample_ids = np.arange(self.samples.shape[1])
 
     def __len__(self) -> int:
         return int(self.plaintexts.shape[0])
 
-    @property
-    def width(self) -> int:
-        """Samples per trace of the campaign, loaded or not."""
-        return self.samples.shape[1] if self.sample_ids is None else SAMPLE_COUNT
-
     def samples_at(self, sel) -> np.ndarray:
-        """(N, len(sel)) samples at absolute sample indices `sel`, a slice or a
-        sequence of indices as resolve_window returns them.  When `sel` is
-        exactly the loaded columns this is `samples` itself; a sample that was
-        not loaded raises ValueError naming it."""
-        if self.sample_ids is None:
-            return self.samples[:, sel]
-        wanted = np.arange(SAMPLE_COUNT)[sel] if isinstance(sel, slice) else np.asarray(sel, dtype=np.int64)
+        """(N, len(sel)) samples at the absolute samples of window `sel`, as
+        resolve_window takes it.  When `sel` is exactly the held columns this
+        is `samples` itself, and otherwise a row-major copy, laid out as
+        load_traces(path, sel) lays it out; a sample that is not held raises
+        ValueError naming it."""
+        wanted = resolve_window(sel)
         if np.array_equal(wanted, self.sample_ids):
             return self.samples
         column = np.full(SAMPLE_COUNT, -1)
@@ -226,7 +220,7 @@ class TraceSet:
         cols = column[wanted]
         if (cols < 0).any():
             raise ValueError(f"sample {wanted[cols < 0][0]} was not loaded from the trace file")
-        return self.samples[:, cols]
+        return self.samples.take(cols, axis=1)
 
 
 @dataclass
@@ -287,7 +281,7 @@ def collect_traces(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
     the seeded random source.
     """
     pts = np.asarray(plaintexts, dtype=np.uint8)
-    ts = _gather(len(pts), _campaign_blocks(pair, policy, pts, rng))
+    ts = _gather(len(pts), _campaign_blocks(pair, policy, pts, rng), resolve_window(None))
     ts.metadata = {"policy": policy.describe(), "count": len(ts)}
     return ts
 
@@ -364,24 +358,22 @@ def _file_blocks(fh, count: int, crc: int):
         raise FormatError("trace file checksum mismatch")
 
 
-def _record_columns(ids: np.ndarray | None):
-    """Record-block columns of the samples `ids` (every sample when None): a
-    slice when they are one ascending run, which copies faster."""
-    if ids is None:
-        return slice(17, None)
+def _record_columns(ids: np.ndarray):
+    """Record-block columns of the samples `ids`: a slice when they are one
+    ascending run, which copies faster."""
     if np.array_equal(ids, np.arange(ids[0], ids[0] + ids.size)):
         return slice(17 + ids[0], 17 + ids[0] + ids.size)
     return 17 + ids
 
 
-def _gather(count: int, blocks, ids: np.ndarray | None = None) -> TraceSet:
+def _gather(count: int, blocks, ids: np.ndarray) -> TraceSet:
     """Copy `count` records, block by block, into the TraceSet's own arrays,
-    keeping every sample or only the absolute samples `ids`.  Every set bit
-    is checked, loaded columns or not."""
+    keeping only the absolute samples `ids`.  Every set bit is checked,
+    loaded columns or not."""
     cols = _record_columns(ids)
     pts = np.empty((count, 16), dtype=np.uint8)
     bits = np.empty(count, dtype=np.uint8)
-    samples = np.empty((count, SAMPLE_COUNT if ids is None else ids.size), dtype=np.uint8)
+    samples = np.empty((count, ids.size), dtype=np.uint8)
     start = 0
     for block in blocks:
         end = start + len(block)
@@ -394,26 +386,6 @@ def _gather(count: int, blocks, ids: np.ndarray | None = None) -> TraceSet:
     return TraceSet(plaintexts=pts, set_bits=bits, samples=samples, sample_ids=ids)
 
 
-def _read_traces(fh, size: int, ids: np.ndarray | None = None) -> TraceSet:
-    """Parse a trace file of `size` bytes from a binary stream at its start."""
-    header = fh.read(_HEADER)
-    if size < _HEADER + 4 or header[:4] != TRACE_MAGIC:
-        raise FormatError("bad magic for trace file")
-    version, count, sample_count = struct.unpack("<HIH", header[4:])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported trace format version {version}")
-    if sample_count != SAMPLE_COUNT:
-        raise FormatError(f"unexpected sample count {sample_count}")
-    expected = _HEADER + count * _RECORD + 4
-    if size != expected:
-        raise FormatError(f"trace file length {size} != {expected}")
-    return _gather(count, _file_blocks(fh, count, zlib.crc32(header)), ids)
-
-
-def deserialize_traces(data: bytes) -> TraceSet:
-    return _read_traces(io.BytesIO(data), len(data))
-
-
 def _stored_block(ts: TraceSet, samples: np.ndarray, start: int) -> np.ndarray:
     end = start + WALK_CHUNK
     block = _record_block(ts.plaintexts[start:end], ts.set_bits[start:end])
@@ -422,15 +394,27 @@ def _stored_block(ts: TraceSet, samples: np.ndarray, start: int) -> np.ndarray:
 
 
 def save_traces(ts: TraceSet, path) -> None:
-    samples = ts.samples_at(slice(None))  # a set loaded with a window lacks samples
+    samples = ts.samples_at(None)  # a set loaded with a window lacks samples
     _write_blocks(path, len(ts), (_stored_block(ts, samples, s) for s in range(0, len(ts), WALK_CHUNK)))
 
 
 def load_traces(path, samples=None) -> TraceSet:
-    """The campaign in a trace file.  `samples`, a window as resolve_window
-    takes it, keeps only those sample columns (None keeps all); it is checked
-    before the file is opened.  Every record is still read, its set bit
-    checked and the whole file CRC-checked."""
-    ids = None if samples is None else np.arange(SAMPLE_COUNT)[resolve_window(samples)]
+    """The campaign in a trace file, holding only the sample columns of the
+    window `samples`, as resolve_window takes it (None: every sample); the
+    window is checked before the file is opened.  Every record is still
+    read, its set bit checked and the whole file CRC-checked."""
+    ids = resolve_window(samples)
     with open(path, "rb") as fh:
-        return _read_traces(fh, os.fstat(fh.fileno()).st_size, ids)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER)
+        if size < _HEADER + 4 or header[:4] != TRACE_MAGIC:
+            raise FormatError("bad magic for trace file")
+        version, count, sample_count = struct.unpack("<HIH", header[4:])
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported trace format version {version}")
+        if sample_count != SAMPLE_COUNT:
+            raise FormatError(f"unexpected sample count {sample_count}")
+        expected = _HEADER + count * _RECORD + 4
+        if size != expected:
+            raise FormatError(f"trace file length {size} != {expected}")
+        return _gather(count, _file_blocks(fh, count, zlib.crc32(header)), ids)

@@ -38,24 +38,29 @@ def _parse_key(text: str) -> bytes:
     return key
 
 
+NAMED_WINDOWS = {
+    "round1": cipher.round_sample_slice(1),
+    "round1-ut": cipher.ut_output_indices(1),
+    "round1-col0": slice(0, 40),
+}
+
+
 def _window(text: str | None):
-    """The samples a --window names, resolved and checked before any trace
-    file is read; None (no window) means every sample."""
-    if text is None:
-        return None
-    if text == "round1":
-        window = cipher.round_sample_slice(1)
-    elif text == "round1-ut":
-        window = cipher.ut_output_indices(1)
-    elif text == "round1-col0":
-        window = slice(0, 40)
-    else:
-        off, _, length = text.partition(":")
-        try:
-            window = (int(off), int(length))
-        except ValueError:
-            raise ValueError(f"window must be OFF:LEN or a named window, got {text!r}") from None
-    return cipher.resolve_window(window)
+    """The samples a --window names, as a window for cipher.load_traces, which
+    resolves it before the trace file is opened; None (no window) means every
+    sample.  OFF:LEN is checked here, so its errors name it as written."""
+    if text is None or text in NAMED_WINDOWS:
+        return NAMED_WINDOWS.get(text)
+    off, _, length = text.partition(":")
+    try:
+        off, length = int(off), int(length)
+    except ValueError:
+        raise ValueError(f"window must be OFF:LEN or a named window, got {text!r}") from None
+    if length < 1:
+        raise ValueError(f"window {text} selects none of the {cipher.SAMPLE_COUNT} trace samples")
+    if off < 0 or off + length > cipher.SAMPLE_COUNT:
+        raise ValueError(f"window {text} reaches outside the {cipher.SAMPLE_COUNT}-sample traces")
+    return slice(off, off + length)
 
 
 def _seed(seed: int) -> int:
@@ -315,13 +320,12 @@ def _walsh_ro(args):
 def _rank(args):
     """cpa reports each bit's top guess, dca every guess's score and rank."""
     key = _parse_key(args.key)
-    window = _window(args.window)
-    traces = _load_traces(args.traces, window)
+    traces = _load_traces(args.traces, _window(args.window))
     rows = []
     summary_bits = {}
     for m in range(16) if args.pt_index == "all" else [int(args.pt_index)]:
         model = sca.SboxHypothesis(ell=args.ell, pt_index=m)
-        for br in sca.dca_rank(traces, model, correct_guess=key[m], window=window).bits:
+        for br in sca.dca_rank(traces, model, correct_guess=key[m]).bits:
             summary_bits[f"pt{m}_bit{br.bit + 1}"] = {
                 "correct_rank": br.correct_rank,
                 "correct_score": round(br.correct_score, 6),
@@ -368,7 +372,7 @@ def _mia(args):
             known_keys={0: khat[0][0], 2: khat[2][0], 3: khat[3][0]},
         )
         correct = int(khat[1][0])
-    mi = sca.mia_max(_load_traces(args.traces, window), model, window=window)
+    mi = sca.mia_max(_load_traces(args.traces, window), model)
     rows = [[g, b + 1, round(float(mi[g, b]), 6)] for g in range(256) for b in range(8)]
     summary = {
         "command": "analyze", "kind": "mia", "model": args.model,
@@ -382,8 +386,9 @@ def _mia(args):
 
 def _tvla(args):
     window = _window(args.window)
-    result = sca.tvla(_load_traces(args.fixed, window), _load_traces(args.random, window), window=window)
-    rows = [[s, round(float(t), 4)] for s, t in enumerate(result.t)]
+    fixed = _load_traces(args.fixed, window)
+    result = sca.tvla(fixed, _load_traces(args.random, window))
+    rows = [[int(s), round(float(t), 4)] for s, t in zip(fixed.sample_ids, result.t)]
     passed = result.passed(4.5)
     summary = {
         "command": "analyze", "kind": "tvla",

@@ -3,6 +3,12 @@ mono-bit DCA key ranking, collision and cluster scores, bit-level mutual
 information, fixed-versus-random t-tests, and the deliberately-leaky encoding
 demo.  Every hypothesis reads the coefficient tables binmat.COEFF.
 
+A TraceSet is the sample selection, chosen once, when it is loaded
+(cipher.load_traces) or built.  DCA, MIA and the t-test score every column
+it holds; the kernels that read fixed samples (trace-mode walsh-ut and the
+round-output analyses) take them through TraceSet.samples_at, which refuses
+a sample the set does not hold.
+
 Table-output Walsh sums, in trace mode (walsh_ut_trace_grid) and in the
 baseline demo, are binmat.walsh_grid calls: one +-1 sign-matrix product of the
 observed or encoded tables against the hypothesis tables of every guess.
@@ -35,7 +41,7 @@ import numpy as np
 
 from .gfcore import MC, pt_index_for_position, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
-from .cipher import TraceSet, resolve_window, round_output_sample_indices, ut_sample_index
+from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
 from .pool import ordered_map
 from .tablegen import round_output_walsh
 
@@ -127,9 +133,8 @@ def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarra
 # --- round-output Walsh -----------------------------------------------------------
 
 # the (upper, lower) nibble samples of the encoded first-round output byte
-# (column 0, byte 0): all that walsh-ro, collision and cluster read.  A list,
-# because resolve_window reads a 2-tuple as (offset, length).
-ROUND_OUTPUT_SAMPLES = list(round_output_sample_indices(1, 0, 0))
+# (column 0, byte 0): all that walsh-ro, collision and cluster read
+ROUND_OUTPUT_SAMPLES = round_output_sample_indices(1, 0, 0)
 
 
 def _round_output_samples(traces: TraceSet) -> np.ndarray:
@@ -240,17 +245,16 @@ def _bit_column_stats(counts: np.ndarray, sums: np.ndarray):
     return counts.astype(np.float64), S, sv[nz].astype(np.float64)
 
 
-def _hypothesis_bit_stats(traces: TraceSet, model, window, bits):
+def _hypothesis_bit_stats(traces: TraceSet, model, bits):
     """Per hypothesis bit: the model's float64 (256, groups) matrix H and the
-    _bit_column_stats of the windowed bit columns under its grouping.  The
-    sums are recomputed only when the grouping changes."""
-    V = traces.samples_at(resolve_window(window, traces.width))
+    _bit_column_stats of the bit columns of every held sample under its
+    grouping.  The sums are recomputed only when the grouping changes."""
     labels = None
     for bit in bits:
         new_labels, H = model.bit_groups(traces.plaintexts, bit)
         if labels is None or not np.array_equal(new_labels, labels):
             labels = new_labels
-            counts, S, sv = _bit_column_stats(*_grouped_bit_sums(labels, V, H.shape[1]))
+            counts, S, sv = _bit_column_stats(*_grouped_bit_sums(labels, traces.samples, H.shape[1]))
         yield H.astype(np.float64), counts, S, sv
 
 
@@ -285,14 +289,13 @@ def _dca_scores(H, counts, S, sv, n: int) -> np.ndarray:
     return scores
 
 
-def dca_rank(traces: TraceSet, model, correct_guess: int, window=None,
-             bits=range(8)) -> KeyRankingReport:
-    """Mono-bit attack over bit-serialized samples: every windowed sample byte
-    is split into its bits, each candidate is scored by its peak |r| across
+def dca_rank(traces: TraceSet, model, correct_guess: int, bits=range(8)) -> KeyRankingReport:
+    """Mono-bit attack over bit-serialized samples: every held sample byte is
+    split into its bits, each candidate is scored by its peak |r| across
     those bit columns, and candidates are ranked descending by score."""
     n = traces.samples.shape[0]
     bits = list(bits)
-    stats = _hypothesis_bit_stats(traces, model, window, bits)
+    stats = _hypothesis_bit_stats(traces, model, bits)
     rankings = []
     for bit, col in zip(bits, ordered_map(lambda st: _dca_scores(*st, n), stats)):
         rankings.append(
@@ -385,15 +388,15 @@ def _mia_scores(H, counts, S, sv, n: int) -> np.ndarray:
     return peak
 
 
-def mia_max(traces: TraceSet, model, window=None, bits=range(8)) -> np.ndarray:
+def mia_max(traces: TraceSet, model, bits=range(8)) -> np.ndarray:
     """(256, len(bits)) peak mutual information per candidate between its
-    hypothesis bit and any bit column of the windowed samples, as in DCA.
+    hypothesis bit and any bit column of the held samples, as in DCA.
     (Byte-binned MI saturates at H(X) for every candidate on noise-free
     traces, as many samples are bijections of the attacked byte.)"""
     n = traces.samples.shape[0]
     bits = list(bits)
     out = np.zeros((256, len(bits)))
-    stats = _hypothesis_bit_stats(traces, model, window, bits)
+    stats = _hypothesis_bit_stats(traces, model, bits)
     for bi, peak in enumerate(ordered_map(lambda st: _mia_scores(*st, n), stats)):
         out[:, bi] = peak
     return out
@@ -411,14 +414,14 @@ class TvlaResult:
         return self.max_abs_t < threshold
 
 
-def tvla(fixed: TraceSet, rand: TraceSet, window=None) -> TvlaResult:
-    """Welch t statistic per sample between a fixed-plaintext and a
-    random-plaintext campaign."""
-    if fixed.width != rand.width:
+def tvla(fixed: TraceSet, rand: TraceSet) -> TvlaResult:
+    """Welch t statistic per held sample between a fixed-plaintext and a
+    random-plaintext campaign holding the same samples: t[s] is the t of
+    sample fixed.sample_ids[s]."""
+    if not np.array_equal(fixed.sample_ids, rand.sample_ids):
         raise ValueError("trace layouts differ")
-    w = resolve_window(window, fixed.width)
-    F = fixed.samples_at(w).astype(np.float64)
-    R = rand.samples_at(w).astype(np.float64)
+    F = fixed.samples.astype(np.float64)
+    R = rand.samples.astype(np.float64)
     nf, nr = F.shape[0], R.shape[0]
     if nf < 2 or nr < 2:
         raise ValueError("both trace sets need at least two traces")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from dataclasses import dataclass
@@ -55,6 +56,13 @@ def grid_mixed(std_pair):
     return cipher.collect_traces(
         std_pair, cipher.SelectorPolicy.random_bit(0.5), cipher.grid_plaintexts(), rng
     )
+
+
+def windowed(traces: cipher.TraceSet, window) -> cipher.TraceSet:
+    """The set `traces` holding only the samples of `window`, as
+    cipher.load_traces(path, window) would load them."""
+    ids = cipher.resolve_window(window)
+    return dataclasses.replace(traces, samples=traces.samples_at(ids), sample_ids=ids)
 
 
 def bit_rows(values) -> list:

@@ -30,7 +30,7 @@ from balaes.tablegen import (
     walsh_ut_grid_static,
 )
 
-from conftest import STD_KEY, f_family_size
+from conftest import STD_KEY, f_family_size, windowed
 
 
 def _ok(n, msg):
@@ -228,13 +228,13 @@ def test_criterion_08_nibble_candidate_statistic():
 
 def test_criterion_09_dca_lowest_rank(traces_q0_10k):
     start = time.perf_counter()
-    window = cipher.ut_output_indices(1)
+    traces = windowed(traces_q0_10k, cipher.ut_output_indices(1))
     worst_rank = 256
     worst_correct = 0.0
     weakest_wrong = 1.0
     for m in range(16):
         model = sca.SboxHypothesis(ell=1, pt_index=m)
-        report = sca.dca_rank(traces_q0_10k, model, correct_guess=STD_KEY[m], window=window)
+        report = sca.dca_rank(traces, model, correct_guess=STD_KEY[m])
         for br in report.bits:
             worst_rank = min(worst_rank, br.correct_rank)
             worst_correct = max(worst_correct, br.correct_score)
@@ -305,7 +305,8 @@ def test_criterion_12_tvla(std_pair):
                            cipher.fixed_plaintexts(fixed_pt, 10000), rng)
     rand = collect_traces(std_pair, SelectorPolicy.random_bit(0.5),
                           random_plaintexts(10000, rng), rng)
-    result = sca.tvla(fixed, rand, window=cipher.round_sample_slice(1))
+    round1 = cipher.round_sample_slice(1)
+    result = sca.tvla(windowed(fixed, round1), windowed(rand, round1))
     elapsed = time.perf_counter() - start
     assert result.max_abs_t < 4.5, result.max_abs_t
     assert elapsed < 300.0
@@ -318,16 +319,16 @@ def _mia_not_global_max(std_pair, std_spec, seed):
     rng = random.Random(seed)
     traces = collect_traces(std_pair, SelectorPolicy.random_bit(0.5),
                             random_plaintexts(10000, rng), rng)
+    traces = windowed(traces, slice(0, 40))  # first round, first column
     keys = std_spec.round_keys
-    window = slice(0, 40)  # first round, first column
     sb = sca.SboxHypothesis(ell=1, pt_index=0)
-    mi_sb = sca.mia_max(traces, sb, window=window)
+    mi_sb = sca.mia_max(traces, sb)
     ok_sb = mi_sb[STD_KEY[0]].max() < mi_sb.max()
     ro = sca.RoundOutputHypothesis(
         column=0, out_byte=0, target_row=1,
         known_keys={0: keys.khat[0][0][0], 2: keys.khat[0][2][0], 3: keys.khat[0][3][0]},
     )
-    mi_ro = sca.mia_max(traces, ro, window=window)
+    mi_ro = sca.mia_max(traces, ro)
     ok_ro = mi_ro[int(keys.khat[0][1][0])].max() < mi_ro.max()
     return ok_sb, ok_ro, float(mi_sb.max()), float(mi_ro.max())
 

@@ -10,7 +10,6 @@ from balaes.cipher import (
     SAMPLE_COUNT,
     SelectorPolicy,
     collect_traces,
-    deserialize_traces,
     encrypt,
     fixed_plaintexts,
     grid_plaintexts,
@@ -216,13 +215,12 @@ def test_trace_file_errors(tmp_path, std_pair):
     ts = collect_traces(std_pair, SelectorPolicy.fixed_q0(), fixed_plaintexts(bytes(16), 3))
     cipher.save_traces(ts, tmp_path / "t.btr")
     blob = bytearray((tmp_path / "t.btr").read_bytes())
-    with pytest.raises(FormatError):
-        deserialize_traces(bytes(blob[:-3]))
-    blob[40] ^= 1
-    with pytest.raises(FormatError):
-        deserialize_traces(bytes(blob))
-    with pytest.raises(FormatError):
-        deserialize_traces(b"NOPE" + bytes(blob[4:]))
+    flipped = bytearray(blob)
+    flipped[40] ^= 1
+    for bad in (blob[:-3], flipped, b"NOPE" + flipped[4:]):
+        (tmp_path / "bad.btr").write_bytes(bytes(bad))
+        with pytest.raises(FormatError):
+            cipher.load_traces(tmp_path / "bad.btr")
 
 
 def _reference_trace_file(ts) -> bytes:
@@ -257,7 +255,7 @@ def test_loaded_trace_arrays_are_owned_contiguous_and_writable(tmp_path, std_pai
     ts = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(n, rng), rng)
     path = tmp_path / "t.btr"
     cipher.save_traces(ts, path)
-    for loaded in (ts, cipher.load_traces(path), deserialize_traces(path.read_bytes())):
+    for loaded in (ts, cipher.load_traces(path)):
         for name, shape in (("plaintexts", (n, 16)), ("set_bits", (n,)), ("samples", (n, SAMPLE_COUNT))):
             arr, ref = getattr(loaded, name), getattr(ts, name)
             assert arr.dtype == np.uint8 and arr.shape == shape
@@ -311,8 +309,45 @@ def test_trace_file_error_messages(tmp_path, std_pair, kind, message):
     message = message.format(size=len(bad), full=len(full))
     with pytest.raises(FormatError) as loaded:
         cipher.load_traces(tmp_path / "bad.btr")
-    with pytest.raises(FormatError) as parsed:
-        deserialize_traces(bad)
     with pytest.raises(FormatError) as windowed:  # the damage lies outside the two loaded samples
         cipher.load_traces(tmp_path / "bad.btr", [20, 21])
-    assert str(loaded.value) == str(parsed.value) == str(windowed.value) == message
+    assert str(loaded.value) == str(windowed.value) == message
+
+
+@pytest.mark.parametrize("window, ids", [
+    (None, np.arange(SAMPLE_COUNT)),
+    (slice(100, 103), [100, 101, 102]),
+    ([1455, 20, 3], [1455, 20, 3]),
+    ((20, 21), [20, 21]),  # a 2-tuple is two samples, not (offset, length)
+    (np.array([7]), [7]),
+])
+def test_resolve_window_gives_the_absolute_samples(window, ids):
+    resolved = cipher.resolve_window(window)
+    assert resolved.dtype == np.int64
+    assert resolved.tolist() == list(ids)
+
+
+@pytest.mark.parametrize("window, message", [
+    (slice(5, 5), "selects none"),
+    ([], "selects none"),
+    (slice(1450, 1550), "reaches outside"),
+    (slice(-1, 3), "reaches outside"),
+    (slice(0, -3), "reaches outside"),
+    ((1455, 1456), "reaches outside"),
+    ([-1], "reaches outside"),
+])
+def test_resolve_window_refuses_empty_or_outside_windows(window, message):
+    with pytest.raises(ValueError, match=message):
+        cipher.resolve_window(window)
+
+
+def test_round_output_sample_pair_loads_exactly_those_two_samples(tmp_path, std_pair):
+    rng = random.Random(8)
+    ts = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(50, rng), rng)
+    cipher.save_traces(ts, tmp_path / "t.btr")
+    pair = round_output_sample_indices(1, 0, 0)
+    assert pair == (20, 21)
+    loaded = cipher.load_traces(tmp_path / "t.btr", pair)
+    assert loaded.sample_ids.tolist() == [20, 21]
+    assert np.array_equal(loaded.samples, ts.samples[:, [20, 21]])
+    assert loaded.samples_at(pair) is loaded.samples

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from balaes import pool
+from balaes import cipher, pool, sca
 from balaes.cipher import load_traces
 from balaes.cli import main
 from balaes.gfcore import MC
@@ -249,6 +249,27 @@ def test_analyze_tvla(gen_dir, tmp_path, capfd):
     assert rc == 0
     assert summary["pass"] is True
     assert summary["max_abs_t"] < 4.5
+
+
+@pytest.mark.parametrize("window, samples", [
+    ("100:3", [100, 101, 102]),
+    ("round1-ut", cipher.ut_output_indices(1).tolist()),
+    ("round1", list(range(160))),
+], ids=["100:3", "round1-ut", "round1"])
+def test_tvla_rows_name_absolute_samples(gen_dir, trace_file, tmp_path, capfd, window, samples):
+    fixed = tmp_path / "fixed.btr"
+    main(["trace", "--tables", str(gen_dir), "--source", f"fixed:{FIPS_PT}", "--count", "500",
+          "--policy", "random:0.5", "--seed", "5", "--out", str(fixed)])
+    capfd.readouterr()
+    rc = main(["analyze", "--kind", "tvla", "--fixed", str(fixed), "--random", str(trace_file),
+               "--window", window, "--format", "csv"])
+    assert rc in (0, 1)
+    header, *rows = capfd.readouterr().out.splitlines()
+    assert header == "sample,t"
+    assert [int(r.split(",")[0]) for r in rows] == samples
+    # each row holds the t of the sample it names in a full-window test
+    full = sca.tvla(load_traces(fixed), load_traces(trace_file))
+    assert [float(r.split(",")[1]) for r in rows] == [round(float(full.t[s]), 4) for s in samples]
 
 
 def test_analyze_collision_grid(gen_dir, tmp_path, capfd):

@@ -14,7 +14,7 @@ from balaes import cipher, sca
 from balaes.binmat import sample_pair
 from balaes.cli import main
 
-from conftest import STD_KEY, STD_SEED
+from conftest import STD_KEY, STD_SEED, windowed
 
 GEN_DIGESTS = {
     "q0.tbl": "3ed56a21b519ada709b637bb4d7d6d773868b67e4bd626d9e3132dc2b5d04b49",
@@ -217,10 +217,26 @@ def test_windowed_load_equals_the_columns_of_a_full_load(golden_campaigns, campa
     full = cipher.load_traces(path)
     for window in (cipher.round_sample_slice(1), np.array([1455, 20, 3, 700]), sca.ROUND_OUTPUT_SAMPLES):
         part = cipher.load_traces(path, window)
-        ids = np.arange(cipher.SAMPLE_COUNT)[window]
+        ids = cipher.resolve_window(window)
         assert np.array_equal(part.sample_ids, ids)
         assert np.array_equal(part.plaintexts, full.plaintexts)
         assert np.array_equal(part.set_bits, full.set_bits)
-        assert np.array_equal(part.samples, full.samples[:, window])
+        assert np.array_equal(part.samples, full.samples[:, ids])
         assert part.samples_at(window) is part.samples
         assert np.array_equal(part.samples_at(ids[::-1]), full.samples_at(ids[::-1]))
+
+
+@pytest.mark.parametrize("window", [cipher.ut_output_indices(1), slice(0, 40)], ids=["round1-ut", "0:40"])
+def test_kernels_on_a_windowed_load_equal_the_kernels_on_the_windowed_set(golden_campaigns, window):
+    # the kernels score every column a set holds; loading a window must leave
+    # them exactly the columns that windowing the full set in memory leaves
+    loaded = {name: cipher.load_traces(golden_campaigns[name], window) for name in ("mixed", "fixed")}
+    cut = {name: windowed(cipher.load_traces(golden_campaigns[name]), window) for name in ("mixed", "fixed")}
+    sbox = sca.SboxHypothesis(ell=1, pt_index=5)
+    ranks = [sca.dca_rank(ts["mixed"], sbox, correct_guess=STD_KEY[5]).bits for ts in (loaded, cut)]
+    for a, b in zip(*ranks, strict=True):
+        assert np.array_equal(a.scores, b.scores) and np.array_equal(a.ranks, b.ranks)
+    assert np.array_equal(sca.mia_max(loaded["mixed"], sbox), sca.mia_max(cut["mixed"], sbox))
+    t_loaded, t_cut = (sca.tvla(ts["fixed"], ts["mixed"]) for ts in (loaded, cut))
+    assert np.array_equal(t_loaded.t, t_cut.t) and t_loaded.t.size == cipher.resolve_window(window).size
+    assert np.array_equal(t_loaded.degenerate, t_cut.degenerate)

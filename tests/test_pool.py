@@ -17,6 +17,8 @@ from balaes.cipher import SelectorPolicy, collect_traces, random_plaintexts, wri
 from balaes.sca import RoundOutputHypothesis, SboxHypothesis, dca_rank, mia_max
 from balaes.tablegen import WALK_CHUNK, TableSetPair, deserialize_tableset, serialize_tableset
 
+from conftest import windowed
+
 
 @contextmanager
 def forced_workers(n: int):
@@ -123,15 +125,16 @@ def _round_output_model(std_spec) -> RoundOutputHypothesis:
 
 def test_dca_and_mia_do_not_depend_on_worker_count(traces_mixed_10k, std_spec):
     sbox, round_output = SboxHypothesis(ell=1, pt_index=0), _round_output_model(std_spec)
-    runs = [(sbox, None, range(8)), (sbox, (0, 40), range(8)),
-            (round_output, None, [0, 7]), (round_output, (0, 40), range(8))]
+    col0 = windowed(traces_mixed_10k, slice(0, 40))
+    runs = [(sbox, traces_mixed_10k, range(8)), (sbox, col0, range(8)),
+            (round_output, traces_mixed_10k, [0, 7]), (round_output, col0, range(8))]
 
     def scores():
         out = []
-        for model, window, bits in runs:
-            report = dca_rank(traces_mixed_10k, model, correct_guess=0, window=window, bits=bits)
+        for model, traces, bits in runs:
+            report = dca_rank(traces, model, correct_guess=0, bits=bits)
             out += [np.stack([b.scores for b in report.bits]), np.stack([b.ranks for b in report.bits])]
-            out.append(mia_max(traces_mixed_10k, model, window=(0, 40), bits=bits))
+            out.append(mia_max(col0, model, bits=bits))
         return out
 
     default = scores()

@@ -21,7 +21,7 @@ from balaes.sca import (
     walsh_round_output_all,
 )
 
-from conftest import STD_KEY, walsh_balance_check
+from conftest import STD_KEY, walsh_balance_check, windowed
 
 _SBOX = np.frombuffer(SBOX, dtype=np.uint8)
 _MUL = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c in (1, 2, 3)}
@@ -40,9 +40,8 @@ def _toy_traceset(samples: np.ndarray, plaintexts: np.ndarray | None = None) -> 
 # Brute force over the explicit float64 bit matrix, one guess at a time.  The
 # grouped-sum engine behind dca_rank and mia_max must reproduce these exactly.
 
-def _bit_matrix(traces: TraceSet, window) -> np.ndarray:
-    w = cipher.resolve_window(window, traces.samples.shape[1])
-    return bit_expand(traces.samples[:, w]).astype(np.float64)
+def _bit_matrix(traces: TraceSet) -> np.ndarray:
+    return bit_expand(traces.samples).astype(np.float64)
 
 
 def hyp_bytes(model, guess: int, pts: np.ndarray) -> np.ndarray:
@@ -81,16 +80,15 @@ def pearson_binary(h: np.ndarray, V: np.ndarray) -> np.ndarray:
     return r
 
 
-def cpa_monobit(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
-    """Correlation of one hypothesis bit against each (windowed) sample."""
-    w = cipher.resolve_window(window, traces.samples.shape[1])
-    return pearson_binary(_hyp_bit(model, guess, bit, traces.plaintexts), traces.samples[:, w])
+def cpa_monobit(traces: TraceSet, model, guess: int, bit: int) -> np.ndarray:
+    """Correlation of one hypothesis bit against each held sample."""
+    return pearson_binary(_hyp_bit(model, guess, bit, traces.plaintexts), traces.samples)
 
 
-def mia(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
+def mia(traces: TraceSet, model, guess: int, bit: int) -> np.ndarray:
     """Plug-in mutual information (bits) between one hypothesis bit and every
-    bit-serialized sample in the window, one value per bit column."""
-    Y = _bit_matrix(traces, window)
+    bit-serialized held sample, one value per bit column."""
+    Y = _bit_matrix(traces)
     h = _hyp_bit(model, guess, bit, traces.plaintexts)
     n = Y.shape[0]
     return sca._binary_mi(h @ Y / n, h.sum() / n, Y.sum(axis=0) / n)
@@ -101,9 +99,9 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def mia_bytes(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.ndarray:
+def mia_bytes(traces: TraceSet, model, guess: int, bit: int) -> np.ndarray:
     """Byte-granular MI: raw sample values as 256 bins, one value per sample."""
-    V = traces.samples[:, cipher.resolve_window(window, traces.samples.shape[1])]
+    V = traces.samples
     h = _hyp_bit(model, guess, bit, traces.plaintexts).astype(np.int64)
     n = V.shape[0]
     out = np.empty(V.shape[1])
@@ -114,11 +112,11 @@ def mia_bytes(traces: TraceSet, model, guess: int, bit: int, window=None) -> np.
     return out
 
 
-def _reference_scores(traces: TraceSet, model, window, bits):
+def _reference_scores(traces: TraceSet, model, bits):
     """(dca, mi), each (256, len(bits)): peak |r| as dca_rank scores it and
     peak bit-level MI as mia_max returns it, one guess and bit at a time.
     The correlation is pearson_binary with the column statistics hoisted."""
-    Y = _bit_matrix(traces, window)
+    Y = _bit_matrix(traces)
     n = Y.shape[0]
     sv = Y.sum(axis=0)
     var_v = sv - sv * sv / n
@@ -352,7 +350,7 @@ def test_cpa_monobit_finds_injected_hypothesis(std_pair, traces_q0_10k):
     # correlation of the correct hypothesis against its own table-output bits
     # is tiny; against an unrelated sample column it is noise
     model = SboxHypothesis(ell=1, pt_index=0)
-    r = cpa_monobit(traces_q0_10k, model, guess=STD_KEY[0], bit=0, window=(0, 16))
+    r = cpa_monobit(windowed(traces_q0_10k, slice(0, 16)), model, guess=STD_KEY[0], bit=0)
     assert np.abs(r).max() < 0.06
 
 
@@ -367,7 +365,7 @@ def test_dca_rank_synthetic_planted_leak():
     samples[:, 2] = leak_bits  # bit-expansion exposes it on the LSB column
     samples[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
     ts = _toy_traceset(samples, pts)
-    report = dca_rank(ts, hyp, correct_guess=secret, window=(0, 4), bits=[0])
+    report = dca_rank(windowed(ts, slice(0, 4)), hyp, correct_guess=secret, bits=[0])
     br = report.bits[0]
     assert br.correct_rank == 1
     assert br.correct_score > 0.99
@@ -392,8 +390,9 @@ def test_dca_rank_scale_invariance():
 def test_dca_grouped_and_general_paths_agree(traces_q0_10k):
     m = 4
     sb = SboxHypothesis(ell=1, pt_index=m)
-    fast = dca_rank(traces_q0_10k, sb, correct_guess=STD_KEY[m], window=(0, 40), bits=[0, 5])
-    slow, _ = _reference_scores(traces_q0_10k, sb, (0, 40), [0, 5])
+    col0 = windowed(traces_q0_10k, slice(0, 40))
+    fast = dca_rank(col0, sb, correct_guess=STD_KEY[m], bits=[0, 5])
+    slow, _ = _reference_scores(col0, sb, [0, 5])
     for bi, a in enumerate(fast.bits):
         assert np.allclose(a.scores, slow[:, bi], atol=1e-10)
         assert np.array_equal(a.ranks, sca._ranks_from_scores(slow[:, bi]))
@@ -401,14 +400,15 @@ def test_dca_grouped_and_general_paths_agree(traces_q0_10k):
 
 @pytest.mark.parametrize("model_name", ["sbox", "round-output"])
 def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, std_spec, model_name):
-    # window (0, 40): 16 table-output bytes followed by 24 nibble samples
+    # samples 0..39: 16 table-output bytes followed by 24 nibble samples
     model = SboxHypothesis(ell=1, pt_index=5) if model_name == "sbox" else _round_output_model(std_spec)
     bits = [1, 6]
-    ref_dca, ref_mi = _reference_scores(traces_mixed_10k, model, (0, 40), bits)
-    report = dca_rank(traces_mixed_10k, model, correct_guess=0, window=(0, 40), bits=bits)
+    col0 = windowed(traces_mixed_10k, slice(0, 40))
+    ref_dca, ref_mi = _reference_scores(col0, model, bits)
+    report = dca_rank(col0, model, correct_guess=0, bits=bits)
     assert [b.bit for b in report.bits] == bits
     assert np.array_equal(np.stack([b.scores for b in report.bits], axis=1), ref_dca)
-    assert np.array_equal(mia_max(traces_mixed_10k, model, window=(0, 40), bits=bits), ref_mi)
+    assert np.array_equal(mia_max(col0, model, bits=bits), ref_mi)
 
 
 def test_grouped_bit_sums_match_bit_expand():
@@ -478,7 +478,7 @@ def test_mia_max_full_window_memory_bound_and_exact(traces_mixed_10k):
         tracemalloc.stop()
     assert peak < 200e6, peak
     whole = np.zeros_like(mi)
-    for bi, (H, counts, S, sv) in enumerate(sca._hypothesis_bit_stats(traces_mixed_10k, model, None, bits)):
+    for bi, (H, counts, S, sv) in enumerate(sca._hypothesis_bit_stats(traces_mixed_10k, model, bits)):
         whole[:, bi] = sca._binary_mi(H @ S / n, (H @ counts / n)[:, None], sv / n).max(axis=1, initial=0.0)
     assert np.array_equal(mi, whole)
 
@@ -634,7 +634,7 @@ def test_mia_upper_bound_when_sample_equals_hypothesis():
     samples = np.zeros((n, 2), dtype=np.uint8)
     samples[:, 0] = h
     ts = _toy_traceset(samples, pts)
-    vals = mia(ts, model, guess=0x17, bit=0, window=(0, 1))
+    vals = mia(windowed(ts, slice(0, 1)), model, guess=0x17, bit=0)
     p1 = h.mean()
     h_x = -(p1 * np.log2(p1) + (1 - p1) * np.log2(1 - p1))
     assert abs(vals.max() - h_x) < 1e-9
@@ -647,13 +647,13 @@ def test_mia_independent_sample_near_zero():
     samples = np.frombuffer(rng.randbytes(n), dtype=np.uint8).reshape(n, 1).copy()
     ts = _toy_traceset(samples, pts)
     model = SboxHypothesis(ell=1, pt_index=0)
-    vals = mia(ts, model, guess=0, bit=0, window=(0, 1))
+    vals = mia(windowed(ts, slice(0, 1)), model, guess=0, bit=0)
     assert vals.max() < 0.002
 
 
 def test_mia_bounds(traces_mixed_10k):
     model = SboxHypothesis(ell=1, pt_index=0)
-    vals = mia(traces_mixed_10k, model, guess=5, bit=3, window=(0, 8))
+    vals = mia(windowed(traces_mixed_10k, slice(0, 8)), model, guess=5, bit=3)
     assert (vals >= 0).all()
     assert (vals <= 1.0 + 1e-12).all()
 
@@ -662,7 +662,7 @@ def test_mia_bytes_saturates_on_bijective_byte_sample(traces_q0_10k):
     # single-set traces: the table output byte is a bijection of the input
     # byte, so byte-binned mutual information reaches H(X) for every guess
     model = SboxHypothesis(ell=1, pt_index=0)
-    vals = mia_bytes(traces_q0_10k, model, guess=123, bit=0, window=(0, 4))
+    vals = mia_bytes(windowed(traces_q0_10k, slice(0, 4)), model, guess=123, bit=0)
     assert vals.max() > 0.99
 
 
@@ -691,14 +691,16 @@ def test_tvla_synthetic_leak_detected():
     sr = np.zeros((n, 2), dtype=np.uint8)
     sf[:, 0] = pts_f[:, 0]
     sr[:, 0] = pts_r[:, 0]
-    res = tvla(_toy_traceset(sf, pts_f), _toy_traceset(sr, pts_r), window=(0, 1))
+    fixed = windowed(_toy_traceset(sf, pts_f), slice(0, 1))
+    rand = windowed(_toy_traceset(sr, pts_r), slice(0, 1))
+    res = tvla(fixed, rand)
     assert res.max_abs_t > 20
 
 
 def test_tvla_degenerate_samples_flagged():
     a = _toy_traceset(np.full((10, 3), 7, dtype=np.uint8))
     b = _toy_traceset(np.full((12, 3), 7, dtype=np.uint8))
-    res = tvla(a, b, window=(0, 3))
+    res = tvla(windowed(a, slice(0, 3)), windowed(b, slice(0, 3)))
     assert res.max_abs_t == 0.0
     assert res.degenerate.all()
 
@@ -712,6 +714,8 @@ def test_tvla_layout_mismatch():
     )
     with pytest.raises(ValueError):
         tvla(a, b)
+    with pytest.raises(ValueError, match="layouts differ"):  # as many samples, but other ones
+        tvla(windowed(a, slice(0, 2)), windowed(a, slice(1, 3)))
     with pytest.raises(ValueError):
         tvla(_toy_traceset(np.zeros((1, 2), dtype=np.uint8)), a)
 
@@ -728,12 +732,6 @@ def test_kernels_refuse_a_sample_that_was_not_loaded(std_pair, tmp_path):
         walsh_round_output_all(ut)
     with pytest.raises(ValueError, match="sample 20 was not loaded"):
         collision_and_sse_scores(ut, 0)
-    with pytest.raises(ValueError, match="sample 16 was not loaded"):
-        dca_rank(ut, SboxHypothesis(ell=1, pt_index=0), correct_guess=0, window=cipher.round_sample_slice(1))
-    with pytest.raises(ValueError, match="sample 16 was not loaded"):
-        mia_max(ut, SboxHypothesis(ell=1, pt_index=0))
-    with pytest.raises(ValueError, match="sample 16 was not loaded"):
-        tvla(ut, ut)
     with pytest.raises(ValueError, match="sample 16 was not loaded"):
         cipher.save_traces(ut, tmp_path / "copy.btr")
     with pytest.raises(ValueError, match="sample 0 was not loaded"):
