@@ -61,7 +61,7 @@ TOTAL_LOOKUPS = UT_LOOKUPS + TX_LOOKUPS + T10_LOOKUPS
 
 
 class GenerationError(RuntimeError):
-    """Raised when no admissible encoding material is found within the retry budget."""
+    """Raised when a slot exhausts RETRY_BUDGET or generated tables fail verification."""
 
 
 class FormatError(ValueError):
@@ -151,6 +151,9 @@ def xor_tables(left, right, out) -> np.ndarray:
     return np.take_along_axis(NIB[out], xor.reshape(*xor.shape[:-2], 256), axis=-1)
 
 
+RETRY_BUDGET = 32  # resamples of one slot in build_spec before it gives up
+
+
 def build_spec(key: bytes, seed: int, xor_boundary_mode: str = "balanced") -> EncodingSpec:
     """Sample all linear pairs and codecs for one table set.
 
@@ -197,7 +200,7 @@ _ELL = np.array(MC).T - 1
 _PJ = (_I4 + _I4[:, None]) % 4
 
 
-def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
+def generate_tableset(spec: EncodingSpec) -> TableSet:
     ut_e, st_e = spec.ut_partners, spec.stage_partners
     enc, dec = shear_maps(spec.fg)  # (9, 4, 4, 256) each
     kh = np.array(spec.round_keys.khat, dtype=np.uint8)  # (10, 4, 4), [r-1][i][j]
@@ -220,35 +223,10 @@ def generate_tableset(spec: EncodingSpec, set_id: int = 0) -> TableSet:
     left = np.concatenate([ut_e[:, :, :, :1], st_e[:, :, :, :2]], axis=3)
     tx = xor_tables(left, ut_e[:, :, :, 1:], st_e)
     t10 = COEFF[0, kh[9, :, :, None], din[9]] ^ np.array(spec.round_keys.k[10], dtype=np.uint8)[:, :, None]
-    return TableSet(set_id=set_id, ut=ut, tx=tx, t10=t10)
+    return TableSet(set_id=0, ut=ut, tx=tx, t10=t10)
 
 
-RETRY_BUDGET = 32  # resamples of one slot in build_spec before it gives up
-BUILD_ATTEMPTS = 3
-RETRY_SEED_STEP = 0x9E3779B9
-# The spec file stores the seed of the attempt that built the tables as a u64.
-MAX_SEED = 2**64 - 1 - (BUILD_ATTEMPTS - 1) * RETRY_SEED_STEP
-
-
-def build_q0(key: bytes, seed: int, xor_boundary_mode: str = "balanced", verify: bool = True):
-    """Generate-and-verify loop for the primary set; returns (TableSet, EncodingSpec).
-    Attempt a samples its spec from seed + a * RETRY_SEED_STEP; a seed outside
-    0..MAX_SEED raises ValueError, since some attempt's seed would not fit
-    the spec file."""
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
-    for attempt in range(BUILD_ATTEMPTS):
-        spec = build_spec(key, seed + attempt * RETRY_SEED_STEP, xor_boundary_mode)
-        ts = generate_tableset(spec, set_id=0)
-        if not verify:
-            return ts, spec
-        report = verify_tableset(ts, spec)
-        if report.passed:
-            return ts, spec
-    raise GenerationError(f"table generation failed verification after retries: {report.failures[:4]}")
-
-
-def build_q1(q0: TableSet, spec: EncodingSpec) -> TableSet:
+def build_q1(q0: TableSet) -> TableSet:
     """Complement twin: internal-boundary bits flipped on both index and value.
 
     Round-1 inputs and final-round outputs are external and stay unmodified,
@@ -262,9 +240,21 @@ def build_q1(q0: TableSet, spec: EncodingSpec) -> TableSet:
     return TableSet(set_id=1, ut=ut, tx=tx, t10=t10)
 
 
-def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced", verify: bool = True):
-    q0, spec = build_q0(key, seed, xor_boundary_mode, verify)
-    return TableSetPair(q0=q0, q1=build_q1(q0, spec)), spec
+def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced"):
+    """(TableSetPair, EncodingSpec) of seed, in one pass: sample the spec,
+    generate q0, verify it once, derive its complement q1.  A seed outside
+    0..2**64 - 1, the spec file's u64 field, raises ValueError before any
+    work.  The construction balances every sum verify_tableset checks, so a
+    failed check is a generator fault: it raises GenerationError naming the
+    first failures, and no other seed is tried."""
+    if not 0 <= seed <= 2**64 - 1:
+        raise ValueError(f"seed must be in 0..{2**64 - 1}, got {seed}")
+    spec = build_spec(key, seed, xor_boundary_mode)
+    q0 = generate_tableset(spec)
+    report = verify_tableset(q0, spec)
+    if not report.passed:
+        raise GenerationError(f"generated tables failed verification: {report.failures[:4]}")
+    return TableSetPair(q0=q0, q1=build_q1(q0)), spec
 
 
 # --- network walk ------------------------------------------------------------
@@ -433,30 +423,19 @@ def round_output_walsh(c: np.ndarray, guesses=range(256)) -> np.ndarray:
     return np.abs(inner, out=inner).sum(axis=0, dtype=np.int64).transpose(1, 0, 2)
 
 
-def walsh_round_output_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
-    """Round-output Walsh grid (8x8) at the correct second-row key guess."""
-    return round_output_walsh(round_output_bytes_grid(ts), [spec.round_keys.khat[0][1][0]])[0]
-
-
 def verify_tableset(ts: TableSet, spec: EncodingSpec) -> VerifyReport:
-    """Static balance of all round-1 table outputs, round-output balance on the
-    two-byte input subspace, and functional equality with plain AES."""
+    """Check the construction: at the correct key every Walsh sum of a round-1
+    table output, and of the encoded round output on the two-byte input
+    subspace, is zero, and the walk encrypts as plain AES does."""
     failures = []
     checks = {}
 
-    grid = walsh_ut_grid_static(ts, spec)
-    checks["ut_walsh_zero"] = not grid.any()
-    if grid.any():
-        bad = np.argwhere(grid != 0)
-        for idx in bad[:8]:
-            failures.append(f"ut walsh nonzero at (i,j,k,bit,ellp,iprime)={tuple(int(x) for x in idx)}")
-
-    ro = walsh_round_output_grid_static(ts, spec)
-    checks["round_output_walsh_zero"] = not ro.any()
-    if ro.any():
-        bad = np.argwhere(ro != 0)
-        for idx in bad[:8]:
-            failures.append(f"round-output walsh nonzero at (i,iprime)={tuple(int(x) for x in idx)}")
+    for name, label, grid in (
+            ("ut_walsh_zero", "ut walsh nonzero at (i,j,k,bit,ellp,iprime)", walsh_ut_grid_static(ts, spec)),
+            ("round_output_walsh_zero", "round-output walsh nonzero at (i,iprime)",
+             round_output_walsh(round_output_bytes_grid(ts), [spec.round_keys.khat[0][1][0]])[0])):
+        checks[name] = not grid.any()
+        failures += [f"{label}={tuple(int(x) for x in idx)}" for idx in np.argwhere(grid)[:8]]
 
     pts = np.frombuffer(random.Random(0xBA1A).randbytes(256 * 16), dtype=np.uint8).reshape(256, 16)
     cts, _, _ = encrypt_batch_with_tables(ts, pts)

@@ -573,7 +573,7 @@ def test_walsh_round_output_matches_per_guess_reference_exactly(request, std_spe
 
 def test_static_round_output_check_uses_the_trace_kernel(std_pair, std_spec, grid_q0):
     correct = std_spec.round_keys.khat[0][1][0]
-    static = tablegen.walsh_round_output_grid_static(std_pair.q0, std_spec)
+    static = tablegen.round_output_walsh(tablegen.round_output_bytes_grid(std_pair.q0), [correct])[0]
     assert static.shape == (8, 8)
     assert np.array_equal(static, walsh_round_output_all(grid_q0)[correct])
 

@@ -201,7 +201,7 @@ def test_gen_tbox_known_key_round1():
 
 
 def test_generate_tableset_matches_per_entry_reference(std_spec):
-    identity_boundary = build_table_pair(STD_KEY, STD_SEED, xor_boundary_mode="identity", verify=False)[1]
+    identity_boundary = build_table_pair(STD_KEY, STD_SEED, xor_boundary_mode="identity")[1]
     for spec in (std_spec, identity_boundary, identity_spec(STD_KEY)):
         ts = generate_tableset(spec)
         ref = reference_generate_tableset(spec)
@@ -300,11 +300,34 @@ def test_pack_unpack_nibble_table(std_pair):
 
 def test_build_is_deterministic():
     key = bytes(range(16))
-    pair_a, spec_a = build_table_pair(key, 123, verify=False)
-    pair_b, spec_b = build_table_pair(key, 123, verify=False)
+    pair_a, spec_a = build_table_pair(key, 123)
+    pair_b, spec_b = build_table_pair(key, 123)
     assert serialize_tableset(pair_a.q0) == serialize_tableset(pair_b.q0)
     assert serialize_tableset(pair_a.q1) == serialize_tableset(pair_b.q1)
     assert serialize_spec(spec_a) == serialize_spec(spec_b)
+
+
+def test_failed_verification_raises_without_reseeding(monkeypatch):
+    # the construction balances every checked sum, so a failed check is a
+    # generator fault: it is raised, and no spec of another seed is drawn
+    seeds, real_build_spec = [], tablegen.build_spec
+
+    def build_spec(key, seed, mode):
+        seeds.append(seed)
+        return real_build_spec(key, seed, mode)
+
+    monkeypatch.setattr(tablegen, "build_spec", build_spec)
+    failing = tablegen.VerifyReport(passed=False, checks={"functional_equality": False},
+                                    failures=["functional mismatch on plaintext #7"])
+    monkeypatch.setattr(tablegen, "verify_tableset", lambda ts, spec: failing)
+    with pytest.raises(tablegen.GenerationError, match="functional mismatch on plaintext #7"):
+        build_table_pair(STD_KEY, STD_SEED)
+    assert seeds == [STD_SEED]
+    # a seed the spec file cannot hold is refused before any work
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be in 0.."):
+            build_table_pair(STD_KEY, seed)
+    assert seeds == [STD_SEED]
 
 
 def test_functional_equality_random_plaintexts(std_pair):
@@ -421,7 +444,7 @@ def test_verify_detects_bad_round_output_codec():
     # the round-output grid turns nonzero
     key = STD_KEY
     for attempt in range(8):
-        pair, spec = build_table_pair(key, STD_SEED + 9 + attempt, verify=False)
+        pair, spec = build_table_pair(key, STD_SEED + 9 + attempt)
         partners = spec.stage_partners[0, 0, 0, 2]  # (upper, lower) of slot (1, 0, 0), stage 2
         # partner 0 is always a candidate, so these are the nonzero non-candidates
         non_hi, non_lo = (np.flatnonzero(~half).tolist() for half in find_candidates(spec.fg[0, 0, 0])[3])
@@ -431,7 +454,7 @@ def test_verify_detects_bad_round_output_codec():
             partners[1] = non_lo[0]
         else:
             continue
-        ts = tablegen.generate_tableset(spec, set_id=0)
+        ts = tablegen.generate_tableset(spec)
         report = verify_tableset(ts, spec)
         assert not report.checks["round_output_walsh_zero"]
         assert report.checks["functional_equality"]  # codecs cancel functionally
@@ -533,7 +556,7 @@ def test_serialize_spec_rejects_seed_outside_u64():
 
 def test_identity_xor_boundary_mode_still_encrypts():
     key = bytes(range(16))
-    pair, spec = build_table_pair(key, 5, xor_boundary_mode="identity", verify=False)
+    pair, spec = build_table_pair(key, 5, xor_boundary_mode="identity")
     assert spec_codec(spec.stage_partners[2, 1, 2, 0]) == CodecPair.identity()
     pt = bytes(range(16, 32))
     ct, _, _ = encrypt_with_tables(pair.q0, pt)
@@ -584,7 +607,7 @@ def _reference_walk(ts, pts):
 
 
 def test_batch_matches_scalar(std_pair):
-    identity_boundary = build_table_pair(bytes(range(16)), 5, xor_boundary_mode="identity", verify=False)[0]
+    identity_boundary = build_table_pair(bytes(range(16)), 5, xor_boundary_mode="identity")[0]
     pts = np.frombuffer(random.Random(62).randbytes(2500 * 16), dtype=np.uint8).reshape(2500, 16)
     for ts in (std_pair.q0, std_pair.q1, identity_boundary.q0, identity_boundary.q1):
         ref_cts, ref_samples, ref_lookups = _reference_walk(ts, pts)
@@ -613,9 +636,9 @@ def test_tables_are_read_only_so_walk_arrays_cannot_go_stale(std_pair):
     assert ts == std_pair.q0
 
 
-def test_loaded_and_complement_sets_walk_like_the_generated_ones(std_pair, std_spec):
+def test_loaded_and_complement_sets_walk_like_the_generated_ones(std_pair):
     pts = np.frombuffer(random.Random(63).randbytes(1100 * 16), dtype=np.uint8).reshape(1100, 16)
-    rebuilt_q1 = build_q1(std_pair.q0, std_spec)
+    rebuilt_q1 = build_q1(std_pair.q0)
     for ts, other in ((std_pair.q0, deserialize_tableset(serialize_tableset(std_pair.q0))),
                       (std_pair.q1, deserialize_tableset(serialize_tableset(std_pair.q1))),
                       (std_pair.q1, rebuilt_q1)):
