@@ -12,12 +12,12 @@ it is walked, so it never holds the whole campaign; `load_traces` reads the
 file block by block and copies out only the sample columns it is asked for,
 so an analysis holds only the columns it reads.  `resolve_window` turns a
 window (None, a slice or a sequence of indices) into the int64 array of the
-absolute samples it selects.  A `TraceSet` holds that array as `sample_ids`,
-one entry per column, and `TraceSet.samples_at` reads columns by absolute
-sample, refusing one that was not loaded.  (On a 2-core machine, walking the
-blocks on a worker pool made a 65,536-row campaign about 20% faster while the
-other core was idle and no faster while another process kept it busy, so the
-campaign rate followed the neighbours' load.)
+absolute samples it selects.  A `TraceSet` holds the plaintexts, set bits,
+those sample columns and, as `sample_ids`, that array; `samples_at` reads
+columns by absolute sample, refusing one that was not loaded.  (On a 2-core
+machine, walking the blocks on a worker pool made a 65,536-row campaign about
+20% faster while the other core was idle and no faster while another process
+kept it busy, so the campaign rate followed the neighbours' load.)
 
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
@@ -30,7 +30,7 @@ import os
 import random
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,6 @@ class TraceSet:
     plaintexts: np.ndarray  # (N, 16) uint8
     set_bits: np.ndarray  # (N,) uint8
     samples: np.ndarray  # (N, W) uint8: the held sample columns
-    metadata: dict = field(default_factory=dict)
     sample_ids: np.ndarray = None  # (W,) int64 absolute sample of each column; default: column s is sample s
 
     def __post_init__(self):
@@ -275,15 +274,11 @@ def plaintexts_from_file(path, count: int | None = None) -> np.ndarray:
 
 def collect_traces(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.ndarray,
                    rng: random.Random | None = None) -> TraceSet:
-    """Run one encryption per plaintext row and record full traces in memory.
-
-    Output order equals plaintext order.  Deterministic given the policy and
-    the seeded random source.
-    """
+    """Run one encryption per plaintext row and record full traces in memory:
+    a TraceSet holding all SAMPLE_COUNT samples, in plaintext order.
+    Deterministic given the policy and the seeded random source."""
     pts = np.asarray(plaintexts, dtype=np.uint8)
-    ts = _gather(len(pts), _campaign_blocks(pair, policy, pts, rng), resolve_window(None))
-    ts.metadata = {"policy": policy.describe(), "count": len(ts)}
-    return ts
+    return _gather(len(pts), _campaign_blocks(pair, policy, pts, rng), resolve_window(None))
 
 
 def write_campaign(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.ndarray,

@@ -2,7 +2,8 @@
 analyses, verification and benchmarking, all reproducible from explicit seeds.
 
 Exit codes: 0 success (and declared expectations met), 1 a declared
-expectation was violated, 2 usage error, 3 I/O or file-format error."""
+expectation was violated or generated tables failed verification, 2 usage
+error, 3 I/O or file-format error."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import cipher, pool, sca, tablegen
 from .cipher import SelectorPolicy
-from .gfcore import RoundKeys
 
 PASS_EXIT = 0
 FAIL_EXIT = 1
@@ -262,12 +262,6 @@ def _one_byte(args) -> int:
     return int(args.pt_index)
 
 
-def _round_output_guesses(key: bytes) -> tuple:
-    """(known k0, correct second-row guess) of the round-output analyses."""
-    khat = RoundKeys.from_key(key).khat[0]
-    return int(khat[0][0]), int(khat[1][0])
-
-
 def _walsh_ut(args):
     if args.traces:
         return _walsh_ut_traces(args)
@@ -303,7 +297,7 @@ def _walsh_ut_traces(args):
 
 
 def _walsh_ro(args):
-    known, correct = _round_output_guesses(_parse_key(args.key))
+    known, correct, _, _ = sca.round_output_keys(_parse_key(args.key))
     grid = sca.walsh_round_output_all(_load_traces(args.traces, sca.ROUND_OUTPUT_SAMPLES))
     rows = [[g, i + 1, ip + 1, int(grid[g, i, ip])]
             for g in range(256) for i in range(8) for ip in range(8) if grid[g, i, ip]]
@@ -325,7 +319,7 @@ def _rank(args):
     summary_bits = {}
     for m in range(16) if args.pt_index == "all" else [int(args.pt_index)]:
         model = sca.SboxHypothesis(ell=args.ell, pt_index=m)
-        for br in sca.dca_rank(traces, model, correct_guess=key[m]).bits:
+        for br in sca.dca_rank(traces, model, correct_guess=key[m]):
             summary_bits[f"pt{m}_bit{br.bit + 1}"] = {
                 "correct_rank": br.correct_rank,
                 "correct_score": round(br.correct_score, 6),
@@ -344,7 +338,7 @@ def _rank(args):
 
 
 def _collision(args):
-    known, correct = _round_output_guesses(_parse_key(args.key))
+    known, correct, _, _ = sca.round_output_keys(_parse_key(args.key))
     coll, sse = sca.collision_and_sse_scores(_load_traces(args.traces, sca.ROUND_OUTPUT_SAMPLES), known)
     rows = [[g, int(coll[g]), round(float(sse[g]), 3)] for g in range(256)]
     summary = {
@@ -366,17 +360,13 @@ def _mia(args):
         model = sca.SboxHypothesis(ell=1, pt_index=m)
         correct = key[m]
     else:
-        khat = RoundKeys.from_key(key).khat[0]
-        model = sca.RoundOutputHypothesis(
-            column=0, out_byte=0, target_row=1,
-            known_keys={0: khat[0][0], 2: khat[2][0], 3: khat[3][0]},
-        )
-        correct = int(khat[1][0])
+        k0, correct, k2, k3 = sca.round_output_keys(key)
+        model = sca.RoundOutputHypothesis(known=(k0, k2, k3))
     mi = sca.mia_max(_load_traces(args.traces, window), model)
     rows = [[g, b + 1, round(float(mi[g, b]), 6)] for g in range(256) for b in range(8)]
     summary = {
         "command": "analyze", "kind": "mia", "model": args.model,
-        "correct_guess": int(correct),
+        "correct_guess": correct,
         "correct_max_mi": round(float(mi[correct].max()), 6),
         "global_max_mi": round(float(mi.max()), 6),
         "correct_is_global_max": bool(mi[correct].max() >= mi.max()),
@@ -389,10 +379,10 @@ def _tvla(args):
     fixed = _load_traces(args.fixed, window)
     result = sca.tvla(fixed, _load_traces(args.random, window))
     rows = [[int(s), round(float(t), 4)] for s, t in zip(fixed.sample_ids, result.t)]
-    passed = result.passed(4.5)
+    passed = result.max_abs_t < sca.TVLA_THRESHOLD
     summary = {
         "command": "analyze", "kind": "tvla",
-        "threshold": 4.5,
+        "threshold": sca.TVLA_THRESHOLD,
         "max_abs_t": round(result.max_abs_t, 4),
         "degenerate_samples": int(result.degenerate.sum()),
         "pass": passed,
@@ -503,6 +493,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except tablegen.GenerationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL_EXIT
     except (tablegen.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_EXIT

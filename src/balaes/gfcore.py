@@ -191,13 +191,9 @@ def reference_encrypt_batch(pts, key: bytes) -> np.ndarray:
     return s
 
 
-def pt_index_for_position(i: int, j: int) -> int:
-    """Plaintext byte index feeding the round-1 table at post-shift position (i, j), 0-based."""
-    return i + 4 * ((j + i) % 4)
-
-
 def position_for_pt_index(m: int) -> tuple[int, int]:
-    """Inverse of pt_index_for_position."""
+    """Post-shift position (i, j), 0-based, of the round-1 table that
+    plaintext byte m = i + 4 * ((j + i) % 4) feeds."""
     i = m % 4
     j = (m // 4 - i) % 4
     return i, j

@@ -27,10 +27,11 @@ than the trace count, and then the float64 statistic over blocks of
 _COLUMN_BLOCK bit columns, so its temporaries stay small.  Memory scales
 with 256 x 8W, not N x 8W.
 
-The round-output analyses also score all 256 candidates at once. walsh-ro is
-one Walsh grid (tablegen.round_output_walsh); collision and cluster scores
-come from a 2-D XOR convolution of per-(a, p5) count and bit grids,
-a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms."""
+The round-output analyses attack the one byte defined below and score all
+256 guesses of k1 at once. walsh-ro is one Walsh grid (tablegen.round_output_walsh);
+collision and cluster scores come from a 2-D XOR convolution of per-(a, p5)
+count and bit grids, a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms.
+The t-test works from exact integer sums, so t does not depend on layout."""
 
 from __future__ import annotations
 
@@ -39,11 +40,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfcore import MC, pt_index_for_position, position_for_pt_index
+from .gfcore import RoundKeys, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
 from .pool import ordered_map
 from .tablegen import round_output_walsh
+
+
+# --- the round-output experiment -------------------------------------------------
+# walsh-ro, collision, cluster and the round-output MIA model attack one byte,
+# the first-round output byte 0 of column 0,
+#     2 * S(p0 ^ k0) ^ 3 * S(p5 ^ k1) ^ S(p10 ^ k2) ^ S(p15 ^ k3),
+# with ki = khat[0][i][0] (round_output_keys).  Its encoded nibbles are
+# samples 20 and 21 (ROUND_OUTPUT_SAMPLES).  A grid campaign varies p0 and p5.
+# k0, k2 and k3 are known, and k1 is guessed.
+
+ROUND_OUTPUT_SAMPLES = round_output_sample_indices(1, 0, 0)
+
+
+def round_output_keys(key: bytes) -> tuple:
+    """(k0, k1, k2, k3) of the round-output experiment, as ints."""
+    khat = RoundKeys.from_key(key).khat[0]
+    return tuple(int(khat[i][0]) for i in range(4))
 
 
 # --- hypothesis models ----------------------------------------------------------
@@ -66,39 +84,20 @@ class SboxHypothesis:
 
 @dataclass(frozen=True)
 class RoundOutputHypothesis:
-    """First-round output byte with three of its four subkeys known.
+    """The round-output byte with known = (k0, k2, k3) and k1 guessed."""
 
-    column/out_byte locate the target byte; target_row is the input row whose
-    subkey is guessed; known_keys maps the other three rows to their
-    shift-applied round-0 key bytes.
-    """
-
-    column: int
-    out_byte: int
-    target_row: int
-    known_keys: dict
-
-    def __post_init__(self):
-        rows = set(range(4)) - {self.target_row}
-        if set(self.known_keys) != rows:
-            raise ValueError("known_keys must cover exactly the three non-target rows")
-
-    def _known_term(self, pts: np.ndarray) -> np.ndarray:
-        """XOR of the three known-row MixColumns terms, per trace."""
-        out = np.zeros(pts.shape[0], dtype=np.uint8)
-        for row, key in self.known_keys.items():
-            m = pt_index_for_position(row, self.column)
-            out ^= COEFF[MC[self.out_byte][row] - 1, key][pts[:, m]]
-        return out
+    known: tuple
 
     def bit_groups(self, pts: np.ndarray, bit: int):
-        """As SboxHypothesis.bit_groups, with label 2 * p[m] + kb, where kb is
-        the bit of the known-row term: H[g, 2v + kb] = kb ^ bit(T(v ^ g))."""
-        m = pt_index_for_position(self.target_row, self.column)
-        kb = (self._known_term(pts) >> (7 - bit)) & 1
-        tb = (COEFF[MC[self.out_byte][self.target_row] - 1] >> (7 - bit)) & 1
+        """As SboxHypothesis.bit_groups, with label 2 * p5 + kb, where kb is
+        the bit of the known term 2 * S(p0 ^ k0) ^ S(p10 ^ k2) ^ S(p15 ^ k3):
+        H[g, 2v + kb] = kb ^ bit(3 * S(v ^ g))."""
+        k0, k2, k3 = self.known
+        known = COEFF[1, k0][pts[:, 0]] ^ COEFF[0, k2][pts[:, 10]] ^ COEFF[0, k3][pts[:, 15]]
+        kb = (known >> (7 - bit)) & 1
+        tb = (COEFF[2] >> (7 - bit)) & 1
         H = np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
-        return 2 * pts[:, m].astype(np.int64) + kb, H
+        return 2 * pts[:, 5].astype(np.int64) + kb, H
 
 
 # --- trace-mode table-output Walsh ----------------------------------------------
@@ -132,13 +131,8 @@ def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarra
 
 # --- round-output Walsh -----------------------------------------------------------
 
-# the (upper, lower) nibble samples of the encoded first-round output byte
-# (column 0, byte 0): all that walsh-ro, collision and cluster read
-ROUND_OUTPUT_SAMPLES = round_output_sample_indices(1, 0, 0)
-
-
 def _round_output_samples(traces: TraceSet) -> np.ndarray:
-    """Encoded first-round output byte (column 0, byte 0) of every trace."""
+    """The encoded round-output byte of every trace."""
     upper, lower = traces.samples_at(ROUND_OUTPUT_SAMPLES).T
     return (upper << 4) | lower
 
@@ -189,12 +183,6 @@ class BitRanking:
     @property
     def correct_rank(self) -> int:
         return int(self.ranks[self.correct_guess])
-
-
-@dataclass
-class KeyRankingReport:
-    model: object
-    bits: list  # of BitRanking
 
 
 def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -289,19 +277,15 @@ def _dca_scores(H, counts, S, sv, n: int) -> np.ndarray:
     return scores
 
 
-def dca_rank(traces: TraceSet, model, correct_guess: int, bits=range(8)) -> KeyRankingReport:
+def dca_rank(traces: TraceSet, model, correct_guess: int, bits=range(8)) -> list:
     """Mono-bit attack over bit-serialized samples: every held sample byte is
     split into its bits, each candidate is scored by its peak |r| across
-    those bit columns, and candidates are ranked descending by score."""
+    those bit columns; one BitRanking per bit of `bits` ranks them by score."""
     n = traces.samples.shape[0]
     bits = list(bits)
     stats = _hypothesis_bit_stats(traces, model, bits)
-    rankings = []
-    for bit, col in zip(bits, ordered_map(lambda st: _dca_scores(*st, n), stats)):
-        rankings.append(
-            BitRanking(bit=bit, scores=col, ranks=_ranks_from_scores(col), correct_guess=correct_guess)
-        )
-    return KeyRankingReport(model=model, bits=rankings)
+    return [BitRanking(bit=bit, scores=col, ranks=_ranks_from_scores(col), correct_guess=correct_guess)
+            for bit, col in zip(bits, ordered_map(lambda st: _dca_scores(*st, n), stats))]
 
 
 # --- collision / cluster ---------------------------------------------------------
@@ -404,14 +388,25 @@ def mia_max(traces: TraceSet, model, bits=range(8)) -> np.ndarray:
 
 # --- TVLA ---------------------------------------------------------------------
 
+TVLA_THRESHOLD = 4.5  # |t| at or above it fails the fixed-versus-random test
+
+
 @dataclass
 class TvlaResult:
     t: np.ndarray
     max_abs_t: float
     degenerate: np.ndarray  # samples where both variances vanished
 
-    def passed(self, threshold: float = 4.5) -> bool:
-        return self.max_abs_t < threshold
+
+def _column_moments(x: np.ndarray):
+    """float64 (mean, ddof=1 variance) per column of uint8 samples, from exact
+    int64 sums s and sums of squares q, whatever the row order or layout; a
+    constant column gets variance 0.  einsum casts in chunks: no (N, W) copy."""
+    n = x.shape[0]
+    s = x.sum(axis=0, dtype=np.int64)
+    q = np.einsum("ij,ij->j", x, x, dtype=np.int64)
+    mean = s / n
+    return mean, (q - s * mean) / (n - 1)
 
 
 def tvla(fixed: TraceSet, rand: TraceSet) -> TvlaResult:
@@ -420,14 +415,10 @@ def tvla(fixed: TraceSet, rand: TraceSet) -> TvlaResult:
     sample fixed.sample_ids[s]."""
     if not np.array_equal(fixed.sample_ids, rand.sample_ids):
         raise ValueError("trace layouts differ")
-    F = fixed.samples.astype(np.float64)
-    R = rand.samples.astype(np.float64)
-    nf, nr = F.shape[0], R.shape[0]
+    nf, nr = len(fixed), len(rand)
     if nf < 2 or nr < 2:
         raise ValueError("both trace sets need at least two traces")
-    mf, mr = F.mean(axis=0), R.mean(axis=0)
-    vf = F.var(axis=0, ddof=1)
-    vr = R.var(axis=0, ddof=1)
+    (mf, vf), (mr, vr) = _column_moments(fixed.samples), _column_moments(rand.samples)
     denom = np.sqrt(vf / nf + vr / nr)
     t = np.zeros_like(mf)
     ok = denom > 0

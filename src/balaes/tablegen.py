@@ -430,6 +430,8 @@ def verify_tableset(ts: TableSet, spec: EncodingSpec) -> VerifyReport:
     failures = []
     checks = {}
 
+    # khat[0][1][0] is k1 of sca.round_output_keys, which tablegen cannot
+    # import: sca imports tablegen
     for name, label, grid in (
             ("ut_walsh_zero", "ut walsh nonzero at (i,j,k,bit,ellp,iprime)", walsh_ut_grid_static(ts, spec)),
             ("round_output_walsh_zero", "round-output walsh nonzero at (i,iprime)",

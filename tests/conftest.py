@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from balaes import cipher, tablegen
+from balaes import cipher, sca, tablegen
 import numpy as np
 
 from balaes.binmat import COEFF, allowed_f_rows, assembled_rows, shear_maps, walsh_grid
@@ -29,6 +29,13 @@ def std_pair(std_build):
 @pytest.fixture(scope="session")
 def std_spec(std_build):
     return std_build[1]
+
+
+@pytest.fixture(scope="session")
+def round_output_model():
+    """The round-output hypothesis at STD_KEY: k0, k2 and k3 known."""
+    k0, _, k2, k3 = sca.round_output_keys(STD_KEY)
+    return sca.RoundOutputHypothesis(known=(k0, k2, k3))
 
 
 @pytest.fixture(scope="session")

@@ -234,8 +234,7 @@ def test_criterion_09_dca_lowest_rank(traces_q0_10k):
     weakest_wrong = 1.0
     for m in range(16):
         model = sca.SboxHypothesis(ell=1, pt_index=m)
-        report = sca.dca_rank(traces, model, correct_guess=STD_KEY[m])
-        for br in report.bits:
+        for br in sca.dca_rank(traces, model, correct_guess=STD_KEY[m]):
             worst_rank = min(worst_rank, br.correct_rank)
             worst_correct = max(worst_correct, br.correct_score)
             weakest_wrong = min(weakest_wrong, float(np.delete(br.scores, STD_KEY[m]).max()))
@@ -257,8 +256,7 @@ def _mixed_rank_stats(std_pair, seed):
     ranks = []
     for m in range(16):
         model = sca.SboxHypothesis(ell=1, pt_index=m)
-        report = sca.dca_rank(traces, model, correct_guess=STD_KEY[m])
-        ranks.extend(br.correct_rank for br in report.bits)
+        ranks.extend(br.correct_rank for br in sca.dca_rank(traces, model, correct_guess=STD_KEY[m]))
     inside = sum(1 for r in ranks if 5 < r < 252)
     never_top = all(r > 1 for r in ranks)
     return inside, never_top, ranks
@@ -320,16 +318,12 @@ def _mia_not_global_max(std_pair, std_spec, seed):
     traces = collect_traces(std_pair, SelectorPolicy.random_bit(0.5),
                             random_plaintexts(10000, rng), rng)
     traces = windowed(traces, slice(0, 40))  # first round, first column
-    keys = std_spec.round_keys
     sb = sca.SboxHypothesis(ell=1, pt_index=0)
     mi_sb = sca.mia_max(traces, sb)
     ok_sb = mi_sb[STD_KEY[0]].max() < mi_sb.max()
-    ro = sca.RoundOutputHypothesis(
-        column=0, out_byte=0, target_row=1,
-        known_keys={0: keys.khat[0][0][0], 2: keys.khat[0][2][0], 3: keys.khat[0][3][0]},
-    )
-    mi_ro = sca.mia_max(traces, ro)
-    ok_ro = mi_ro[int(keys.khat[0][1][0])].max() < mi_ro.max()
+    k0, k1, k2, k3 = sca.round_output_keys(std_spec.key)
+    mi_ro = sca.mia_max(traces, sca.RoundOutputHypothesis(known=(k0, k2, k3)))
+    ok_ro = mi_ro[k1].max() < mi_ro.max()
     return ok_sb, ok_ro, float(mi_sb.max()), float(mi_ro.max())
 
 

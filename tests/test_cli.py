@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from balaes import cipher, pool, sca
+from balaes import cipher, pool, sca, tablegen
 from balaes.cipher import load_traces
 from balaes.cli import main
 from balaes.gfcore import MC
@@ -339,6 +339,17 @@ def test_negative_seed_is_usage_error(gen_dir, tmp_path, capfd, command):
     assert main(argv) == 2
     assert "--seed -5" in capfd.readouterr().err
     assert not (tmp_path / "t.btr").exists()
+
+
+def test_gen_generator_fault_exits_1_and_writes_nothing(tmp_path, capfd, monkeypatch):
+    failing = tablegen.VerifyReport(passed=False, checks={"functional_equality": False},
+                                    failures=["functional mismatch on plaintext #7"])
+    monkeypatch.setattr(tablegen, "verify_tableset", lambda ts, spec: failing)
+    assert main(["gen", "--key", FIPS_KEY, "--seed", "0", "--out", str(tmp_path / "t")]) == 1
+    captured = capfd.readouterr()
+    assert captured.err.startswith("error: generated tables failed verification")
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "t").exists()
 
 
 def test_gen_largest_seed_is_recorded_exactly(tmp_path, capfd):

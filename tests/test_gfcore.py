@@ -9,7 +9,6 @@ from balaes.gfcore import (
     SBOX,
     RoundKeys,
     gf_mul,
-    pt_index_for_position,
     position_for_pt_index,
     reference_encrypt,
     reference_encrypt_batch,
@@ -180,8 +179,6 @@ def test_row_xor_pair_hw():
 def test_pt_index_position_mapping_round_trip():
     for m in range(16):
         i, j = position_for_pt_index(m)
-        assert pt_index_for_position(i, j) == m
-    assert pt_index_for_position(0, 0) == 0
-    assert pt_index_for_position(1, 0) == 5
-    assert pt_index_for_position(2, 0) == 10
-    assert pt_index_for_position(3, 0) == 15
+        assert 0 <= i < 4 and 0 <= j < 4
+        assert i + 4 * ((j + i) % 4) == m  # ShiftRows moves byte m to (i, j)
+    assert [position_for_pt_index(m) for m in (0, 5, 10, 15)] == [(0, 0), (1, 0), (2, 0), (3, 0)]

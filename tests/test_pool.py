@@ -14,7 +14,7 @@ import pytest
 
 from balaes import cipher, pool
 from balaes.cipher import SelectorPolicy, collect_traces, random_plaintexts, write_campaign
-from balaes.sca import RoundOutputHypothesis, SboxHypothesis, dca_rank, mia_max
+from balaes.sca import SboxHypothesis, dca_rank, mia_max
 from balaes.tablegen import WALK_CHUNK, TableSetPair, deserialize_tableset, serialize_tableset
 
 from conftest import windowed
@@ -117,14 +117,8 @@ def test_failed_task_propagates_and_cancels_pending_tasks():
 
 # --- what runs on it ---------------------------------------------------------------
 
-def _round_output_model(std_spec) -> RoundOutputHypothesis:
-    k = std_spec.round_keys.khat[0]
-    return RoundOutputHypothesis(column=0, out_byte=0, target_row=1,
-                                 known_keys={0: k[0][0], 2: k[2][0], 3: k[3][0]})
-
-
-def test_dca_and_mia_do_not_depend_on_worker_count(traces_mixed_10k, std_spec):
-    sbox, round_output = SboxHypothesis(ell=1, pt_index=0), _round_output_model(std_spec)
+def test_dca_and_mia_do_not_depend_on_worker_count(traces_mixed_10k, round_output_model):
+    sbox, round_output = SboxHypothesis(ell=1, pt_index=0), round_output_model
     col0 = windowed(traces_mixed_10k, slice(0, 40))
     runs = [(sbox, traces_mixed_10k, range(8)), (sbox, col0, range(8)),
             (round_output, traces_mixed_10k, [0, 7]), (round_output, col0, range(8))]
@@ -132,8 +126,8 @@ def test_dca_and_mia_do_not_depend_on_worker_count(traces_mixed_10k, std_spec):
     def scores():
         out = []
         for model, traces, bits in runs:
-            report = dca_rank(traces, model, correct_guess=0, bits=bits)
-            out += [np.stack([b.scores for b in report.bits]), np.stack([b.ranks for b in report.bits])]
+            rankings = dca_rank(traces, model, correct_guess=0, bits=bits)
+            out += [np.stack([b.scores for b in rankings]), np.stack([b.ranks for b in rankings])]
             out.append(mia_max(col0, model, bits=bits))
         return out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -8,10 +9,11 @@ import pytest
 from balaes import cipher, sca, tablegen
 from balaes.binmat import COEFF, sample_pair, walsh_grid
 from balaes.cipher import SelectorPolicy, TraceSet, collect_traces, fixed_plaintexts, random_plaintexts
-from balaes.gfcore import MC, SBOX, gf_mul, position_for_pt_index, pt_index_for_position
+from balaes.gfcore import SBOX, gf_mul, position_for_pt_index
 from balaes.sca import (
     RoundOutputHypothesis,
     SboxHypothesis,
+    round_output_keys,
     baseline_unbalanced_demo,
     bit_expand,
     collision_and_sse_scores,
@@ -49,12 +51,9 @@ def hyp_bytes(model, guess: int, pts: np.ndarray) -> np.ndarray:
     from gfcore's S-box and multiplications rather than the coefficient tables."""
     if isinstance(model, SboxHypothesis):
         return _MUL[model.ell][_SBOX[pts[:, model.pt_index] ^ np.uint8(guess)]]
-    keys = {**model.known_keys, model.target_row: guess}
-    out = np.zeros(pts.shape[0], dtype=np.uint8)
-    for row, key in keys.items():
-        m = pt_index_for_position(row, model.column)
-        out ^= _MUL[MC[model.out_byte][row]][_SBOX[pts[:, m] ^ np.uint8(key)]]
-    return out
+    k0, k2, k3 = model.known
+    return (_MUL[2][_SBOX[pts[:, 0] ^ np.uint8(k0)]] ^ _MUL[3][_SBOX[pts[:, 5] ^ np.uint8(guess)]]
+            ^ _SBOX[pts[:, 10] ^ np.uint8(k2)] ^ _SBOX[pts[:, 15] ^ np.uint8(k3)])
 
 
 def _hyp_bit(model, guess: int, bit: int, pts: np.ndarray) -> np.ndarray:
@@ -252,12 +251,6 @@ def _ut_walsh_grid(ts, i: int, j: int, ellp: int) -> np.ndarray:
     return walsh_grid(ts.ut[0, i, j].T, COEFF[ellp - 1])
 
 
-def _round_output_model(std_spec) -> RoundOutputHypothesis:
-    k = std_spec.round_keys.khat[0]
-    return RoundOutputHypothesis(column=0, out_byte=0, target_row=1,
-                                 known_keys={0: k[0][0], 2: k[2][0], 3: k[3][0]})
-
-
 # --- walsh ----------------------------------------------------------------------
 
 def test_walsh_constant_zero_function():
@@ -365,8 +358,7 @@ def test_dca_rank_synthetic_planted_leak():
     samples[:, 2] = leak_bits  # bit-expansion exposes it on the LSB column
     samples[:, 0] = np.frombuffer(rng.randbytes(n), dtype=np.uint8)
     ts = _toy_traceset(samples, pts)
-    report = dca_rank(windowed(ts, slice(0, 4)), hyp, correct_guess=secret, bits=[0])
-    br = report.bits[0]
+    [br] = dca_rank(windowed(ts, slice(0, 4)), hyp, correct_guess=secret, bits=[0])
     assert br.correct_rank == 1
     assert br.correct_score > 0.99
     assert sorted(br.ranks) == list(range(1, 257))
@@ -393,21 +385,21 @@ def test_dca_grouped_and_general_paths_agree(traces_q0_10k):
     col0 = windowed(traces_q0_10k, slice(0, 40))
     fast = dca_rank(col0, sb, correct_guess=STD_KEY[m], bits=[0, 5])
     slow, _ = _reference_scores(col0, sb, [0, 5])
-    for bi, a in enumerate(fast.bits):
+    for bi, a in enumerate(fast):
         assert np.allclose(a.scores, slow[:, bi], atol=1e-10)
         assert np.array_equal(a.ranks, sca._ranks_from_scores(slow[:, bi]))
 
 
 @pytest.mark.parametrize("model_name", ["sbox", "round-output"])
-def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, std_spec, model_name):
+def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, round_output_model, model_name):
     # samples 0..39: 16 table-output bytes followed by 24 nibble samples
-    model = SboxHypothesis(ell=1, pt_index=5) if model_name == "sbox" else _round_output_model(std_spec)
+    model = SboxHypothesis(ell=1, pt_index=5) if model_name == "sbox" else round_output_model
     bits = [1, 6]
     col0 = windowed(traces_mixed_10k, slice(0, 40))
     ref_dca, ref_mi = _reference_scores(col0, model, bits)
-    report = dca_rank(col0, model, correct_guess=0, bits=bits)
-    assert [b.bit for b in report.bits] == bits
-    assert np.array_equal(np.stack([b.scores for b in report.bits], axis=1), ref_dca)
+    rankings = dca_rank(col0, model, correct_guess=0, bits=bits)
+    assert [b.bit for b in rankings] == bits
+    assert np.array_equal(np.stack([b.scores for b in rankings], axis=1), ref_dca)
     assert np.array_equal(mia_max(col0, model, bits=bits), ref_mi)
 
 
@@ -666,9 +658,24 @@ def test_mia_bytes_saturates_on_bijective_byte_sample(traces_q0_10k):
     assert vals.max() > 0.99
 
 
-def test_round_output_hypothesis_validation():
-    with pytest.raises(ValueError):
-        RoundOutputHypothesis(column=0, out_byte=0, target_row=1, known_keys={0: 1, 1: 2, 2: 3})
+# --- the round-output experiment ---------------------------------------------------
+
+@pytest.mark.parametrize("key", [STD_KEY, random.Random(84).randbytes(16), random.Random(85).randbytes(16)],
+                         ids=["fips", "random-84", "random-85"])
+def test_round_output_experiment_is_the_named_byte(key):
+    keys = round_output_keys(key)
+    assert keys == (key[0], key[5], key[10], key[15])
+    assert all(type(k) is int for k in keys)
+    k0, k1, k2, k3 = keys
+    model = RoundOutputHypothesis(known=(k0, k2, k3))
+    pts = np.frombuffer(random.Random(86).randbytes(1000 * 16), dtype=np.uint8).reshape(1000, 16)
+    byte = np.zeros(1000, dtype=np.int64)
+    for bit in range(8):  # at the true k1, bit `bit` of the byte is H[k1, label]
+        labels, H = model.bit_groups(pts, bit)
+        byte |= H[k1, labels].astype(np.int64) << (7 - bit)
+    expected = [gf_mul(2, SBOX[p[0] ^ key[0]]) ^ gf_mul(3, SBOX[p[5] ^ key[5]])
+                ^ SBOX[p[10] ^ key[10]] ^ SBOX[p[15] ^ key[15]] for p in pts.tolist()]
+    assert byte.tolist() == expected
 
 
 # --- TVLA ---------------------------------------------------------------------------
@@ -679,6 +686,17 @@ def test_tvla_null_case(std_pair):
     b = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(2000, rng), rng)
     res = tvla(a, b)
     assert res.max_abs_t < 4.5
+
+
+def test_tvla_does_not_depend_on_sample_layout(std_pair):
+    rng = random.Random(88)
+    policy = SelectorPolicy.random_bit(0.5)
+    fixed = collect_traces(std_pair, policy, fixed_plaintexts(bytes(16), 2000), rng)
+    rand = collect_traces(std_pair, policy, random_plaintexts(2000, rng), rng)
+    rows = tvla(fixed, rand)
+    cols = tvla(*(dataclasses.replace(ts, samples=np.asfortranarray(ts.samples)) for ts in (fixed, rand)))
+    assert np.array_equal(rows.t, cols.t)
+    assert np.array_equal(rows.degenerate, cols.degenerate)
 
 
 def test_tvla_synthetic_leak_detected():
