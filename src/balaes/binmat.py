@@ -20,8 +20,8 @@ value at once, which is all that sampling and the exhaustive pair count need.
 
 The paper's balance claim is that every first-order Walsh sum between a
 table output bit and a key-dependent hypothesis bit is zero. walsh_grid(a, b)
-computes all of them for two stacks of 256-entry byte tables at once, as one
-product of +-1 sign matrices; the static table checks (tablegen) and the
+computes all of them for two stacks of 256-entry byte tables at once, as
+products of +-1 sign matrices; the static table checks (tablegen) and the
 trace-mode and baseline analyses (sca) call it.
 
 Bit vectors are stored as ints with position 1 at the most significant bit of
@@ -259,6 +259,8 @@ def count_valid_pairs() -> int:
 # --- Walsh grids ---------------------------------------------------------------
 
 _SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)  # bit i (MSB first) of v is (v >> _SHIFTS[i]) & 1
+_SIGNS = 1 - 2 * ((_X >> _SHIFTS[:, None]) & 1).astype(np.int8)  # [i, v] = (-1)^(bit i of v)
+_GRID_BLOCK = 256  # sign rows (32 tables) of each side per product: 256 KiB float32 blocks
 
 
 def walsh_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,16 +270,21 @@ def walsh_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Entry [n, i, m, i'] of the (A, 8, B, 8) int32 result is the sum over x of
     (-1)^(bit i of a[n, x] ^ bit i' of b[m, x]), bits MSB first: zero when the
     two bits are balanced against each other, +-256 when one is the other or
-    its complement.  One float32 product of (8A, 256) and (256, 8B) sign
-    matrices, exact because every entry is an integer of magnitude at most 256."""
-    return (_signs(a) @ _signs(b).T).astype(np.int32).reshape(a.shape[0], 8, b.shape[0], 8)
+    its complement.  It is the product of the (8A, 256) and (256, 8B) +-1
+    sign matrices; a's is held as int8.  Blocks of _GRID_BLOCK rows and
+    columns are multiplied in float32, exact because every entry is an integer
+    of magnitude at most 256, and written straight into the int32 result, so
+    no float32 copy of the result is held."""
+    rows = _SIGNS[:, a].transpose(1, 0, 2).reshape(-1, 256)  # (table, bit) of a by x
+    out = np.empty((rows.shape[0], 8 * b.shape[0]), dtype=np.int32)
+    for c in range(0, out.shape[1], _GRID_BLOCK):
+        tables = b[c // 8:(c + _GRID_BLOCK) // 8]
+        cols = _SIGNS[:, tables].transpose(2, 1, 0).reshape(256, -1).astype(np.float32)  # x by (table, bit)
+        for r in range(0, out.shape[0], _GRID_BLOCK):
+            out[r:r + _GRID_BLOCK, c:c + _GRID_BLOCK] = rows[r:r + _GRID_BLOCK].astype(np.float32) @ cols
+    return out.reshape(a.shape[0], 8, b.shape[0], 8)
 
 
 def table_bits(t: np.ndarray) -> np.ndarray:
     """(T, 256) byte tables to their (T, 8, 256) bits, MSB first."""
     return (t[:, None, :] >> _SHIFTS[:, None]) & 1
-
-
-def _signs(t: np.ndarray) -> np.ndarray:
-    """(T, 256) byte tables to the (8T, 256) float32 matrix of (-1)^bit."""
-    return (1 - 2 * table_bits(t).astype(np.float32)).reshape(-1, 256)

@@ -14,18 +14,29 @@ baseline demo, are binmat.walsh_grid calls: one +-1 sign-matrix product of the
 observed or encoded tables against the hypothesis tables of every guess.
 
 DCA and MIA see each recorded byte as eight binary columns (MSB first) but
-never build that (N, 8W) bit matrix. Each hypothesis model groups the traces
-so that one hypothesis bit is a fixed function of the group label; the traces
-are sorted by label once and each group's rows are unpacked to bits and
-summed (`_grouped_bit_sums`, in the calling thread). Each hypothesis bit is
-then one worker-pool task (see pool: one worker per CPU in the process's
-affinity mask, at most 8, and at most workers + 1 tasks in flight) that
-scores all 256 candidates from the per-group sums: a matrix product of the
-0/1 matrix H and the group sums, in float32 while there are fewer than 2^24
-traces, which is exact because every partial sum is an integer no larger
-than the trace count, and then the float64 statistic over blocks of
-_COLUMN_BLOCK bit columns, so its temporaries stay small.  Memory scales
-with 256 x 8W, not N x 8W.
+never build that (N, 8W) bit matrix.  Each hypothesis model states its byte
+in XOR form (see the models below): hypothesis bit b of trace t under guess g
+is h_b[x_t ^ g] ^ f_t.  The traces are sorted by x once, and each group's
+rows are unpacked to bits and summed, every requested bit's flips f signing
+the sums in the same pass (`_grouped_bit_sums`, in the calling thread).
+Every integer the statistics need follows exactly from these signed sums.
+Each hypothesis bit is then one worker-pool task (see pool: one worker per
+CPU in the process's affinity mask, at most 8, and at most workers + 1 tasks
+in flight) that scores all 256 candidates over blocks of _COLUMN_BLOCK bit
+columns, so its temporaries stay small.  Memory scales with 256 x 8W, not
+N x 8W.
+
+MIA multiplies the sums by the dense 0/1 matrix H[g, x] = h_b[x ^ g], in
+float32 while there are fewer than 2^24 traces, which is exact because every
+partial sum is an integer no larger than the trace count.  DCA transforms,
+screens and confirms (_walsh_columns, _dca_scores): the centred, scaled sums
+of each grouping are Walsh-transformed once along x and stored in float32;
+per bit, one inverse transform of their product with the transform of
+(-1)^h_b gives every candidate's correlation up to a proven float32 error
+bound; and only the (column, guess) pairs within twice that bound of the
+guess's peak get the exact float64 r, so the scores are those of every
+column, bit for bit.  Every 256-point Walsh-Hadamard transform here is _wht,
+two batched 16-point products.
 
 The round-output analyses attack the one byte defined below and score all
 256 guesses of k1 at once. walsh-ro is one Walsh grid (tablegen.round_output_walsh);
@@ -65,39 +76,35 @@ def round_output_keys(key: bytes) -> tuple:
 
 
 # --- hypothesis models ----------------------------------------------------------
+# Each model states its hypothesis byte in XOR form, (x, k, table): under guess
+# g the byte of trace t is table[x[t] ^ g] ^ k[t], so its bit b (MSB first) is
+# h_b[x[t] ^ g] ^ f[t], with h_b and f the bits b of table and k.  k is None
+# where it is 0.  DCA and MIA read nothing else of a model.
 
 @dataclass(frozen=True)
 class SboxHypothesis:
-    """Coefficient-multiplied SubBytes output of one plaintext byte."""
+    """Coefficient-multiplied SubBytes output of one plaintext byte:
+    ell * S(p ^ g), so x is the plaintext byte and k is 0."""
 
     ell: int
     pt_index: int
 
-    def bit_groups(self, pts: np.ndarray, bit: int):
-        """Per-trace group labels and the (256, groups) 0/1 matrix H with
-        hypothesis bit (MSB first) of trace t under guess g = H[g, labels[t]].
-
-        The label is the attacked byte, the same for every bit."""
-        H = (COEFF[self.ell - 1] >> (7 - bit)) & 1
-        return pts[:, self.pt_index], H
+    def xor_form(self, pts: np.ndarray):
+        return pts[:, self.pt_index], None, COEFF[self.ell - 1, 0]
 
 
 @dataclass(frozen=True)
 class RoundOutputHypothesis:
-    """The round-output byte with known = (k0, k2, k3) and k1 guessed."""
+    """The round-output byte with known = (k0, k2, k3) and k1 guessed: x is
+    p5, table is 3 * S and k is the known term 2 * S(p0 ^ k0) ^ S(p10 ^ k2)
+    ^ S(p15 ^ k3)."""
 
     known: tuple
 
-    def bit_groups(self, pts: np.ndarray, bit: int):
-        """As SboxHypothesis.bit_groups, with label 2 * p5 + kb, where kb is
-        the bit of the known term 2 * S(p0 ^ k0) ^ S(p10 ^ k2) ^ S(p15 ^ k3):
-        H[g, 2v + kb] = kb ^ bit(3 * S(v ^ g))."""
+    def xor_form(self, pts: np.ndarray):
         k0, k2, k3 = self.known
         known = COEFF[1, k0][pts[:, 0]] ^ COEFF[0, k2][pts[:, 10]] ^ COEFF[0, k3][pts[:, 15]]
-        kb = (known >> (7 - bit)) & 1
-        tb = (COEFF[2] >> (7 - bit)) & 1
-        H = np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
-        return 2 * pts[:, 5].astype(np.int64) + kb, H
+        return pts[:, 5], known, COEFF[2, 0]
 
 
 # --- trace-mode table-output Walsh ----------------------------------------------
@@ -192,111 +199,202 @@ def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _grouped_bit_sums(labels: np.ndarray, V: np.ndarray, groups: int):
-    """Trace counts and bit-plane sums of uint8 samples, grouped by label.
+_F32_EXACT = 2**24  # float32 holds every integer up to 2^24 exactly
+_ROW_BLOCK = 1024  # trace rows unpacked to bits at once: 8W bytes each
+_COLUMN_BLOCK = 1024  # bit columns per block of a (256, columns) temporary
+_XOR = np.bitwise_xor.outer(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8))  # [g, x] = g ^ x
+_H16 = np.array([[(-1) ** (a & b).bit_count() for b in range(16)] for a in range(16)], dtype=np.int64)
 
-    counts[g] is the number of traces labelled g, and sums[g, 8 * s + k] the
-    number of those whose sample s has bit k (MSB first) set: the column sums
-    of bit_expand(V) per group.  The traces are sorted by label once, and
-    each group's rows are unpacked to bits and summed _ROW_BLOCK rows at a
-    time, so no (N, 8W) array is built.  It runs in the calling thread: one
-    pass over the rows costs about a sixth of eight bit planes reduced with
-    np.add.reduceat, so a second core would have little to take over.
+
+def _wht(x: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis, of length 256:
+    out[w] = sum over v of (-1)^parity(w & v) x[v], its own inverse up to
+    1/256.  It is the 16-point transform on each nibble of the index, so two
+    batched (16, 16) products, in x's dtype."""
+    h = _H16.astype(x.dtype)
+    return (h @ x.reshape(*x.shape[:-1], 16, 16) @ h).reshape(x.shape)
+
+
+def _exact_dtype(n: int):
+    """The dtype in which a product of 0/1 rows and group sums over n traces
+    is exact: each partial sum is an integer no larger than n."""
+    return np.float32 if n < _F32_EXACT else np.float64
+
+
+def _hypothesis_matrix(h: np.ndarray) -> np.ndarray:
+    """The (256, 256) 0/1 matrix H[g, x] = h[x ^ g] of a table bit h."""
+    return h[_XOR]
+
+
+def _grouped_bit_sums(x: np.ndarray, V: np.ndarray, flips: np.ndarray | None = None):
+    """Trace counts and bit-plane sums of uint8 samples, grouped by the byte x.
+
+    counts[v, 0] is the number of traces with x = v, and sums[v, 0, 8 * s + k]
+    the number of those whose sample s has bit k (MSB first) set: the column
+    sums of bit_expand(V) per group.  With flips, an (N, F) 0/1 array,
+    counts[v, 1 + i] and sums[v, 1 + i] count trace t as (-1)^flips[t, i]
+    instead, so every flip comes from the same pass.  The traces are sorted by
+    x once, and each group's rows are unpacked to bits and summed _ROW_BLOCK
+    rows at a time, so no (N, 8W) array is built.  It runs in the calling
+    thread: one pass over the rows costs about a sixth of eight bit planes
+    reduced with np.add.reduceat, so a second core would have little to take
+    over.
     """
-    counts = np.bincount(labels, minlength=groups)
-    ends = np.cumsum(counts)
-    Vs = V[np.argsort(labels, kind="stable")]
-    sums = np.zeros((groups, 8 * V.shape[1]), dtype=np.int32)
-    for g in np.flatnonzero(counts):
-        for lo in range(ends[g] - counts[g], ends[g], _ROW_BLOCK):
-            rows = Vs[lo : min(lo + _ROW_BLOCK, ends[g])]
+    signs = np.zeros((len(x), 0)) if flips is None else 1 - 2.0 * flips
+    counts = np.column_stack([np.bincount(x, minlength=256)]
+                             + [np.bincount(x, s, minlength=256).astype(np.int64) for s in signs.T])
+    ends = np.cumsum(counts[:, 0])
+    order = np.argsort(x, kind="stable")
+    Vs = V[order]
+    signs = signs[order].astype(np.float32)
+    # no sum exceeds its group's size, so int16 holds every sum while it holds the largest group
+    dtype = np.int16 if counts[:, 0].max() < 2**15 else np.int32
+    sums = np.zeros((256, 1 + signs.shape[1], 8 * V.shape[1]), dtype=dtype)
+    for g in np.flatnonzero(counts[:, 0]):
+        for lo in range(ends[g] - counts[g, 0], ends[g], _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, ends[g])
+            bits = np.unpackbits(Vs[lo:hi], axis=1)
             # a 16-bit sum is exact over at most _ROW_BLOCK rows, and faster
-            sums[g] += np.unpackbits(rows, axis=1).sum(axis=0, dtype=np.uint16)
+            sums[g, 0] += bits.sum(axis=0, dtype=np.uint16)
+            if flips is not None:  # float32 holds these sums of at most _ROW_BLOCK signs exactly
+                sums[g, 1:] += (signs[lo:hi].T @ bits.astype(np.float32)).astype(dtype)
     return counts, sums
 
 
-_F32_EXACT = 2**24  # float32 holds every integer up to 2^24 exactly
-_ROW_BLOCK = 1024  # trace rows unpacked to bits at once: 8W bytes each
-_COLUMN_BLOCK = 1024  # bit columns per block of the float64 statistic
+class _GroupedSums:
+    """_grouped_bit_sums of a trace set, and its bit columns that are not
+    constant (those score exactly 0 in DCA and MIA): their indices `ids` into
+    the sums and their int64 totals `sv` over n traces.
+
+    Grouping j of a hypothesis bit is entry j of the counts and sums: j = 0,
+    every trace counted once, when the model has no k, else the entry signed
+    by the bit's flips f.  Its signed counts d and sums D give every exact
+    integer DCA and MIA need, as the flipped traces add (total - signed) / 2."""
+
+    def __init__(self, counts: np.ndarray, sums: np.ndarray):
+        self.counts, self.sums = counts, sums
+        self.n = int(counts[:, 0].sum())
+        totals = sums[:, 0].sum(axis=0, dtype=np.int64)
+        self.ids = np.flatnonzero((totals > 0) & (totals < self.n))
+        self.sv = totals[self.ids]
+
+    def hypothesis_counts(self, j: int, H: np.ndarray) -> np.ndarray:
+        """(256,) float64: per guess, the traces whose hypothesis bit is 1."""
+        d = self.counts[:, j]
+        return H.astype(np.float64) @ d + (self.n - d.sum()) // 2
+
+    def products(self, j: int, H: np.ndarray, cols) -> np.ndarray:
+        """float64 (256, len(cols)): per guess, the traces whose hypothesis bit
+        and bit column ids[c] are both 1, for the columns `cols` (a slice or
+        indices into ids).  The product of H and D runs in _exact_dtype(n)."""
+        dtype = _exact_dtype(self.n)
+        D = self.sums[:, j][:, self.ids[cols]]
+        A = (H.astype(dtype) @ D.astype(dtype)).astype(np.float64)
+        A += (self.sv[cols] - D.sum(axis=0)) // 2
+        return A
 
 
-def _bit_column_stats(counts: np.ndarray, sums: np.ndarray):
-    """float64 group counts, the group sums S of the bit columns that are not
-    constant (those score exactly 0 in DCA and MIA) and their float64 totals.
-    S is float32 when the trace count is below 2^24, so that H @ S, whose
-    partial sums are integers no larger than the trace count, is exact in
-    float32; otherwise it is float64."""
-    n = int(counts.sum())
-    sv = sums.sum(axis=0)
-    nz = (sv > 0) & (sv < n)
-    S = sums[:, nz].astype(np.float32 if n < _F32_EXACT else np.float64)
-    return counts.astype(np.float64), S, sv[nz].astype(np.float64)
+def _grouped(traces: TraceSet, model, bits: list):
+    """The model's _GroupedSums over the traces, and per bit of `bits` its
+    table bit h (MSB first) and grouping j."""
+    x, k, table = model.xor_form(traces.plaintexts)
+    flips = None if k is None else (k[:, None] >> (7 - np.asarray(bits, dtype=np.uint8))) & 1
+    g = _GroupedSums(*_grouped_bit_sums(x, traces.samples, flips))
+    return g, [((table >> (7 - bit)) & 1, 0 if k is None else 1 + i) for i, bit in enumerate(bits)]
 
 
-def _hypothesis_bit_stats(traces: TraceSet, model, bits):
-    """Per hypothesis bit: the model's float64 (256, groups) matrix H and the
-    _bit_column_stats of the bit columns of every held sample under its
-    grouping.  The sums are recomputed only when the grouping changes."""
-    labels = None
-    for bit in bits:
-        new_labels, H = model.bit_groups(traces.plaintexts, bit)
-        if labels is None or not np.array_equal(new_labels, labels):
-            labels = new_labels
-            counts, S, sv = _bit_column_stats(*_grouped_bit_sums(labels, traces.samples, H.shape[1]))
-        yield H.astype(np.float64), counts, S, sv
-
-
-def _column_blocks(H: np.ndarray, S: np.ndarray):
-    """(columns, H @ S over those columns as float64), _COLUMN_BLOCK bit
-    columns at a time; the product runs in S's dtype (see _bit_column_stats)."""
-    H = H.astype(S.dtype)
-    for lo in range(0, S.shape[1], _COLUMN_BLOCK):
+def _walsh_columns(g: _GroupedSums, j: int):
+    """The DCA screen's view of grouping j: the (C, 256) float32 Walsh
+    transforms, along x, of every non-constant column's signed sums D,
+    centred and scaled to (D - d m) / sd with the column's mean m = sv / n and
+    sd = sqrt(var_v), and the largest L1 norm of one.  The transforms of D
+    are exact in _exact_dtype(n), as every partial sum is a signed count of
+    at most n traces; centring and scaling them runs in float64.  Each
+    _COLUMN_BLOCK columns are stored in turn, so no (C, 256) float64 array is
+    held."""
+    d, D = g.counts[:, j], g.sums[:, j]
+    m = g.sv / g.n
+    sd = np.sqrt(g.sv - g.sv * m)
+    d_hat = _wht(d.astype(np.float64))
+    out = np.empty((g.ids.size, 256), dtype=np.float32)
+    norm = 0.0
+    for lo in range(0, g.ids.size, _COLUMN_BLOCK):
         cols = slice(lo, lo + _COLUMN_BLOCK)
-        yield cols, (H @ S[:, cols]).astype(np.float64)
+        walsh = _wht(D[:, g.ids[cols]].T.astype(_exact_dtype(g.n), order="C")).astype(np.float64)
+        walsh -= np.outer(m[cols], d_hat)
+        walsh /= sd[cols, None]
+        norm = max(norm, float(np.abs(walsh).sum(axis=1).max()))
+        out[cols] = walsh
+    return out, norm
 
 
-def _dca_scores(H, counts, S, sv, n: int) -> np.ndarray:
-    """(256,) peak |r| per candidate of one hypothesis bit over the bit
-    columns: r = (H @ S - sh sv / n) / sqrt(var_h var_v), evaluated in place,
-    block by block."""
-    sh = H @ counts
+def _dca_scores(g: _GroupedSums, h: np.ndarray, j: int, walsh: np.ndarray, norm: float) -> np.ndarray:
+    """(256,) peak |r| per candidate of table bit h over the non-constant bit
+    columns, r = (A - sh sv / n) / sqrt(var_h var_v) in float64 from the
+    exact integers A and sh of g.
+
+    Screen: B = r sqrt(var_h) peaks at the same column as |r| for each guess,
+    and B = -1/2 sum over x of F[x ^ g] Dc[x, c], with F = (-1)^h and Dc the
+    centred, scaled sums of _walsh_columns.  So B is the inverse transform of
+    F^ / 512 times the stored transforms, computed in float32 over
+    _COLUMN_BLOCK columns at a time.  Its error is at most
+    e = 64 u max|F^| / 512 max_c ||walsh_c||_1 (u = 2^-24: rounding the
+    transforms and the product, two 16-term sums, and a factor 2 to spare),
+    plus a float64 slack, 2^-42 n (1 + sqrt(n)), for the centring and the r
+    of the confirm.  A column more than 2e below a guess's largest screened
+    |B| cannot hold that guess's peak |r|.
+    Confirm: each kept (column, guess) pair gets its float64 r as above, and
+    a guess's largest such |r| is its peak over every column."""
+    n = g.n
+    H = _hypothesis_matrix(h)
+    sh = g.hypothesis_counts(j, H)
     var_h = sh - sh * sh / n
-    var_v = sv - sv * sv / n  # binary columns: sum of squares equals the sum
     ok = var_h > 0  # a constant hypothesis bit scores 0
-    sh, var_h = sh[ok], var_h[ok]
-    peak = np.zeros(len(sh))
-    for cols, r in _column_blocks(H[ok], S):
-        tmp = np.outer(sh, sv[cols])
-        tmp /= n
-        r -= tmp
-        np.sqrt(np.outer(var_h, var_v[cols], out=tmp), out=tmp)
-        r /= tmp
-        np.maximum(peak, np.abs(r, out=r).max(axis=1), out=peak)
-    scores = np.zeros(256)
-    scores[ok] = peak
-    return scores
+    spectrum = (_wht(1 - 2 * h.astype(np.int64)) / 512).astype(np.float32)
+    e = 64 * 2.0**-24 * np.abs(spectrum).max() * norm + 2.0**-42 * n * (1 + np.sqrt(n))
+    best = np.zeros(256)
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float32))]  # (flat index, screened |B|)
+    for lo in range(0, g.ids.size, _COLUMN_BLOCK):
+        screen = _wht(walsh[lo:lo + _COLUMN_BLOCK] * spectrum).ravel()  # (column, guess), flattened
+        np.abs(screen, out=screen)
+        np.maximum(best, screen.reshape(-1, 256).max(axis=0), out=best)
+        # a float32 threshold a step below best - 2e keeps every pair the float64 one keeps
+        low = np.nextafter(np.where(ok, best - 2 * e, np.inf).astype(np.float32), np.float32(-np.inf))
+        near = np.flatnonzero(screen.reshape(-1, 256) >= low)
+        found.append((256 * lo + near, screen[near]))
+    flat, value = (np.concatenate(a) for a in zip(*found))
+    c, guess = np.divmod(flat[value >= best[flat % 256] - 2 * e], 256)
+    cols, at = np.unique(c, return_inverse=True)
+    sv = g.sv[cols][at].astype(np.float64)
+    r = g.products(j, H, cols)[guess, at] - sh[guess] * sv / n
+    r /= np.sqrt(var_h[guess] * (sv - sv * sv / n))  # binary columns: sum of squares equals the sum
+    peak = np.zeros(256)
+    np.maximum.at(peak, guess, np.abs(r))
+    return peak
 
 
 def dca_rank(traces: TraceSet, model, correct_guess: int, bits=range(8)) -> list:
     """Mono-bit attack over bit-serialized samples: every held sample byte is
     split into its bits, each candidate is scored by its peak |r| across
-    those bit columns; one BitRanking per bit of `bits` ranks them by score."""
-    n = traces.samples.shape[0]
+    those bit columns; one BitRanking per bit of `bits` ranks them by score.
+    The Walsh transforms of each grouping are made once, in this thread; each
+    bit is one pool task."""
     bits = list(bits)
-    stats = _hypothesis_bit_stats(traces, model, bits)
+    g, per_bit = _grouped(traces, model, bits)
+
+    def tasks():
+        made = None
+        for h, j in per_bit:
+            if made is None or made[0] != j:
+                made = (j, *_walsh_columns(g, j))
+            yield (h, *made)
+
+    scores = ordered_map(lambda task: _dca_scores(g, *task), tasks())
     return [BitRanking(bit=bit, scores=col, ranks=_ranks_from_scores(col), correct_guess=correct_guess)
-            for bit, col in zip(bits, ordered_map(lambda st: _dca_scores(*st, n), stats))]
+            for bit, col in zip(bits, scores)]
 
 
 # --- collision / cluster ---------------------------------------------------------
-
-def _walsh_hadamard_matrix() -> np.ndarray:
-    """(256, 256) float64 matrix of (-1)^parity(x & y), its own inverse up to 1/256."""
-    h = np.ones((1, 1))
-    for _ in range(8):
-        h = np.block([[h, h], [h, -h]])
-    return h
-
 
 def collision_and_sse_scores(traces: TraceSet, known_k0: int):
     """For every candidate: the collision-consistency score (maximal when each
@@ -317,10 +415,13 @@ def collision_and_sse_scores(traces: TraceSet, known_k0: int):
     grids = np.stack([np.bincount(cell, minlength=65536)]
                      + [np.bincount(cell, weights=(c >> (7 - i)) & 1, minlength=65536) for i in range(8)])
     grids = grids.astype(np.float64).reshape(9, 256, 256)
-    h = _walsh_hadamard_matrix()
     d = np.zeros((256, 256))
     d[COEFF[2, 0], np.arange(256)] = 1.0
-    conv = h @ ((h @ grids @ h) * (h @ d @ h)) @ h / 65536.0  # (channel, cluster v, guess g)
+
+    def wht2(a):  # along both axes of each (256, 256) grid
+        return _wht(_wht(a).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+    conv = wht2(wht2(grids) * wht2(d)) / 65536.0  # (channel, cluster v, guess g)
     conv = np.rint(conv).astype(np.int64)
     counts = np.ascontiguousarray(conv[0].T)  # (g, v)
     sums = np.ascontiguousarray(conv[1:].transpose(2, 1, 0))  # (g, v, bit)
@@ -360,28 +461,32 @@ def _binary_mi(p11: np.ndarray, p1_: float | np.ndarray, p_1: np.ndarray) -> np.
     return np.clip(mi, 0.0, None)
 
 
-def _mia_scores(H, counts, S, sv, n: int) -> np.ndarray:
-    """(256,) peak bit-level MI per candidate of one hypothesis bit.  A block
-    of bit columns per _binary_mi call bounds its (4, 256, columns)
-    temporaries; the running max is the same in any order."""
-    p1_ = (H @ counts / n)[:, None]
+def _mia_scores(g: _GroupedSums, h: np.ndarray, j: int) -> np.ndarray:
+    """(256,) peak bit-level MI per candidate of table bit h.  A block of bit
+    columns per _binary_mi call bounds its (4, 256, columns) temporaries; the
+    running max is the same in any order."""
+    n = g.n
+    H = _hypothesis_matrix(h)
+    p1_ = (g.hypothesis_counts(j, H) / n)[:, None]
     peak = np.zeros(256)
-    for cols, hs in _column_blocks(H, S):
+    for lo in range(0, g.ids.size, _COLUMN_BLOCK):
+        cols = slice(lo, lo + _COLUMN_BLOCK)
+        hs = g.products(j, H, cols)
         hs /= n
-        np.maximum(peak, _binary_mi(hs, p1_, sv[cols] / n).max(axis=1), out=peak)
+        np.maximum(peak, _binary_mi(hs, p1_, g.sv[cols] / n).max(axis=1), out=peak)
     return peak
 
 
 def mia_max(traces: TraceSet, model, bits=range(8)) -> np.ndarray:
     """(256, len(bits)) peak mutual information per candidate between its
-    hypothesis bit and any bit column of the held samples, as in DCA.
-    (Byte-binned MI saturates at H(X) for every candidate on noise-free
-    traces, as many samples are bijections of the attacked byte.)"""
-    n = traces.samples.shape[0]
+    hypothesis bit and any bit column of the held samples, as in DCA; each
+    bit is one pool task.  (Byte-binned MI saturates at H(X) for every
+    candidate on noise-free traces, as many samples are bijections of the
+    attacked byte.)"""
     bits = list(bits)
+    g, per_bit = _grouped(traces, model, bits)
     out = np.zeros((256, len(bits)))
-    stats = _hypothesis_bit_stats(traces, model, bits)
-    for bi, peak in enumerate(ordered_map(lambda st: _mia_scores(*st, n), stats)):
+    for bi, peak in enumerate(ordered_map(lambda hj: _mia_scores(g, *hj), per_bit)):
         out[:, bi] = peak
     return out
 

@@ -16,6 +16,7 @@ from balaes.binmat import (
     sample_f,
     sample_pair,
     shear_maps,
+    table_bits,
     walsh_grid,
 )
 
@@ -313,6 +314,10 @@ def test_walsh_grid_matches_popcount_reference():
     # constant columns: all-0x00 against all-0xFF is -256 everywhere, against itself +256
     assert (grid[5, :, 3, :] == -256).all() and (grid[6, :, 4, :] == -256).all()
     assert (grid[5, :, 4, :] == 256).all() and (grid[6, :, 3, :] == 256).all()
+    # stacks of more tables than one product block: the +-1 sign-matrix product in int64
+    a, b = gen.integers(0, 256, (70, 256), dtype=np.uint8), gen.integers(0, 256, (45, 256), dtype=np.uint8)
+    sa, sb = ((1 - 2 * table_bits(t).astype(np.int64)).reshape(-1, 256) for t in (a, b))
+    assert np.array_equal(walsh_grid(a, b), (sa @ sb.T).reshape(70, 8, 45, 8))
 
 
 def _reference_walsh_balance_check(pair, key_byte: int) -> np.ndarray:

@@ -277,8 +277,9 @@ def test_walsh_sbox_bit_against_direct_summation():
 
 def walsh_spectrum(fbits) -> np.ndarray:
     """Walsh transform of a 256-point boolean function over all 256 masks,
-    through the Walsh-Hadamard matrix of the collision and cluster scores."""
-    return sca._walsh_hadamard_matrix().astype(np.int64) @ (1 - 2 * np.asarray(fbits, dtype=np.int64))
+    through the Walsh-Hadamard kernel of DCA and the collision and cluster
+    scores."""
+    return sca._wht(1 - 2 * np.asarray(fbits, dtype=np.int64))
 
 
 def test_walsh_spectrum_matches_pointwise_walsh():
@@ -406,16 +407,81 @@ def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, ro
 def test_grouped_bit_sums_match_bit_expand():
     rng = np.random.default_rng(83)
     V = rng.integers(0, 256, (300, 5), dtype=np.uint8)
-    labels = rng.integers(0, 7, 300)
-    labels[labels == 3] = 4  # leave one group empty
-    counts, sums = sca._grouped_bit_sums(labels, V, 9)
+    x = rng.integers(0, 7, 300)
+    x[x == 3] = 4  # leave one group empty
+    counts, sums = sca._grouped_bit_sums(x, V)
     bits = bit_expand(V)
-    assert np.array_equal(counts, np.bincount(labels, minlength=9))
-    for g in range(9):
-        assert np.array_equal(sums[g], bits[labels == g].sum(axis=0))
+    assert counts.shape == (256, 1) and sums.shape == (256, 1, 40)
+    assert np.array_equal(counts[:, 0], np.bincount(x, minlength=256))
+    for g in range(256):
+        assert np.array_equal(sums[g, 0], bits[x == g].sum(axis=0))
+    # with flips, one pass gives every flip's signed sums: traces with the
+    # flip set count -1, and the label 2x + f of the per-bit grouping splits them
+    flips = rng.integers(0, 2, (300, 3))
+    counts_f, sums_f = sca._grouped_bit_sums(x, V, flips)
+    assert np.array_equal(counts_f[:, :1], counts) and np.array_equal(sums_f[:, :1], sums)
+    for i in range(3):
+        labels = 2 * x + flips[:, i]
+        by_label = np.stack([bits[labels == lab].sum(axis=0) for lab in range(512)])
+        n_label = np.bincount(labels, minlength=512)
+        assert np.array_equal(counts_f[:, 1 + i], n_label[0::2] - n_label[1::2])
+        assert np.array_equal(sums_f[:, 1 + i], by_label[0::2].astype(np.int64) - by_label[1::2])
     # a group past the 16-bit accumulator's range still sums exactly
-    _, sums = sca._grouped_bit_sums(np.zeros(70000, dtype=np.int64), np.full((70000, 1), 0x81, np.uint8), 1)
-    assert sums.tolist() == [[70000, 0, 0, 0, 0, 0, 0, 70000]]
+    _, sums = sca._grouped_bit_sums(np.zeros(70000, dtype=np.int64), np.full((70000, 1), 0x81, np.uint8))
+    assert sums[0].tolist() == [[70000, 0, 0, 0, 0, 0, 0, 70000]]
+
+
+def _bit_groups_before_the_xor_form(model, pts: np.ndarray, bit: int):
+    """Labels and (256, groups) 0/1 matrix H as each model stated them before
+    the XOR form: hypothesis bit of trace t under guess g = H[g, labels[t]]."""
+    if isinstance(model, SboxHypothesis):
+        return pts[:, model.pt_index], (COEFF[model.ell - 1] >> (7 - bit)) & 1
+    k0, k2, k3 = model.known
+    known = COEFF[1, k0][pts[:, 0]] ^ COEFF[0, k2][pts[:, 10]] ^ COEFF[0, k3][pts[:, 15]]
+    kb = (known >> (7 - bit)) & 1
+    tb = (COEFF[2] >> (7 - bit)) & 1
+    return 2 * pts[:, 5].astype(np.int64) + kb, np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
+
+
+@pytest.mark.parametrize("model_name", ["sbox-1", "sbox-3", "round-output"])
+def test_xor_form_rebuilds_bit_groups(round_output_model, model_name):
+    model = {"sbox-1": SboxHypothesis(ell=1, pt_index=5), "sbox-3": SboxHypothesis(ell=3, pt_index=12),
+             "round-output": round_output_model}[model_name]
+    pts = np.frombuffer(random.Random(87).randbytes(2000 * 16), dtype=np.uint8).reshape(2000, 16)
+    x, k, table = model.xor_form(pts)
+    assert (k is None) == isinstance(model, SboxHypothesis)
+    for bit in range(8):
+        labels, H = _bit_groups_before_the_xor_form(model, pts, bit)
+        h = (table >> (7 - bit)) & 1
+        f = 0 if k is None else (k >> (7 - bit)) & 1
+        dense = sca._hypothesis_matrix(h)
+        assert np.array_equal(dense[:, x] ^ f, H[:, labels])  # every guess, every trace
+        if k is None:
+            assert np.array_equal(dense, H)
+        else:
+            assert np.array_equal(dense, H[:, 0::2]) and np.array_equal(dense ^ 1, H[:, 1::2])
+
+
+def _dense_dca_reference(h: np.ndarray, counts: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
+    """DCA scores of table bit h from ungrouped-by-flip sums (counts (256,),
+    sums (256, columns)), every column at once in float64: one product, then
+    r = (A - sh sv / n) / sqrt(var_h var_v) and its peak |r| per guess."""
+    H = sca._hypothesis_matrix(h).astype(np.float64)
+    sv = sums.sum(axis=0)
+    nz = (sv > 0) & (sv < n)
+    S, sv = sums[:, nz].astype(np.float64), sv[nz].astype(np.float64)
+    sh = H @ counts.astype(np.float64)
+    var_h, var_v = sh - sh * sh / n, sv - sv * sv / n
+    ok = var_h > 0
+    r = (H[ok] @ S - np.outer(sh[ok], sv) / n) / np.sqrt(np.outer(var_h[ok], var_v))
+    dca = np.zeros(256)
+    dca[ok] = np.abs(r).max(axis=1, initial=0.0)
+    return dca
+
+
+def _screened_dca(h: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    g = sca._GroupedSums(counts[:, None], sums[:, None])
+    return sca._dca_scores(g, h, 0, *sca._walsh_columns(g, 0))
 
 
 @pytest.mark.parametrize("group_size, gemm", [(65000, np.float32), (70000, np.float64)])
@@ -426,30 +492,96 @@ def test_group_sums_past_2_24_traces_are_scored_in_float64(group_size, gemm):
     sums = np.where(rng.random((1, 2500)) < 0.5, rng.integers(0, group_size + 1, (256, 2500)),
                     group_size - rng.integers(0, 4, (256, 2500)))  # random and nearly full columns
     sums[:, 7] = 0  # a constant column is left out
-    H = (rng.random((256, 256)) < np.where(np.arange(256) % 2, 0.5, 0.97)[:, None]).astype(np.float64)
-    H[5] = 1  # a constant hypothesis bit scores 0
+    h = (rng.random(256) < 0.97).astype(np.uint8)  # dense rows: partial sums of H @ S pass 2^24
     n = int(counts.sum())
-    counts_f, S, sv = sca._bit_column_stats(counts, sums)
-    assert S.dtype == gemm and S.shape == (256, 2499)
+    g = sca._GroupedSums(counts[:, None], sums[:, None])
+    assert sca._exact_dtype(n) == gemm and g.ids.size == 2499
     # the float64 reference: one product, then the statistics over all columns at once
+    H = sca._hypothesis_matrix(h).astype(np.float64)
     S64 = np.delete(sums, 7, axis=1).astype(np.float64)
     HS = H @ S64
-    sh = H @ counts_f
-    var_h, var_v = sh - sh * sh / n, sv - sv * sv / n
-    ok = var_h > 0
-    r = (HS[ok] - np.outer(sh[ok], sv) / n) / np.sqrt(np.outer(var_h[ok], var_v))
-    dca = np.zeros(256)
-    dca[ok] = np.abs(r).max(axis=1)
+    sh = H @ counts.astype(np.float64)
+    sv = S64.sum(axis=0)
     mi = sca._binary_mi(HS / n, (sh / n)[:, None], sv / n).max(axis=1)
-    assert np.array_equal(sca._dca_scores(H, counts_f, S, sv, n), dca)
-    assert np.array_equal(sca._mia_scores(H, counts_f, S, sv, n), mi)
+    assert np.array_equal(_screened_dca(h, counts, sums), _dense_dca_reference(h, counts, sums, n))
+    assert np.array_equal(sca._mia_scores(g, h, 0), mi)
     # float32 sums of integers past 2^24 round, so the switch is needed there
     exact32 = np.array_equal(H.astype(np.float32) @ S64.astype(np.float32), HS)
     assert exact32 == (gemm == np.float32)
 
 
+def _leaky_sums(rng, counts: np.ndarray, h: np.ndarray, guess: int, p0: float, p1: float) -> np.ndarray:
+    """(256,) bit sums of one column whose bit is set with probability p1
+    where hypothesis bit h[x ^ guess] is 1, and p0 where it is 0."""
+    return rng.binomial(counts, np.where(h[np.arange(256) ^ guess] == 1, p1, p0))
+
+
+def test_dca_screen_keeps_exact_and_one_ulp_ties():
+    # copies of a column tie exactly; a complemented column has the same |r|
+    # in exact arithmetic, and in float64 a few ulps apart when the column is
+    # sparse, since sh sv / n and sh (n - sv) / n then round in different binades
+    rng = np.random.default_rng(88)
+    h = ((COEFF[0, 0] >> 3) & 1).astype(np.uint8)
+    counts = rng.integers(10, 40, 256)
+    base = np.stack([_leaky_sums(rng, counts, h, g, 0.02, 0.08) for g in rng.integers(0, 256, 12)], axis=1)
+    noise = rng.binomial(counts[:, None], 0.5, (256, 6))
+    sums = np.concatenate([base, base, counts[:, None] - base, noise], axis=1)
+    n = int(counts.sum())
+    ref = _dense_dca_reference(h, counts, sums, n)
+    # the cases are exercised: for some guesses the peak and the complement's
+    # |r| differ by one to four ulps, for others they are equal
+    H = sca._hypothesis_matrix(h).astype(np.float64)
+    sh, sv = H @ counts, sums.sum(axis=0).astype(np.float64)
+    r = np.abs(H @ sums - np.outer(sh, sv) / n) / np.sqrt(np.outer(sh - sh * sh / n, sv - sv * sv / n))
+    gap = np.abs(r[:, :12] - r[:, 24:36]) / np.spacing(r[:, :12])
+    at_peak = np.maximum(r[:, :12], r[:, 24:36]) == ref[:, None]
+    assert (at_peak & (gap > 0) & (gap <= 4)).any() and (at_peak & (gap == 0)).any()
+    assert np.array_equal(_screened_dca(h, counts, sums), ref)
+
+
+def test_dca_screen_with_many_columns_inside_the_bound():
+    # past 2^24 traces, columns one trace apart differ in B by about 2 / sqrt(n),
+    # far inside the screen's error bound, and each has its own r
+    rng = np.random.default_rng(89)
+    h = ((COEFF[2, 0] >> 6) & 1).astype(np.uint8)
+    counts = np.full(256, 70000)
+    base = _leaky_sums(rng, counts, h, 0x3C, 0.4, 0.6)
+    sums = base[:, None] + np.where(rng.random((256, 600)) < 0.01, rng.integers(-2, 3, (256, 600)), 0)
+    sums = np.concatenate([sums, rng.binomial(counts[:, None], 0.5, (256, 50))], axis=1)
+    n = int(counts.sum())
+    ref = _dense_dca_reference(h, counts, sums, n)
+    assert np.array_equal(_screened_dca(h, counts, sums), ref)
+
+
+def test_dca_screen_without_columns_or_with_a_constant_hypothesis_bit():
+    rng = np.random.default_rng(90)
+    counts = rng.integers(0, 30, 256)
+    n = int(counts.sum())
+    h = ((COEFF[0, 0] >> 1) & 1).astype(np.uint8)
+    # zero non-constant columns: every column all zeros or all ones
+    constant = np.where(np.arange(20) % 2, counts[:, None], 0)
+    assert not _screened_dca(h, counts, constant).any()
+    assert np.array_equal(_screened_dca(h, counts, constant), _dense_dca_reference(h, counts, constant, n))
+    sums = rng.binomial(counts[:, None], 0.5, (256, 40))
+    # a constant table bit is constant under every guess
+    for hc in (np.zeros(256, np.uint8), np.ones(256, np.uint8)):
+        assert not _screened_dca(hc, counts, sums).any()
+    # traces with x in {0, 1} only: the bit is constant under the guesses g
+    # with h[g] == h[g ^ 1], which score 0, and varies under the others
+    two = np.zeros(256, dtype=np.int64)
+    two[:2] = [500, 700]
+    sums2 = np.zeros((256, 40), dtype=np.int64)
+    sums2[:2] = rng.binomial(two[:2, None], 0.5, (2, 40))
+    ref = _dense_dca_reference(h, two, sums2, 1200)
+    constant_guess = h == h[np.arange(256) ^ 1]
+    assert constant_guess.any() and not constant_guess.all()
+    assert not ref[constant_guess].any() and ref[~constant_guess].all()
+    assert np.array_equal(_screened_dca(h, two, sums2), ref)
+
+
 def test_dca_rank_full_window_memory_bound(traces_mixed_10k):
-    # the (N, 8W) bit matrix alone would take 116 MB as uint8, 932 MB as float64
+    # the (N, 8W) bit matrix alone would take 116 MB as uint8, 932 MB as float64;
+    # the grouped sums are 11.4 MiB and the Walsh transforms 8 MiB
     tracemalloc.start()
     try:
         dca_rank(traces_mixed_10k, SboxHypothesis(ell=1, pt_index=0), correct_guess=STD_KEY[0])
@@ -457,6 +589,7 @@ def test_dca_rank_full_window_memory_bound(traces_mixed_10k):
     finally:
         tracemalloc.stop()
     assert peak < 200e6, peak
+    assert peak <= 32 * 2**20, peak
 
 
 def test_mia_max_full_window_memory_bound_and_exact(traces_mixed_10k):
@@ -470,8 +603,11 @@ def test_mia_max_full_window_memory_bound_and_exact(traces_mixed_10k):
         tracemalloc.stop()
     assert peak < 200e6, peak
     whole = np.zeros_like(mi)
-    for bi, (H, counts, S, sv) in enumerate(sca._hypothesis_bit_stats(traces_mixed_10k, model, bits)):
-        whole[:, bi] = sca._binary_mi(H @ S / n, (H @ counts / n)[:, None], sv / n).max(axis=1, initial=0.0)
+    g, per_bit = sca._grouped(traces_mixed_10k, model, bits)
+    for bi, (h, j) in enumerate(per_bit):
+        H = sca._hypothesis_matrix(h).astype(np.float64)
+        hs = H @ g.sums[:, j][:, g.ids]  # no flips: the signed sums are the sums
+        whole[:, bi] = sca._binary_mi(hs / n, (H @ g.counts[:, j] / n)[:, None], g.sv / n).max(axis=1, initial=0.0)
     assert np.array_equal(mi, whole)
 
 
@@ -548,6 +684,17 @@ def test_walsh_round_output_correct_zero_wrong_positive(grid_q0, std_spec):
     vals = [grid[wrong, i, 0] for i in range(8)]
     assert all(v >= 0 for v in vals)
     assert max(vals) > 0
+
+
+def test_walsh_round_output_memory_bound(grid_q0):
+    # the (256, 8, 256, 8) int32 result is 16 MiB; a float32 copy of it would be 16 more
+    tracemalloc.start()
+    try:
+        walsh_round_output_all(grid_q0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2**20, peak
 
 
 def test_walsh_round_output_incomplete_grid_raises(std_pair):
@@ -669,10 +816,11 @@ def test_round_output_experiment_is_the_named_byte(key):
     k0, k1, k2, k3 = keys
     model = RoundOutputHypothesis(known=(k0, k2, k3))
     pts = np.frombuffer(random.Random(86).randbytes(1000 * 16), dtype=np.uint8).reshape(1000, 16)
+    x, k, table = model.xor_form(pts)
     byte = np.zeros(1000, dtype=np.int64)
-    for bit in range(8):  # at the true k1, bit `bit` of the byte is H[k1, label]
-        labels, H = model.bit_groups(pts, bit)
-        byte |= H[k1, labels].astype(np.int64) << (7 - bit)
+    for bit in range(8):  # at the true k1, bit `bit` of the byte is H[k1, x] ^ f for table bit h
+        H = sca._hypothesis_matrix((table >> (7 - bit)) & 1)
+        byte |= (H[k1, x] ^ (k >> (7 - bit)) & 1).astype(np.int64) << (7 - bit)
     expected = [gf_mul(2, SBOX[p[0] ^ key[0]]) ^ gf_mul(3, SBOX[p[5] ^ key[5]])
                 ^ SBOX[p[10] ^ key[10]] ^ SBOX[p[15] ^ key[15]] for p in pts.tolist()]
     assert byte.tolist() == expected
