@@ -15,7 +15,7 @@ window (None, a slice or a sequence of indices) into the int64 array of the
 absolute samples it selects.  A `TraceSet` holds the plaintexts, set bits,
 those sample columns and, as `sample_ids`, that array; `samples_at` reads
 columns by absolute sample, refusing one that was not loaded.  (On a 2-core
-machine, walking the blocks on a worker pool made a 65,536-row campaign about
+machine, walking the blocks in two threads made a 65,536-row campaign about
 20% faster while the other core was idle and no faster while another process
 kept it busy, so the campaign rate followed the neighbours' load.)
 
@@ -297,6 +297,11 @@ def write_campaign(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
 
 _HEADER = 12
 _RECORD = 16 + 1 + SAMPLE_COUNT  # plaintext, set bit, samples
+# per record column, the bits no valid value sets: above bit 0 of the set bit,
+# and the high nibble of the XOR nibbles, samples 16..39 of every 40 in rounds 1..9
+_UNUSED_BITS = np.zeros(_RECORD, dtype=np.uint8)
+_UNUSED_BITS[16] = 0xFE
+_UNUSED_BITS[17:17 + 1440][np.arange(1440) % 40 >= 16] = 0xF0
 
 
 def _record_block(pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -363,21 +368,26 @@ def _record_columns(ids: np.ndarray):
 
 def _gather(count: int, blocks, ids: np.ndarray) -> TraceSet:
     """Copy `count` records, block by block, into the TraceSet's own arrays,
-    keeping only the absolute samples `ids`.  Every set bit is checked,
-    loaded columns or not."""
+    keeping only the absolute samples `ids`.  Every set bit and XOR nibble
+    is checked, loaded columns or not, through one column max per block."""
     cols = _record_columns(ids)
     pts = np.empty((count, 16), dtype=np.uint8)
     bits = np.empty(count, dtype=np.uint8)
     samples = np.empty((count, ids.size), dtype=np.uint8)
+    peak = np.zeros(_RECORD, dtype=np.uint8)
     start = 0
     for block in blocks:
         end = start + len(block)
         pts[start:end] = block[:, :16]
         bits[start:end] = block[:, 16]
         samples[start:end] = block[:, cols]
+        np.maximum(peak, block.max(axis=0), out=peak)
         start = end
-    if (bits > 1).any():
+    unused = peak & _UNUSED_BITS
+    if unused[16]:
         raise FormatError("trace set bit is not 0 or 1")
+    if unused.any():
+        raise FormatError("trace XOR nibble sample above 0xF")
     return TraceSet(plaintexts=pts, set_bits=bits, samples=samples, sample_ids=ids)
 
 
@@ -397,7 +407,7 @@ def load_traces(path, samples=None) -> TraceSet:
     """The campaign in a trace file, holding only the sample columns of the
     window `samples`, as resolve_window takes it (None: every sample); the
     window is checked before the file is opened.  Every record is still
-    read, its set bit checked and the whole file CRC-checked."""
+    read, its set bit and XOR nibbles checked and the whole file CRC-checked."""
     ids = resolve_window(samples)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cipher, pool, sca, tablegen
+from . import cipher, sca, tablegen
 from .cipher import SelectorPolicy
 
 PASS_EXIT = 0
@@ -241,7 +241,6 @@ def cmd_bench(args) -> int:
         "p50_block_us": round(pct[49], 3),
         "p95_block_us": round(pct[94], 3),
         "lookups_per_second": round(lookups * args.iterations / elapsed),
-        "workers": pool.worker_count(),
         "note": "published native-code reference point is 19 us per block; interpreter timings differ",
     })
     return PASS_EXIT

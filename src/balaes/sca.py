@@ -20,9 +20,8 @@ is h_b[x_t ^ g] ^ f_t.  The traces are sorted by x once, and each group's
 rows are unpacked to bits and summed, every requested bit's flips f signing
 the sums in the same pass (`_grouped_bit_sums`, in the calling thread).
 Every integer the statistics need follows exactly from these signed sums.
-Each hypothesis bit is then one worker-pool task (see pool: one worker per
-CPU in the process's affinity mask, at most 8, and at most workers + 1 tasks
-in flight) that scores all 256 candidates over blocks of _COLUMN_BLOCK bit
+The hypothesis bits are then scored one after another, in the calling
+thread, each over all 256 candidates and blocks of _COLUMN_BLOCK bit
 columns, so its temporaries stay small.  Memory scales with 256 x 8W, not
 N x 8W.
 
@@ -54,7 +53,6 @@ import numpy as np
 from .gfcore import RoundKeys, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
 from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
-from .pool import ordered_map
 from .tablegen import round_output_walsh
 
 
@@ -235,10 +233,8 @@ def _grouped_bit_sums(x: np.ndarray, V: np.ndarray, flips: np.ndarray | None = N
     counts[v, 1 + i] and sums[v, 1 + i] count trace t as (-1)^flips[t, i]
     instead, so every flip comes from the same pass.  The traces are sorted by
     x once, and each group's rows are unpacked to bits and summed _ROW_BLOCK
-    rows at a time, so no (N, 8W) array is built.  It runs in the calling
-    thread: one pass over the rows costs about a sixth of eight bit planes
-    reduced with np.add.reduceat, so a second core would have little to take
-    over.
+    rows at a time, so no (N, 8W) array is built.  One pass over the rows
+    costs about a sixth of eight bit planes reduced with np.add.reduceat.
     """
     signs = np.zeros((len(x), 0)) if flips is None else 1 - 2.0 * flips
     counts = np.column_stack([np.bincount(x, minlength=256)]
@@ -377,21 +373,18 @@ def dca_rank(traces: TraceSet, model, correct_guess: int, bits=range(8)) -> list
     """Mono-bit attack over bit-serialized samples: every held sample byte is
     split into its bits, each candidate is scored by its peak |r| across
     those bit columns; one BitRanking per bit of `bits` ranks them by score.
-    The Walsh transforms of each grouping are made once, in this thread; each
-    bit is one pool task."""
+    The Walsh transforms of each grouping are made once, and the bits are
+    scored in turn."""
     bits = list(bits)
     g, per_bit = _grouped(traces, model, bits)
-
-    def tasks():
-        made = None
-        for h, j in per_bit:
-            if made is None or made[0] != j:
-                made = (j, *_walsh_columns(g, j))
-            yield (h, *made)
-
-    scores = ordered_map(lambda task: _dca_scores(g, *task), tasks())
-    return [BitRanking(bit=bit, scores=col, ranks=_ranks_from_scores(col), correct_guess=correct_guess)
-            for bit, col in zip(bits, scores)]
+    out, made = [], None
+    for bit, (h, j) in zip(bits, per_bit):
+        if made is None or made[0] != j:
+            made = (j, *_walsh_columns(g, j))
+        scores = _dca_scores(g, h, *made)
+        out.append(BitRanking(bit=bit, scores=scores, ranks=_ranks_from_scores(scores),
+                              correct_guess=correct_guess))
+    return out
 
 
 # --- collision / cluster ---------------------------------------------------------
@@ -479,15 +472,14 @@ def _mia_scores(g: _GroupedSums, h: np.ndarray, j: int) -> np.ndarray:
 
 def mia_max(traces: TraceSet, model, bits=range(8)) -> np.ndarray:
     """(256, len(bits)) peak mutual information per candidate between its
-    hypothesis bit and any bit column of the held samples, as in DCA; each
-    bit is one pool task.  (Byte-binned MI saturates at H(X) for every
+    hypothesis bit and any bit column of the held samples, as in DCA, one
+    bit after another.  (Byte-binned MI saturates at H(X) for every
     candidate on noise-free traces, as many samples are bijections of the
     attacked byte.)"""
-    bits = list(bits)
-    g, per_bit = _grouped(traces, model, bits)
-    out = np.zeros((256, len(bits)))
-    for bi, peak in enumerate(ordered_map(lambda hj: _mia_scores(g, *hj), per_bit)):
-        out[:, bi] = peak
+    g, per_bit = _grouped(traces, model, list(bits))
+    out = np.zeros((256, len(per_bit)))
+    for bi, (h, j) in enumerate(per_bit):
+        out[:, bi] = _mia_scores(g, h, j)
     return out
 
 

@@ -23,7 +23,7 @@ from balaes.cipher import (
     xor_sample_index,
 )
 from balaes.gfcore import reference_encrypt
-from balaes.tablegen import FormatError, encrypt_with_tables
+from balaes.tablegen import WALK_CHUNK, FormatError, encrypt_with_tables
 
 from conftest import STD_KEY
 
@@ -249,6 +249,28 @@ def test_streamed_campaign_file_matches_collected_traces(tmp_path, std_pair, pol
         assert bytes(ts.samples[row]) == ref
 
 
+def test_walk_error_on_third_block_propagates_and_next_campaign_succeeds(tmp_path, std_pair):
+    pts = random_plaintexts(5 * WALK_CHUNK, random.Random(4))
+    policy = SelectorPolicy.fixed_q0()
+    walk = cipher.encrypt_batch_with_tables
+
+    def failing_walk(ts, block, record=False):
+        if np.array_equal(block[0], pts[2 * WALK_CHUNK]):
+            raise RuntimeError("walk failed on the third block")
+        return walk(ts, block, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
+        with pytest.raises(RuntimeError, match="third block"):
+            collect_traces(std_pair, policy, pts)
+        with pytest.raises(RuntimeError, match="third block"):
+            cipher.write_campaign(std_pair, policy, pts, None, tmp_path / "failed.btr")
+    ts = collect_traces(std_pair, policy, pts)
+    cipher.write_campaign(std_pair, policy, pts, None, tmp_path / "next.btr")
+    assert np.array_equal(ts.samples, walk(std_pair.q0, pts, record=True)[1])
+    assert cipher.load_traces(tmp_path / "next.btr").samples.tobytes() == ts.samples.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 3, 1500])
 def test_loaded_trace_arrays_are_owned_contiguous_and_writable(tmp_path, std_pair, n):
     rng = random.Random(5)
@@ -285,6 +307,9 @@ def _corrupt(kind: str, blob: bytes) -> bytes:
     elif kind == "set-bit":
         b[12 + 1099 * (17 + SAMPLE_COUNT) + 16] = 2  # the last record's set bit
         b[-4:] = struct.pack("<I", zlib.crc32(bytes(b[:-4])))
+    elif kind == "nibble":
+        b[12 + 1099 * (17 + SAMPLE_COUNT) + 41] = 0x3C  # the last record's sample 24, an XOR nibble
+        b[-4:] = struct.pack("<I", zlib.crc32(bytes(b[:-4])))
     return bytes(b)
 
 
@@ -298,6 +323,7 @@ def _corrupt(kind: str, blob: bytes) -> bytes:
     ("crc", "trace file checksum mismatch"),
     ("crc-and-set-bit", "trace file checksum mismatch"),
     ("set-bit", "trace set bit is not 0 or 1"),
+    ("nibble", "trace XOR nibble sample above 0xF"),
 ])
 def test_trace_file_error_messages(tmp_path, std_pair, kind, message):
     rng = random.Random(6)

@@ -404,6 +404,21 @@ def test_grouped_engine_matches_per_guess_reference_exactly(traces_mixed_10k, ro
     assert np.array_equal(mia_max(col0, model, bits=bits), ref_mi)
 
 
+@pytest.mark.parametrize("model_name", ["sbox", "round-output"])
+@pytest.mark.parametrize("window", [None, slice(0, 40)], ids=["full", "col0"])
+def test_bit_subset_scores_equal_rows_of_the_all_bits_run(traces_mixed_10k, round_output_model, model_name, window):
+    # the round-output model groups each requested bit by its own flips: bits [7, 0]
+    # are groupings 1 and 2 here, against 8 and 1 in the range(8) run
+    model = SboxHypothesis(ell=1, pt_index=0) if model_name == "sbox" else round_output_model
+    traces = traces_mixed_10k if window is None else windowed(traces_mixed_10k, window)
+    every = dca_rank(traces, model, correct_guess=0)
+    subset = dca_rank(traces, model, correct_guess=0, bits=[7, 0])
+    assert [b.bit for b in subset] == [7, 0]
+    for part, whole in zip(subset, (every[7], every[0]), strict=True):
+        assert np.array_equal(part.scores, whole.scores) and np.array_equal(part.ranks, whole.ranks)
+    assert np.array_equal(mia_max(traces, model, bits=[7, 0]), mia_max(traces, model)[:, [7, 0]])
+
+
 def test_grouped_bit_sums_match_bit_expand():
     rng = np.random.default_rng(83)
     V = rng.integers(0, 256, (300, 5), dtype=np.uint8)
