@@ -23,7 +23,7 @@ from balaes.cipher import (
     xor_sample_index,
 )
 from balaes.gfcore import reference_encrypt
-from balaes.tablegen import WALK_CHUNK, FormatError, encrypt_with_tables
+from balaes.tablegen import FormatError, encrypt_with_tables
 
 from conftest import STD_KEY
 
@@ -247,28 +247,6 @@ def test_streamed_campaign_file_matches_collected_traces(tmp_path, std_pair, pol
     for row in {0, n // 2, n - 1} if n else ():
         ref = encrypt_with_tables(std_pair.select(int(ts.set_bits[row])), bytes(pts[row]), record=True)[1]
         assert bytes(ts.samples[row]) == ref
-
-
-def test_walk_error_on_third_block_propagates_and_next_campaign_succeeds(tmp_path, std_pair):
-    pts = random_plaintexts(5 * WALK_CHUNK, random.Random(4))
-    policy = SelectorPolicy.fixed_q0()
-    walk = cipher.encrypt_batch_with_tables
-
-    def failing_walk(ts, block, record=False):
-        if np.array_equal(block[0], pts[2 * WALK_CHUNK]):
-            raise RuntimeError("walk failed on the third block")
-        return walk(ts, block, record)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
-        with pytest.raises(RuntimeError, match="third block"):
-            collect_traces(std_pair, policy, pts)
-        with pytest.raises(RuntimeError, match="third block"):
-            cipher.write_campaign(std_pair, policy, pts, None, tmp_path / "failed.btr")
-    ts = collect_traces(std_pair, policy, pts)
-    cipher.write_campaign(std_pair, policy, pts, None, tmp_path / "next.btr")
-    assert np.array_equal(ts.samples, walk(std_pair.q0, pts, record=True)[1])
-    assert cipher.load_traces(tmp_path / "next.btr").samples.tobytes() == ts.samples.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 3, 1500])
