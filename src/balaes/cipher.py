@@ -7,10 +7,14 @@ selection is `select_set`, which maps an (N, 16) plaintext array to N set
 bits in one call.
 
 Campaigns run in blocks of `tablegen.WALK_CHUNK` plaintext rows, walked in
-the calling thread.  `write_campaign` appends each block to the trace file as
-it is walked, so it never holds the whole campaign; `load_traces` reads the
-file block by block and copies out only the sample columns it is asked for,
-so an analysis holds only the columns it reads.  `resolve_window` turns a
+the calling thread, each into the same reused record block.  `write_campaign`
+appends each block to the trace file as it is walked, so it never holds the
+whole campaign.  It rewrites an existing file in place and cuts it to length
+(`tablegen.write_in_place`).  The magic goes in last, so a write that fails
+or is killed part way leaves a file that `load_traces` refuses, whatever of
+the old file is left.  `load_traces` reads the file block by block and
+copies out only the sample columns it is asked for, so an analysis holds
+only the columns it reads.  `resolve_window` turns a
 window (None, a slice or a sequence of indices) into the int64 array of the
 absolute samples it selects.  A `TraceSet` holds the plaintexts, set bits,
 those sample columns and, as `sample_ids`, that array; `samples_at` reads
@@ -41,6 +45,7 @@ from .tablegen import (
     TableSetPair,
     encrypt_batch_with_tables,
     encrypt_with_tables,
+    write_in_place,
 )
 
 TRACE_MAGIC = b"BTR1"
@@ -304,28 +309,37 @@ _UNUSED_BITS[16] = 0xFE
 _UNUSED_BITS[17:17 + 1440][np.arange(1440) % 40 >= 16] = 0xF0
 
 
-def _record_block(pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """A record block with its plaintext and set-bit columns filled."""
-    block = np.empty((len(pts), _RECORD), dtype=np.uint8)
+def _record_block(buf: np.ndarray, pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The first len(pts) rows of the record buffer `buf`, with their
+    plaintext and set-bit columns filled."""
+    block = buf[: len(pts)]
     block[:, :16] = pts
     block[:, 16] = bits
     return block
+
+
+def _record_buffer(count: int) -> np.ndarray:
+    return np.empty((min(count, WALK_CHUNK), _RECORD), dtype=np.uint8)
 
 
 def _campaign_blocks(pair: TableSetPair, policy: SelectorPolicy, pts: np.ndarray,
                      rng: random.Random | None):
     """The record blocks of a campaign, in plaintext order.  The set bits are
     drawn for all rows before the first block, so the random policy draws
-    once per row, in row order."""
+    once per row, in row order.  Every block is a view of one record buffer,
+    refilled for the next block: a consumer must be done with a block before
+    it asks for the next one, as `_write_blocks` and `_gather` are."""
     bits = select_set(policy, pts, rng)
+    buf = _record_buffer(len(pts))
     starts = range(0, len(pts), WALK_CHUNK)
-    return (_walk_block(pair, pts[s : s + WALK_CHUNK], bits[s : s + WALK_CHUNK]) for s in starts)
+    return (_walk_block(pair, pts[s : s + WALK_CHUNK], bits[s : s + WALK_CHUNK], buf) for s in starts)
 
 
-def _walk_block(pair: TableSetPair, pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """One record block: the walk runs once per set present, and its samples
-    are scattered back into plaintext order."""
-    block = _record_block(pts, bits)
+def _walk_block(pair: TableSetPair, pts: np.ndarray, bits: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """One record block, filled into the record buffer `buf`: the walk runs
+    once per set present, and its samples are scattered back into plaintext
+    order."""
+    block = _record_block(buf, pts, bits)
     for bit in (0, 1):
         sel = np.nonzero(bits == bit)[0]
         if sel.size:
@@ -334,20 +348,25 @@ def _walk_block(pair: TableSetPair, pts: np.ndarray, bits: np.ndarray) -> np.nda
 
 
 def _write_blocks(path, count: int, blocks) -> None:
-    header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, count, SAMPLE_COUNT)
-    crc = zlib.crc32(header)
-    with open(path, "wb") as fh:
-        fh.write(header)
+    """The trace file of `count` records from their record blocks, each
+    written and checksummed before the next is asked for; an existing file
+    is rewritten in place (see tablegen.write_in_place)."""
+    def chunks():
+        header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, count, SAMPLE_COUNT)
+        yield header[len(TRACE_MAGIC):]  # the writer puts the magic in last
+        crc = zlib.crc32(header)
         for block in blocks:
-            fh.write(block.data)
+            yield block
             crc = zlib.crc32(block, crc)
-        fh.write(struct.pack("<I", crc))
+        yield struct.pack("<I", crc)
+
+    write_in_place(path, TRACE_MAGIC, chunks())
 
 
 def _file_blocks(fh, count: int, crc: int):
     """The records after a checked header, read into one reused block buffer;
     raises on a checksum mismatch once the last block has been taken."""
-    buf = np.empty((min(count, WALK_CHUNK), _RECORD), dtype=np.uint8)
+    buf = _record_buffer(count)
     for start in range(0, count, WALK_CHUNK):
         block = buf[: count - start]
         if fh.readinto(block) != block.nbytes:
@@ -391,16 +410,17 @@ def _gather(count: int, blocks, ids: np.ndarray) -> TraceSet:
     return TraceSet(plaintexts=pts, set_bits=bits, samples=samples, sample_ids=ids)
 
 
-def _stored_block(ts: TraceSet, samples: np.ndarray, start: int) -> np.ndarray:
+def _stored_block(ts: TraceSet, samples: np.ndarray, start: int, buf: np.ndarray) -> np.ndarray:
     end = start + WALK_CHUNK
-    block = _record_block(ts.plaintexts[start:end], ts.set_bits[start:end])
+    block = _record_block(buf, ts.plaintexts[start:end], ts.set_bits[start:end])
     block[:, 17:] = samples[start:end]
     return block
 
 
 def save_traces(ts: TraceSet, path) -> None:
     samples = ts.samples_at(None)  # a set loaded with a window lacks samples
-    _write_blocks(path, len(ts), (_stored_block(ts, samples, s) for s in range(0, len(ts), WALK_CHUNK)))
+    buf = _record_buffer(len(ts))
+    _write_blocks(path, len(ts), (_stored_block(ts, samples, s, buf) for s in range(0, len(ts), WALK_CHUNK)))
 
 
 def load_traces(path, samples=None) -> TraceSet:

@@ -131,9 +131,10 @@ def cmd_gen(args) -> int:
     pair, spec = tablegen.build_table_pair(key, args.seed, args.xor_boundary)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "q0.tbl").write_bytes(tablegen.serialize_tableset(pair.q0))
-    (out_dir / "q1.tbl").write_bytes(tablegen.serialize_tableset(pair.q1))
-    (out_dir / "enc.spec").write_bytes(tablegen.serialize_spec(spec))
+    for name, data in (("q0.tbl", tablegen.serialize_tableset(pair.q0)),
+                       ("q1.tbl", tablegen.serialize_tableset(pair.q1)),
+                       ("enc.spec", tablegen.serialize_spec(spec))):
+        tablegen.write_in_place(out_dir / name, data[:4], [memoryview(data)[4:]])
     report = tablegen.size_and_lookup_report(pair.q0)
     _, _, measured = tablegen.encrypt_with_tables(pair.q0, bytes(16))
     _print_json({

@@ -23,21 +23,26 @@ a recorded walk cuts each trace sample from a value it gathered with one shift
 and mask, in the same pass.  A TableSet's arrays are read-only, so its
 walk-ready copy cannot go stale.
 
-A table file is an 8-byte header (magic, version, set id), then the TableSet
-arrays in their index order: ut (9*16*1024 bytes), tx packed two nibbles per
-byte with the even entry of each pair in the low nibble (864*128 bytes), t10
-(16*256 bytes), and a CRC-32 of everything before it.  A spec file is its
-header, seed and key, then the EncodingSpec arrays fg, ut_partners and
-stage_partners in their index order, and a CRC-32."""
+A table file is an 8-byte header (magic, version, set id, a reserved byte
+that must be 0), then the TableSet arrays in their index order: ut
+(9*16*1024 bytes), tx packed two nibbles per byte with the even entry of each
+pair in the low nibble (864*128 bytes), t10 (16*256 bytes), and a CRC-32 of
+everything before it.  A spec file is its header (magic, version,
+xor-boundary mode, a reserved byte that must be 0), seed and key, then the
+EncodingSpec arrays fg, ut_partners and stage_partners in their index order,
+and a CRC-32."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 import random
+import stat
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +92,15 @@ class EncodingSpec:
     ut_partners: np.ndarray
     stage_partners: np.ndarray
     xor_boundary_mode: str = "balanced"
-    round_keys: RoundKeys = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.round_keys = RoundKeys.from_key(self.key)
+        if len(self.key) != 16:
+            raise ValueError("key must be 16 bytes")
+
+    @functools.cached_property
+    def round_keys(self) -> RoundKeys:
+        """The expanded key, built on first use: loading a spec does not need it."""
+        return RoundKeys.from_key(self.key)
 
 
 # EncodingSpec's arrays in spec file order; the file stores each whole, in its index order.
@@ -470,6 +480,40 @@ def size_and_lookup_report(ts: TableSet) -> dict:
 
 # --- serialization -----------------------------------------------------------
 
+def write_in_place(path, magic: bytes, chunks) -> None:
+    """Write the file magic `magic` and then the byte buffers `chunks` to
+    `path`, from offset 0 over whatever the file holds, and cut it to the
+    bytes written.  An existing file is rewritten in place instead of first
+    truncated to nothing, which on ext4 costs more than the write; writing a
+    temporary file and renaming it over `path` would be slower still, as
+    ext4 flushes the new file at the rename.
+
+    The magic's place holds zeros until every chunk is written, so a write
+    cut short fails its magic check however it ends, even when a killed
+    process skips the `finally` cut and leaves the old file's tail.  An
+    exception part way leaves the zeros and the chunks written so far.  Only
+    a regular file gets the zeros and the cut: /dev/null or a pipe is
+    written straight through."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    written = 0
+    try:
+        for chunk in itertools.chain([bytes(len(magic)) if regular else magic], chunks):
+            view = memoryview(chunk).cast("B")
+            while view:
+                n = os.write(fd, view)
+                written += n
+                view = view[n:]
+        if regular:
+            os.pwrite(fd, magic, 0)
+    finally:
+        try:
+            if regular and os.fstat(fd).st_size > written:
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def serialize_tableset(ts: TableSet) -> bytes:
     """Header, then ut, tx and t10 in their index order; tx holds two nibbles
     per byte, the even entry of each pair in the low nibble."""
@@ -484,7 +528,7 @@ def deserialize_tableset(data: bytes) -> TableSet:
         raise FormatError("truncated table file")
     if data[:4] != TABLE_MAGIC:
         raise FormatError("bad magic for table file")
-    version, set_id, _ = struct.unpack("<HBB", data[4:8])
+    version, set_id, reserved = struct.unpack("<HBB", data[4:8])
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported table format version {version}")
     expected_len = 8 + TOTAL_BYTES + 4
@@ -495,6 +539,8 @@ def deserialize_tableset(data: bytes) -> TableSet:
         raise FormatError("table file checksum mismatch")
     if set_id not in (0, 1):
         raise FormatError(f"table set id {set_id} is not 0 or 1")
+    if reserved:
+        raise FormatError("table file reserved byte is not 0")
     body = np.frombuffer(data, dtype=np.uint8, count=TOTAL_BYTES, offset=8)
     packed = body[UT_BYTES : UT_BYTES + TX_BYTES].reshape(9, 4, 4, 3, 2, 128)
     tx = np.empty((9, 4, 4, 3, 2, 256), dtype=np.uint8)
@@ -529,7 +575,7 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
 
     if len(data) < 12 or data[:4] != SPEC_MAGIC:
         raise FormatError("bad magic for spec file")
-    version, mode, _ = struct.unpack("<HBB", data[4:8])
+    version, mode, reserved = struct.unpack("<HBB", data[4:8])
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported spec format version {version}")
     expected_len = 8 + _SPEC_PAYLOAD + 4
@@ -540,6 +586,8 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
         raise FormatError("spec file checksum mismatch")
     if mode not in (0, 1):
         raise FormatError(f"unknown spec xor-boundary mode {mode}")
+    if reserved:
+        raise FormatError("spec file reserved byte is not 0")
     body = np.frombuffer(data, dtype=np.uint8, count=sum(_SPEC_SIZES), offset=32)
     # Every field after the seed and key is an f or g row or a codec partner: one nibble each.
     if body.max() > 0xF:

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from balaes import cipher
+from balaes import cipher, tablegen
 from balaes.cipher import (
     SAMPLE_COUNT,
     SelectorPolicy,
@@ -23,7 +23,7 @@ from balaes.cipher import (
     xor_sample_index,
 )
 from balaes.gfcore import reference_encrypt
-from balaes.tablegen import FormatError, encrypt_with_tables
+from balaes.tablegen import WALK_CHUNK, FormatError, encrypt_with_tables
 
 from conftest import STD_KEY
 
@@ -355,3 +355,61 @@ def test_round_output_sample_pair_loads_exactly_those_two_samples(tmp_path, std_
     assert loaded.sample_ids.tolist() == [20, 21]
     assert np.array_equal(loaded.samples, ts.samples[:, [20, 21]])
     assert loaded.samples_at(pair) is loaded.samples
+
+
+# --- writing over an existing file --------------------------------------------
+
+@pytest.mark.parametrize("old_size", [100, 4 * WALK_CHUNK * cipher._RECORD], ids=["shorter", "longer"])
+def test_campaign_written_over_an_existing_file_matches_a_fresh_write(tmp_path, std_pair, old_size):
+    pol, pts = SelectorPolicy.random_bit(0.5), random_plaintexts(2500, random.Random(9))
+    fresh, over = tmp_path / "fresh.btr", tmp_path / "over.btr"
+    over.write_bytes(b"\xa5" * old_size)
+    cipher.write_campaign(std_pair, pol, pts, random.Random(3), fresh)
+    cipher.write_campaign(std_pair, pol, pts, random.Random(3), over)
+    assert over.read_bytes() == fresh.read_bytes()
+    ts = cipher.load_traces(fresh)
+    cipher.save_traces(ts, over)
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_walk_error_over_a_longer_file_leaves_the_blocks_written_and_no_magic(tmp_path, std_pair):
+    pts = random_plaintexts(5 * WALK_CHUNK, random.Random(4))
+    policy = SelectorPolicy.fixed_q0()
+    path, good = tmp_path / "t.btr", tmp_path / "good.btr"
+    cipher.write_campaign(std_pair, SelectorPolicy.fixed_q1(), random_plaintexts(6 * WALK_CHUNK, random.Random(5)),
+                          None, path)
+    cipher.write_campaign(std_pair, policy, pts, None, good)
+    walk = cipher.encrypt_batch_with_tables
+
+    def failing_walk(ts, block, record=False):
+        if np.array_equal(block[0], pts[2 * WALK_CHUNK]):
+            raise RuntimeError("walk failed on the third block")
+        return walk(ts, block, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
+        with pytest.raises(RuntimeError, match="third block"):
+            cipher.write_campaign(std_pair, policy, pts, None, path)
+    written = cipher._HEADER + 2 * WALK_CHUNK * cipher._RECORD
+    data = path.read_bytes()
+    assert len(data) == written  # nothing of the longer old file is left past the blocks written
+    assert data[:4] == bytes(4) and data[4:] == good.read_bytes()[4:written]
+    with pytest.raises(FormatError, match="bad magic"):
+        cipher.load_traces(path)
+
+
+def test_killed_write_over_a_campaign_of_the_same_count_fails_to_load(tmp_path, std_pair, monkeypatch):
+    pts = random_plaintexts(3 * WALK_CHUNK, random.Random(4))
+    path = tmp_path / "t.btr"
+    cipher.write_campaign(std_pair, SelectorPolicy.fixed_q1(), pts, None, path)
+
+    def failing_walk(ts, block, record=False):
+        raise RuntimeError("killed during the first block")
+
+    monkeypatch.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
+    monkeypatch.setattr(tablegen.os, "ftruncate", lambda fd, length: None)  # a kill skips the cut
+    with pytest.raises(RuntimeError, match="first block"):
+        cipher.write_campaign(std_pair, SelectorPolicy.fixed_q0(), pts, None, path)
+    assert path.stat().st_size == cipher._HEADER + len(pts) * cipher._RECORD + 4  # the old campaign's length
+    with pytest.raises(FormatError, match="bad magic"):
+        cipher.load_traces(path)

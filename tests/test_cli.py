@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 import struct
 import tracemalloc
 import zlib
@@ -57,6 +59,15 @@ def test_gen_writes_files_and_report(gen_dir, capfd):
 def test_gen_is_deterministic(gen_dir, tmp_path):
     rc = main(["gen", "--key", FIPS_KEY, "--seed", "11", "--out", str(tmp_path)])
     assert rc == 0
+    for name in ("q0.tbl", "q1.tbl", "enc.spec"):
+        assert (tmp_path / name).read_bytes() == (gen_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("old_size", [10, 300000], ids=["shorter", "longer"])
+def test_gen_over_existing_files_writes_the_same_bytes(gen_dir, tmp_path, capfd, old_size):
+    for name in ("q0.tbl", "q1.tbl", "enc.spec"):
+        (tmp_path / name).write_bytes(b"\xa5" * old_size)
+    assert main(["gen", "--key", FIPS_KEY, "--seed", "11", "--out", str(tmp_path)]) == 0
     for name in ("q0.tbl", "q1.tbl", "enc.spec"):
         assert (tmp_path / name).read_bytes() == (gen_dir / name).read_bytes()
 
@@ -168,6 +179,14 @@ def test_grid_roundout_analysis_memory_bound(grid_mixed_file, capfd, kind):
         tracemalloc.stop()
     assert rc == 0
     assert peak < 48 * 2**20, peak
+
+
+def test_trace_to_devnull_exits_0(gen_dir, capfd):
+    rc = main(["trace", "--tables", str(gen_dir), "--source", "random", "--count", "1500",
+               "--policy", "random:0.5", "--seed", "3", "--out", os.devnull])
+    assert rc == 0
+    assert json.loads(capfd.readouterr().out)["out"] == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)  # written through, neither cut nor replaced
 
 
 def test_trace_determinism(gen_dir, tmp_path, trace_file):
@@ -548,6 +567,18 @@ def test_table_set_id_outside_0_1_is_format_error(gen_dir, tmp_path, capfd):
     shutil.copy(gen_dir / "q1.tbl", tmp_path / "q1.tbl")
     rc = main(["encrypt", "--tables", str(tmp_path), "--pt", FIPS_PT])
     assert rc == 3
+
+
+@pytest.mark.parametrize("name, kind", [("q0.tbl", "table"), ("enc.spec", "spec")])
+def test_reserved_header_byte_other_than_0_is_format_error(gen_dir, tmp_path, capfd, name, kind):
+    for other in ("q0.tbl", "q1.tbl", "enc.spec"):
+        shutil.copy(gen_dir / other, tmp_path / other)
+    blob = bytearray((gen_dir / name).read_bytes())
+    blob[7] = 1
+    _write_crc_fixed(tmp_path / name, blob)
+    rc = main(["verify", "--tables", str(tmp_path), "--spec", str(tmp_path / "enc.spec")])
+    assert rc == 3
+    assert f"{kind} file reserved byte is not 0" in capfd.readouterr().err
 
 
 def test_trace_set_bit_outside_0_1_is_format_error(trace_file, tmp_path, capfd):

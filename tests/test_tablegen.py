@@ -547,6 +547,20 @@ def test_spec_serialization_round_trip(std_spec):
         deserialize_spec(bytes(blob))
 
 
+def test_loading_a_spec_leaves_key_expansion_to_first_use(std_spec, monkeypatch):
+    calls = []
+    from_key = RoundKeys.from_key
+    monkeypatch.setattr(RoundKeys, "from_key", classmethod(lambda cls, key: calls.append(key) or from_key(key)))
+    spec = deserialize_spec(serialize_spec(std_spec))
+    assert calls == []
+    assert spec.round_keys == from_key(spec.key)
+    assert calls == [spec.key]
+    assert spec.round_keys is spec.round_keys and len(calls) == 1
+    with pytest.raises(ValueError, match="key must be 16 bytes"):  # still at construction
+        tablegen.EncodingSpec(seed=0, key=b"short", fg=std_spec.fg, ut_partners=std_spec.ut_partners,
+                              stage_partners=std_spec.stage_partners)
+
+
 def test_serialize_spec_rejects_seed_outside_u64():
     # masked to 64 bits, these were saved as 2**64 - 5 and 5, seeds that sample other specs
     for seed in (-5, 2**64 + 5):
