@@ -26,7 +26,9 @@ kept it busy, so the campaign rate followed the neighbours' load.)
 Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
 24 XOR nibbles in (output byte, stage, upper-then-lower) order; then the 16
-final-round output bytes in ciphertext order."""
+final-round output bytes in ciphertext order.  ROUND_SAMPLES, UT_SAMPLES and
+XOR_SAMPLES state it once, as the sample at each coordinate; every window and
+check that names samples selects from them."""
 
 from __future__ import annotations
 
@@ -52,36 +54,15 @@ TRACE_MAGIC = b"BTR1"
 SAMPLE_COUNT = 1456
 
 
-# --- sample index helpers (0-based r in 1..9, j, i, k, stage, half) ----------
+# --- sample layout --------------------------------------------------------------
+# The sample at each coordinate of rounds 1..9 (160 samples a round, 40 a
+# column); all three are read-only views of one arange.  The last 16 samples
+# have no array: they are the ciphertext, and nothing reads them by coordinate.
 
-def ut_sample_index(r: int, j: int, i: int, k: int) -> int:
-    return (r - 1) * 160 + j * 40 + i * 4 + k
-
-
-def xor_sample_index(r: int, j: int, k: int, stage: int, half: int) -> int:
-    return (r - 1) * 160 + j * 40 + 16 + k * 6 + stage * 2 + half
-
-
-def t10_sample_index(i: int, j: int) -> int:
-    return 1440 + j * 4 + i
-
-
-def round_sample_slice(r: int) -> slice:
-    """All samples of one encoded round (r in 1..9)."""
-    return slice((r - 1) * 160, r * 160)
-
-
-def ut_output_indices(r: int) -> np.ndarray:
-    """Indices of the 64 table-output byte samples of round r."""
-    return np.array(
-        [ut_sample_index(r, j, i, k) for j in range(4) for i in range(4) for k in range(4)],
-        dtype=np.int64,
-    )
-
-
-def round_output_sample_indices(r: int, j: int, k: int) -> tuple:
-    """(upper, lower) nibble sample indices holding the encoded round-output byte."""
-    return xor_sample_index(r, j, k, 2, 0), xor_sample_index(r, j, k, 2, 1)
+ROUND_SAMPLES = np.arange(1440).reshape(9, 4, 40)  # [r - 1, j, slot]
+ROUND_SAMPLES.flags.writeable = False
+UT_SAMPLES = ROUND_SAMPLES[..., :16].reshape(9, 4, 4, 4)  # [r - 1, j, i, k]
+XOR_SAMPLES = ROUND_SAMPLES[..., 16:].reshape(9, 4, 4, 3, 2)  # [r - 1, j, k, stage, half]
 
 
 def resolve_window(window) -> np.ndarray:
@@ -303,10 +284,10 @@ def write_campaign(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
 _HEADER = 12
 _RECORD = 16 + 1 + SAMPLE_COUNT  # plaintext, set bit, samples
 # per record column, the bits no valid value sets: above bit 0 of the set bit,
-# and the high nibble of the XOR nibbles, samples 16..39 of every 40 in rounds 1..9
+# and the high nibble of every XOR nibble
 _UNUSED_BITS = np.zeros(_RECORD, dtype=np.uint8)
 _UNUSED_BITS[16] = 0xFE
-_UNUSED_BITS[17:17 + 1440][np.arange(1440) % 40 >= 16] = 0xF0
+_UNUSED_BITS[17 + XOR_SAMPLES.ravel()] = 0xF0
 
 
 def _record_block(buf: np.ndarray, pts: np.ndarray, bits: np.ndarray) -> np.ndarray:

@@ -39,9 +39,9 @@ def _parse_key(text: str) -> bytes:
 
 
 NAMED_WINDOWS = {
-    "round1": cipher.round_sample_slice(1),
-    "round1-ut": cipher.ut_output_indices(1),
-    "round1-col0": slice(0, 40),
+    "round1": cipher.ROUND_SAMPLES[0].ravel(),
+    "round1-ut": cipher.UT_SAMPLES[0].ravel(),
+    "round1-col0": cipher.ROUND_SAMPLES[0, 0],
 }
 
 

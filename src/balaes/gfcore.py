@@ -9,7 +9,7 @@ import numpy as np
 
 GF_POLY = 0x11B
 
-# Standard SubBytes table; validated below against the inverse-plus-affine construction.
+# Standard SubBytes table; tests/test_gfcore.py checks it against the inverse-plus-affine construction.
 SBOX = bytes.fromhex(
     "637c777bf26b6fc53001672bfed7ab76"
     "ca82c97dfa5947f0add4a2af9ca472c0"
@@ -41,38 +41,6 @@ def gf_mul(a: int, b: int) -> int:
             a ^= GF_POLY
         b >>= 1
     return p
-
-
-def gf_inv(a: int) -> int:
-    """Multiplicative inverse (0 maps to 0), via a^254."""
-    if a == 0:
-        return 0
-    r, base, e = 1, a, 254
-    while e:
-        if e & 1:
-            r = gf_mul(r, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return r
-
-
-def _rotl8(x: int, n: int) -> int:
-    return ((x << n) | (x >> (8 - n))) & 0xFF
-
-
-def sbox_from_construction(x: int) -> int:
-    """SubBytes from first principles: field inverse followed by the affine map."""
-    b = gf_inv(x)
-    return b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3) ^ _rotl8(b, 4) ^ 0x63
-
-
-def _validate_sbox() -> None:
-    for x in range(256):
-        if SBOX[x] != sbox_from_construction(x):
-            raise RuntimeError("SubBytes constant table failed the construction self-check")
-
-
-_validate_sbox()
 
 
 # Precomputed xtime-style multiples used by MixColumns.

@@ -52,7 +52,7 @@ import numpy as np
 
 from .gfcore import RoundKeys, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
-from .cipher import TraceSet, round_output_sample_indices, ut_sample_index
+from .cipher import UT_SAMPLES, XOR_SAMPLES, TraceSet
 from .tablegen import round_output_walsh
 
 
@@ -64,7 +64,7 @@ from .tablegen import round_output_walsh
 # samples 20 and 21 (ROUND_OUTPUT_SAMPLES).  A grid campaign varies p0 and p5.
 # k0, k2 and k3 are known, and k1 is guessed.
 
-ROUND_OUTPUT_SAMPLES = round_output_sample_indices(1, 0, 0)
+ROUND_OUTPUT_SAMPLES = XOR_SAMPLES[0, 0, 0, 2]
 
 
 def round_output_keys(key: bytes) -> tuple:
@@ -107,11 +107,11 @@ class RoundOutputHypothesis:
 
 # --- trace-mode table-output Walsh ----------------------------------------------
 
-def walsh_ut_sample_indices(pt_index: int) -> list:
+def walsh_ut_sample_indices(pt_index: int) -> np.ndarray:
     """The four round-1 table-output samples of one plaintext byte, which
     walsh_ut_trace_grid reads."""
     i, j = position_for_pt_index(pt_index)
-    return [ut_sample_index(1, j, i, k) for k in range(4)]
+    return UT_SAMPLES[0, j, i]
 
 
 def walsh_ut_trace_grid(traces: TraceSet, pt_index: int, ellp: int) -> np.ndarray:
@@ -170,8 +170,7 @@ def bit_expand(V: np.ndarray) -> np.ndarray:
     _grouped_bit_sums without materializing it.  Nibble-valued samples
     contribute four constant zero columns.
     """
-    shifts = np.arange(7, -1, -1, dtype=np.uint8)
-    return ((V[:, :, None] >> shifts) & 1).reshape(V.shape[0], -1)
+    return np.unpackbits(V, axis=1)
 
 
 @dataclass

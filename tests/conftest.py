@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -8,7 +9,7 @@ import pytest
 from balaes import cipher, sca, tablegen
 import numpy as np
 
-from balaes.binmat import COEFF, allowed_f_rows, assembled_rows, shear_maps, walsh_grid
+from balaes.binmat import COEFF, admissible_g, assembled_rows, derive_blacklist_F, shear_maps, walsh_grid
 from balaes.gfcore import SBOX, gf_mul
 
 STD_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -132,6 +133,24 @@ def mat_vec_mul(rows, v: int) -> int:
 def assemble_M(pair) -> BitMat8:
     """Block matrix [[I, f], [g, I + g.f]] realizing the shear encoding."""
     return BitMat8(rows=tuple(assembled_rows(pair[0], pair[1]).tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def allowed_f_rows() -> tuple:
+    """Per-row admissible f rows: every 4-bit value derive_blacklist_F does not forbid."""
+    bf = derive_blacklist_F()
+    return tuple(tuple(b for b in range(16) if b not in bf[i]) for i in range(4))
+
+
+def count_valid_pairs() -> int:
+    """Exhaustive count of admissible (f, g) pairs.
+
+    The lower-row condition factorizes per row of g, so the count is the sum
+    over all 27,000 admissible f of the product of per-row g counts: one
+    admissible_g call over the stack of every f.
+    """
+    f = np.array(list(itertools.product(*allowed_f_rows())), dtype=np.uint8)
+    return int(admissible_g(f).sum(axis=-1).prod(axis=-1).sum())
 
 
 def f_family_size() -> int:

@@ -13,7 +13,6 @@ from balaes import cipher, sca, tablegen
 from balaes.binmat import (
     COEFF,
     assembled_rows,
-    count_valid_pairs,
     derive_blacklist_F,
     derive_blacklist_W,
     idx_of,
@@ -30,7 +29,7 @@ from balaes.tablegen import (
     walsh_ut_grid_static,
 )
 
-from conftest import STD_KEY, f_family_size, windowed
+from conftest import STD_KEY, count_valid_pairs, f_family_size, windowed
 
 
 def _ok(n, msg):
@@ -228,7 +227,7 @@ def test_criterion_08_nibble_candidate_statistic():
 
 def test_criterion_09_dca_lowest_rank(traces_q0_10k):
     start = time.perf_counter()
-    traces = windowed(traces_q0_10k, cipher.ut_output_indices(1))
+    traces = windowed(traces_q0_10k, cipher.UT_SAMPLES[0].ravel())
     worst_rank = 256
     worst_correct = 0.0
     weakest_wrong = 1.0
@@ -303,7 +302,7 @@ def test_criterion_12_tvla(std_pair):
                            cipher.fixed_plaintexts(fixed_pt, 10000), rng)
     rand = collect_traces(std_pair, SelectorPolicy.random_bit(0.5),
                           random_plaintexts(10000, rng), rng)
-    round1 = cipher.round_sample_slice(1)
+    round1 = cipher.ROUND_SAMPLES[0].ravel()
     result = sca.tvla(windowed(fixed, round1), windowed(rand, round1))
     elapsed = time.perf_counter() - start
     assert result.max_abs_t < 4.5, result.max_abs_t

@@ -7,9 +7,7 @@ import pytest
 
 from balaes.binmat import (
     admissible_g,
-    allowed_f_rows,
     assembled_rows,
-    count_valid_pairs,
     derive_blacklist_F,
     derive_blacklist_W,
     idx_of,
@@ -22,8 +20,10 @@ from balaes.binmat import (
 
 from conftest import (
     IDENTITY_PAIR,
+    allowed_f_rows,
     assemble_M,
     bit_rows,
+    count_valid_pairs,
     decode_map,
     f_family_size,
     mat_vec_mul,

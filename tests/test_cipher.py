@@ -7,20 +7,17 @@ import pytest
 
 from balaes import cipher, tablegen
 from balaes.cipher import (
+    ROUND_SAMPLES,
     SAMPLE_COUNT,
+    UT_SAMPLES,
+    XOR_SAMPLES,
     SelectorPolicy,
     collect_traces,
     encrypt,
     fixed_plaintexts,
     grid_plaintexts,
     random_plaintexts,
-    round_output_sample_indices,
-    round_sample_slice,
     select_set,
-    t10_sample_index,
-    ut_output_indices,
-    ut_sample_index,
-    xor_sample_index,
 )
 from balaes.gfcore import reference_encrypt
 from balaes.tablegen import WALK_CHUNK, FormatError, encrypt_with_tables
@@ -103,16 +100,41 @@ def test_random_policy_fraction_close_to_alpha():
 
 
 def test_sample_index_layout_constants():
-    assert ut_sample_index(1, 0, 0, 0) == 0
-    assert xor_sample_index(1, 0, 0, 0, 0) == 16
-    assert xor_sample_index(1, 0, 0, 2, 1) == 21
-    assert ut_sample_index(2, 0, 0, 0) == 160
-    assert t10_sample_index(0, 0) == 1440
-    assert t10_sample_index(3, 3) == 1455
-    assert round_output_sample_indices(1, 0, 0) == (20, 21)
+    assert UT_SAMPLES[0, 0, 0, 0] == 0
+    assert XOR_SAMPLES[0, 0, 0, 0, 0] == 16
+    assert XOR_SAMPLES[0, 0, 0, 2, 1] == 21
+    assert UT_SAMPLES[1, 0, 0, 0] == 160
+    assert XOR_SAMPLES[0, 0, 0, 2].tolist() == [20, 21]
     assert 9 * (16 * 4 + 16 * 3 * 2) + 16 == SAMPLE_COUNT == 1456
-    assert len(ut_output_indices(1)) == 64
-    assert round_sample_slice(2) == slice(160, 320)
+    assert UT_SAMPLES[0].size == 64
+    assert ROUND_SAMPLES[1].ravel().tolist() == list(range(160, 320))
+
+
+def test_layout_arrays_hold_each_sample_once():
+    assert (ROUND_SAMPLES.shape, UT_SAMPLES.shape, XOR_SAMPLES.shape) == ((9, 4, 40), (9, 4, 4, 4), (9, 4, 4, 3, 2))
+    held = np.concatenate([UT_SAMPLES.ravel(), XOR_SAMPLES.ravel(), np.arange(1440, 1456)])
+    assert np.array_equal(np.sort(held), np.arange(SAMPLE_COUNT))
+
+
+def test_unused_bits_are_the_set_bit_and_the_xor_nibble_high_bits():
+    nibble = np.zeros(cipher._RECORD, dtype=bool)
+    nibble[17 + XOR_SAMPLES.ravel()] = True
+    # the XOR nibbles are samples 16..39 of every 40 in rounds 1..9
+    assert np.array_equal(nibble[17:17 + 1440], np.arange(1440) % 40 >= 16)
+    assert not nibble[:17].any() and not nibble[17 + 1440:].any()
+    assert cipher._UNUSED_BITS[16] == 0xFE
+    assert (cipher._UNUSED_BITS[nibble] == 0xF0).all()
+    nibble[16] = True
+    assert not cipher._UNUSED_BITS[~nibble].any()
+
+
+@pytest.mark.parametrize("name", ["ROUND_SAMPLES", "UT_SAMPLES", "XOR_SAMPLES"])
+def test_layout_arrays_are_read_only(name):
+    layout = getattr(cipher, name)
+    first = int(layout.flat[0])
+    with pytest.raises(ValueError):
+        layout[(0,) * layout.ndim] = first + 1
+    assert layout.flat[0] == first
 
 
 def test_encrypt_result_fields(std_pair):
@@ -162,9 +184,9 @@ def test_q1_trace_is_complement_of_q0(std_pair):
     t0 = encrypt_with_tables(std_pair.select(0), pt, record=True)[1]
     t1 = encrypt_with_tables(std_pair.select(1), pt, record=True)[1]
     # table-output byte samples complement over 8 bits, nibble samples over 4
-    idx_byte = ut_sample_index(3, 1, 2, 3)
+    idx_byte = UT_SAMPLES[2, 1, 2, 3]
     assert t0[idx_byte] ^ t1[idx_byte] == 0xFF
-    idx_nib = xor_sample_index(5, 2, 1, 1, 0)
+    idx_nib = XOR_SAMPLES[4, 2, 1, 1, 0]
     assert t0[idx_nib] ^ t1[idx_nib] == 0xF
     # the final-round outputs are the ciphertext in both
     assert t0[1440:] == t1[1440:]
@@ -349,8 +371,8 @@ def test_round_output_sample_pair_loads_exactly_those_two_samples(tmp_path, std_
     rng = random.Random(8)
     ts = collect_traces(std_pair, SelectorPolicy.random_bit(0.5), random_plaintexts(50, rng), rng)
     cipher.save_traces(ts, tmp_path / "t.btr")
-    pair = round_output_sample_indices(1, 0, 0)
-    assert pair == (20, 21)
+    pair = XOR_SAMPLES[0, 0, 0, 2]
+    assert pair.tolist() == [20, 21]
     loaded = cipher.load_traces(tmp_path / "t.btr", pair)
     assert loaded.sample_ids.tolist() == [20, 21]
     assert np.array_equal(loaded.samples, ts.samples[:, [20, 21]])

@@ -271,7 +271,7 @@ def test_analyze_tvla(gen_dir, tmp_path, capfd):
 
 @pytest.mark.parametrize("window, samples", [
     ("100:3", [100, 101, 102]),
-    ("round1-ut", cipher.ut_output_indices(1).tolist()),
+    ("round1-ut", cipher.UT_SAMPLES[0].ravel().tolist()),
     ("round1", list(range(160))),
 ], ids=["100:3", "round1-ut", "round1"])
 def test_tvla_rows_name_absolute_samples(gen_dir, trace_file, tmp_path, capfd, window, samples):

@@ -215,7 +215,7 @@ def test_analysis_report_matches_golden_digest(golden_campaigns, tmp_path, label
 def test_windowed_load_equals_the_columns_of_a_full_load(golden_campaigns, campaign):
     path = golden_campaigns[campaign]
     full = cipher.load_traces(path)
-    for window in (cipher.round_sample_slice(1), np.array([1455, 20, 3, 700]), sca.ROUND_OUTPUT_SAMPLES):
+    for window in (cipher.ROUND_SAMPLES[0].ravel(), np.array([1455, 20, 3, 700]), sca.ROUND_OUTPUT_SAMPLES):
         part = cipher.load_traces(path, window)
         ids = cipher.resolve_window(window)
         assert np.array_equal(part.sample_ids, ids)
@@ -226,7 +226,7 @@ def test_windowed_load_equals_the_columns_of_a_full_load(golden_campaigns, campa
         assert np.array_equal(part.samples_at(ids[::-1]), full.samples_at(ids[::-1]))
 
 
-@pytest.mark.parametrize("window", [cipher.ut_output_indices(1), slice(0, 40)], ids=["round1-ut", "0:40"])
+@pytest.mark.parametrize("window", [cipher.UT_SAMPLES[0].ravel(), slice(0, 40)], ids=["round1-ut", "0:40"])
 def test_kernels_on_a_windowed_load_equal_the_kernels_on_the_windowed_set(golden_campaigns, window):
     # the kernels score every column a set holds; loading a window must leave
     # them exactly the columns that windowing the full set in memory leaves

@@ -229,7 +229,7 @@ def walsh_ut_from_traces(traces: TraceSet, pt_index: int, out_byte: int, out_bit
     """One trace-mode Walsh sum: one (or reps, averaged) observed table output
     per input byte value.  Raises if some value was never encrypted."""
     i, j = position_for_pt_index(pt_index)
-    s_idx = cipher.ut_sample_index(1, j, i, out_byte)
+    s_idx = cipher.UT_SAMPLES[0, j, i, out_byte]
     b = traces.plaintexts[:, pt_index]
     col = traces.samples[:, s_idx]
     hyp = _MUL[ellp][_SBOX[np.arange(256, dtype=np.uint8) ^ np.uint8(guess)]]
@@ -908,7 +908,7 @@ def test_kernels_refuse_a_sample_that_was_not_loaded(std_pair, tmp_path):
     pts[:, 0] = np.arange(512) % 256  # every value of byte 0, so walsh_ut_trace_grid reads samples
     path = tmp_path / "t.btr"
     cipher.save_traces(collect_traces(std_pair, SelectorPolicy.fixed_q0(), pts), path)
-    ut = cipher.load_traces(path, cipher.ut_output_indices(1))  # 16..39 are XOR nibbles
+    ut = cipher.load_traces(path, cipher.UT_SAMPLES[0].ravel())  # 16..39 are XOR nibbles
     with pytest.raises(ValueError, match="sample 20 was not loaded"):
         walsh_round_output_all(ut)
     with pytest.raises(ValueError, match="sample 20 was not loaded"):

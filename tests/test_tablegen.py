@@ -396,7 +396,7 @@ def test_round_output_bytes_grid_equals_the_walk(std_pair, bit):
     # must read what the table walk records on the (p0, p5) grid
     pts = cipher.grid_plaintexts()
     _, samples, _ = encrypt_batch_with_tables(std_pair.select(bit), pts, record=True)
-    u_idx, l_idx = cipher.round_output_sample_indices(1, 0, 0)
+    u_idx, l_idx = cipher.XOR_SAMPLES[0, 0, 0, 2]
     walked = ((samples[:, u_idx] << 4) | samples[:, l_idx]).reshape(256, 256)
     assert np.array_equal(round_output_bytes_grid(std_pair.select(bit)), walked)
 
@@ -504,7 +504,7 @@ def test_verify_reports_corrupted_final_round_entry(std_pair, std_spec):
     n, i, j = 5, 1, 2
     # final-round table (i, j) reads round 9's output byte i of column (j + i) % 4
     _, samples, _ = encrypt_batch_with_tables(std_pair.q0, pts[n : n + 1], record=True)
-    u, l = cipher.round_output_sample_indices(9, (j + i) % 4, i)
+    u, l = cipher.XOR_SAMPLES[8, (j + i) % 4, i, 2]
     x = (int(samples[0, u]) << 4) | int(samples[0, l])
     t10 = std_pair.q0.t10.copy()
     t10[i, j, x] ^= 0x01
@@ -582,14 +582,17 @@ def test_identity_xor_boundary_mode_still_encrypts():
 
 def _reference_walk(ts, pts):
     """The scalar table walk, one lookup at a time, over each row of an
-    (N, 16) plaintext array: (ciphertexts, samples, lookups) like the batch walk."""
+    (N, 16) plaintext array: (ciphertexts, samples, lookups) like the batch walk.
+    Each recorded value goes to the sample the layout arrays give its
+    coordinate, so comparing records checks the walk against them."""
     ut, tx, t10 = ts.ut.tolist(), ts.tx.tolist(), ts.t10.tolist()
+    ut_at, xor_at = cipher.UT_SAMPLES.tolist(), cipher.XOR_SAMPLES.tolist()
     cts = np.empty((len(pts), 16), dtype=np.uint8)
     samples = np.empty((len(pts), 1456), dtype=np.uint8)
     lookups = 0
     for n, pt in enumerate(pts.tolist()):
         state = [[pt[i + 4 * j] for j in range(4)] for i in range(4)]
-        trace = []
+        trace = [None] * 1456  # a sample no coordinate names fails the copy into samples
         for r in range(9):
             inp = [[state[i][(j + i) % 4] for j in range(4)] for i in range(4)]
             new_state = [[0] * 4 for _ in range(4)]
@@ -599,7 +602,8 @@ def _reference_walk(ts, pts):
                     row = ut[r][i][j][inp[i][j]]
                     lookups += 1
                     enc.append(row)
-                    trace += row
+                    for k in range(4):
+                        trace[ut_at[r][j][i][k]] = row[k]
                 for k in range(4):
                     cu, cl = enc[0][k] >> 4, enc[0][k] & 0xF
                     for s in range(3):
@@ -607,14 +611,15 @@ def _reference_walk(ts, pts):
                         cu = tx[r][j][k][s][0][(cu << 4) | (rb >> 4)]
                         cl = tx[r][j][k][s][1][(cl << 4) | (rb & 0xF)]
                         lookups += 2
-                        trace += (cu, cl)
+                        upper, lower = xor_at[r][j][k][s]
+                        trace[upper], trace[lower] = cu, cl
                     new_state[k][j] = (cu << 4) | cl
             state = new_state
         for j in range(4):
             for i in range(4):
                 v = t10[i][j][state[i][(j + i) % 4]]
                 lookups += 1
-                trace.append(v)
+                trace[1440 + i + 4 * j] = v
                 cts[n, i + 4 * j] = v
         samples[n] = trace
     return cts, samples, lookups
