@@ -9,14 +9,12 @@ bits in one call.
 Campaigns run in blocks of `tablegen.WALK_CHUNK` plaintext rows, walked in
 the calling thread, each into the same reused record block.  `write_campaign`
 appends each block to the trace file as it is walked, so it never holds the
-whole campaign.  It rewrites an existing file in place and cuts it to length
-(`tablegen.write_in_place`).  The magic goes in last, so a write that fails
-or is killed part way leaves a file that `load_traces` refuses, whatever of
-the old file is left.  `load_traces` reads the file block by block and
-copies out only the sample columns it is asked for, so an analysis holds
-only the columns it reads.  `resolve_window` turns a
-window (None, a slice or a sequence of indices) into the int64 array of the
-absolute samples it selects.  A `TraceSet` holds the plaintexts, set bits,
+whole campaign, rewriting an existing file in place
+(`tablegen.write_in_place`).  `load_traces` reads the file block by block
+and copies out only the sample columns it is asked for, so an analysis
+holds only the columns it reads.  `resolve_window` turns a window (None, a
+slice or a sequence of indices) into the int64 array of the absolute
+samples it selects.  A `TraceSet` holds the plaintexts, set bits,
 those sample columns and, as `sample_ids`, that array; `samples_at` reads
 columns by absolute sample, refusing one that was not loaded.  (On a 2-core
 machine, walking the blocks in two threads made a 65,536-row campaign about
@@ -32,17 +30,14 @@ check that names samples selects from them."""
 
 from __future__ import annotations
 
-import os
 import random
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tablegen import (
-    FORMAT_VERSION,
     FormatError,
+    Frame,
     WALK_CHUNK,
     TableSetPair,
     encrypt_batch_with_tables,
@@ -50,7 +45,6 @@ from .tablegen import (
     write_in_place,
 )
 
-TRACE_MAGIC = b"BTR1"
 SAMPLE_COUNT = 1456
 
 
@@ -272,22 +266,29 @@ def write_campaign(pair: TableSetPair, policy: SelectorPolicy, plaintexts: np.nd
     """Run a campaign as `collect_traces` does, straight into a trace file:
     only one block of records is held at a time."""
     pts = np.asarray(plaintexts, dtype=np.uint8)
-    _write_blocks(path, len(pts), _campaign_blocks(pair, policy, pts, rng))
+    write_in_place(path, _TRACE_FRAME.chunks((len(pts), SAMPLE_COUNT), _campaign_blocks(pair, policy, pts, rng)))
 
 
 # --- trace file format ----------------------------------------------------------
-# Header (magic, version, count, sample count), one record per trace, then a
-# CRC-32 chained over the header and the records.  Campaigns, TraceSets and
-# files all travel as (rows, _RECORD) record blocks of up to WALK_CHUNK rows,
-# so neither writing nor reading ever holds a second copy of a campaign.
+# The tablegen.Frame of a header (count, sample count) and one record per
+# trace.  Campaigns, TraceSets and files all travel as (rows, _RECORD) record
+# blocks of up to WALK_CHUNK rows, so none is held twice.
 
-_HEADER = 12
 _RECORD = 16 + 1 + SAMPLE_COUNT  # plaintext, set bit, samples
 # per record column, the bits no valid value sets: above bit 0 of the set bit,
 # and the high nibble of every XOR nibble
 _UNUSED_BITS = np.zeros(_RECORD, dtype=np.uint8)
 _UNUSED_BITS[16] = 0xFE
 _UNUSED_BITS[17 + XOR_SAMPLES.ravel()] = 0xF0
+
+
+def _trace_body(count: int, sample_count: int) -> int:
+    if sample_count != SAMPLE_COUNT:
+        raise FormatError(f"unexpected sample count {sample_count}")
+    return count * _RECORD
+
+
+_TRACE_FRAME = Frame("trace", b"BTR1", "<HIH", _trace_body)
 
 
 def _record_block(buf: np.ndarray, pts: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -309,7 +310,7 @@ def _campaign_blocks(pair: TableSetPair, policy: SelectorPolicy, pts: np.ndarray
     drawn for all rows before the first block, so the random policy draws
     once per row, in row order.  Every block is a view of one record buffer,
     refilled for the next block: a consumer must be done with a block before
-    it asks for the next one, as `_write_blocks` and `_gather` are."""
+    it asks for the next one, as `tablegen.Frame.chunks` and `_gather` are."""
     bits = select_set(policy, pts, rng)
     buf = _record_buffer(len(pts))
     starts = range(0, len(pts), WALK_CHUNK)
@@ -328,34 +329,10 @@ def _walk_block(pair: TableSetPair, pts: np.ndarray, bits: np.ndarray, buf: np.n
     return block
 
 
-def _write_blocks(path, count: int, blocks) -> None:
-    """The trace file of `count` records from their record blocks, each
-    written and checksummed before the next is asked for; an existing file
-    is rewritten in place (see tablegen.write_in_place)."""
-    def chunks():
-        header = TRACE_MAGIC + struct.pack("<HIH", FORMAT_VERSION, count, SAMPLE_COUNT)
-        yield header[len(TRACE_MAGIC):]  # the writer puts the magic in last
-        crc = zlib.crc32(header)
-        for block in blocks:
-            yield block
-            crc = zlib.crc32(block, crc)
-        yield struct.pack("<I", crc)
-
-    write_in_place(path, TRACE_MAGIC, chunks())
-
-
-def _file_blocks(fh, count: int, crc: int):
-    """The records after a checked header, read into one reused block buffer;
-    raises on a checksum mismatch once the last block has been taken."""
+def _file_blocks(count: int, sample_count: int):
+    """Views of one reused record buffer, one per block of a trace file's records."""
     buf = _record_buffer(count)
-    for start in range(0, count, WALK_CHUNK):
-        block = buf[: count - start]
-        if fh.readinto(block) != block.nbytes:
-            raise FormatError("trace file ended early")
-        crc = zlib.crc32(block, crc)
-        yield block
-    if fh.read(4) != struct.pack("<I", crc):
-        raise FormatError("trace file checksum mismatch")
+    return (buf[: count - start] for start in range(0, count, WALK_CHUNK))
 
 
 def _record_columns(ids: np.ndarray):
@@ -401,7 +378,8 @@ def _stored_block(ts: TraceSet, samples: np.ndarray, start: int, buf: np.ndarray
 def save_traces(ts: TraceSet, path) -> None:
     samples = ts.samples_at(None)  # a set loaded with a window lacks samples
     buf = _record_buffer(len(ts))
-    _write_blocks(path, len(ts), (_stored_block(ts, samples, s, buf) for s in range(0, len(ts), WALK_CHUNK)))
+    blocks = (_stored_block(ts, samples, s, buf) for s in range(0, len(ts), WALK_CHUNK))
+    write_in_place(path, _TRACE_FRAME.chunks((len(ts), SAMPLE_COUNT), blocks))
 
 
 def load_traces(path, samples=None) -> TraceSet:
@@ -411,16 +389,5 @@ def load_traces(path, samples=None) -> TraceSet:
     read, its set bit and XOR nibbles checked and the whole file CRC-checked."""
     ids = resolve_window(samples)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_HEADER)
-        if size < _HEADER + 4 or header[:4] != TRACE_MAGIC:
-            raise FormatError("bad magic for trace file")
-        version, count, sample_count = struct.unpack("<HIH", header[4:])
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported trace format version {version}")
-        if sample_count != SAMPLE_COUNT:
-            raise FormatError(f"unexpected sample count {sample_count}")
-        expected = _HEADER + count * _RECORD + 4
-        if size != expected:
-            raise FormatError(f"trace file length {size} != {expected}")
-        return _gather(count, _file_blocks(fh, count, zlib.crc32(header)), ids)
+        (count, _), blocks = _TRACE_FRAME.read(fh, _file_blocks)
+        return _gather(count, blocks, ids)

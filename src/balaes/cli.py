@@ -75,11 +75,7 @@ def _key_check(key: bytes) -> str:
 
 
 def _load_pair(tables_dir: str) -> tablegen.TableSetPair:
-    d = Path(tables_dir)
-    with open(d / "q0.tbl", "rb") as fh:
-        q0 = tablegen.deserialize_tableset(fh.read())
-    with open(d / "q1.tbl", "rb") as fh:
-        q1 = tablegen.deserialize_tableset(fh.read())
+    q0, q1 = (tablegen.deserialize_tableset((Path(tables_dir) / name).read_bytes()) for name in ("q0.tbl", "q1.tbl"))
     if (q0.set_id, q1.set_id) != (0, 1):
         raise tablegen.FormatError(f"q0.tbl and q1.tbl hold sets {q0.set_id} and {q1.set_id}, expected 0 and 1")
     return tablegen.TableSetPair(q0=q0, q1=q1)
@@ -95,8 +91,7 @@ def _load_traces(path: str, samples=None) -> cipher.TraceSet:
 
 
 def _load_spec(path: str) -> tablegen.EncodingSpec:
-    with open(path, "rb") as fh:
-        return tablegen.deserialize_spec(fh.read())
+    return tablegen.deserialize_spec(Path(path).read_bytes())
 
 
 def _print_json(summary: dict, fh=None) -> None:
@@ -134,7 +129,7 @@ def cmd_gen(args) -> int:
     for name, data in (("q0.tbl", tablegen.serialize_tableset(pair.q0)),
                        ("q1.tbl", tablegen.serialize_tableset(pair.q1)),
                        ("enc.spec", tablegen.serialize_spec(spec))):
-        tablegen.write_in_place(out_dir / name, data[:4], [memoryview(data)[4:]])
+        tablegen.write_in_place(out_dir / name, [data])
     report = tablegen.size_and_lookup_report(pair.q0)
     _, _, measured = tablegen.encrypt_with_tables(pair.q0, bytes(16))
     _print_json({

@@ -25,17 +25,17 @@ thread, each over all 256 candidates and blocks of _COLUMN_BLOCK bit
 columns, so its temporaries stay small.  Memory scales with 256 x 8W, not
 N x 8W.
 
-MIA multiplies the sums by the dense 0/1 matrix H[g, x] = h_b[x ^ g], in
-float32 while there are fewer than 2^24 traces, which is exact because every
-partial sum is an integer no larger than the trace count.  DCA transforms,
-screens and confirms (_walsh_columns, _dca_scores): the centred, scaled sums
-of each grouping are Walsh-transformed once along x and stored in float32;
-per bit, one inverse transform of their product with the transform of
-(-1)^h_b gives every candidate's correlation up to a proven float32 error
-bound; and only the (column, guess) pairs within twice that bound of the
-guess's peak get the exact float64 r, so the scores are those of every
-column, bit for bit.  Every 256-point Walsh-Hadamard transform here is _wht,
-two batched 16-point products.
+Every per-guess sum, sum over x of h_b[x ^ g] D[x, c], is an XOR convolution
+formed exactly through Walsh transforms (_GroupedSums._convolve), for MIA
+and DCA's confirm alike.  DCA transforms, screens and confirms
+(_walsh_columns, _dca_scores): the centred, scaled sums of each grouping are
+Walsh-transformed once along x and stored in float32; per bit, one inverse
+transform of their product with the transform of (-1)^h_b gives every
+candidate's correlation up to a proven float32 error bound; and only the
+(column, guess) pairs within twice that bound of the guess's peak get the
+exact float64 r, so the scores are those of every column, bit for bit.
+Every 256-point Walsh-Hadamard transform here is _wht, two batched 16-point
+products.
 
 The round-output analyses attack the one byte defined below and score all
 256 guesses of k1 at once. walsh-ro is one Walsh grid (tablegen.round_output_walsh);
@@ -199,7 +199,6 @@ def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
 _F32_EXACT = 2**24  # float32 holds every integer up to 2^24 exactly
 _ROW_BLOCK = 1024  # trace rows unpacked to bits at once: 8W bytes each
 _COLUMN_BLOCK = 1024  # bit columns per block of a (256, columns) temporary
-_XOR = np.bitwise_xor.outer(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8))  # [g, x] = g ^ x
 _H16 = np.array([[(-1) ** (a & b).bit_count() for b in range(16)] for a in range(16)], dtype=np.int64)
 
 
@@ -213,14 +212,9 @@ def _wht(x: np.ndarray) -> np.ndarray:
 
 
 def _exact_dtype(n: int):
-    """The dtype in which a product of 0/1 rows and group sums over n traces
-    is exact: each partial sum is an integer no larger than n."""
+    """The dtype in which the Walsh transform of signed group sums over n
+    traces is exact: each partial sum is a signed count of at most n traces."""
     return np.float32 if n < _F32_EXACT else np.float64
-
-
-def _hypothesis_matrix(h: np.ndarray) -> np.ndarray:
-    """The (256, 256) 0/1 matrix H[g, x] = h[x ^ g] of a table bit h."""
-    return h[_XOR]
 
 
 def _grouped_bit_sums(x: np.ndarray, V: np.ndarray, flips: np.ndarray | None = None):
@@ -273,20 +267,30 @@ class _GroupedSums:
         self.ids = np.flatnonzero((totals > 0) & (totals < self.n))
         self.sv = totals[self.ids]
 
-    def hypothesis_counts(self, j: int, H: np.ndarray) -> np.ndarray:
+    def transforms(self, D: np.ndarray) -> np.ndarray:
+        """float64 (C, 256) Walsh transforms along x of D's columns, exact in _exact_dtype(n)."""
+        return _wht(D.T.astype(_exact_dtype(self.n), order="C")).astype(np.float64)
+
+    def _convolve(self, h: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """float64 (256, C): per guess g, sum over x of h[x ^ g] D[x, c], the
+        inverse transform of the product of the transforms of h and D.  The
+        product and the inverse run in float64, exact as every value is an
+        integer below 2^16 n < 2^48 for any u32 trace count."""
+        D_hat = self.transforms(D)
+        D_hat *= _wht(h.astype(np.float64))
+        return np.divide(_wht(D_hat).T, 256, order="C")  # C order: _binary_mi runs faster on it
+
+    def hypothesis_counts(self, j: int, h: np.ndarray) -> np.ndarray:
         """(256,) float64: per guess, the traces whose hypothesis bit is 1."""
         d = self.counts[:, j]
-        return H.astype(np.float64) @ d + (self.n - d.sum()) // 2
+        return self._convolve(h, d[:, None])[:, 0] + (self.n - d.sum()) // 2
 
-    def products(self, j: int, H: np.ndarray, cols) -> np.ndarray:
+    def products(self, j: int, h: np.ndarray, cols) -> np.ndarray:
         """float64 (256, len(cols)): per guess, the traces whose hypothesis bit
         and bit column ids[c] are both 1, for the columns `cols` (a slice or
-        indices into ids).  The product of H and D runs in _exact_dtype(n)."""
-        dtype = _exact_dtype(self.n)
+        indices into ids)."""
         D = self.sums[:, j][:, self.ids[cols]]
-        A = (H.astype(dtype) @ D.astype(dtype)).astype(np.float64)
-        A += (self.sv[cols] - D.sum(axis=0)) // 2
-        return A
+        return self._convolve(h, D) + (self.sv[cols] - D.sum(axis=0)) // 2
 
 
 def _grouped(traces: TraceSet, model, bits: list):
@@ -303,10 +307,9 @@ def _walsh_columns(g: _GroupedSums, j: int):
     transforms, along x, of every non-constant column's signed sums D,
     centred and scaled to (D - d m) / sd with the column's mean m = sv / n and
     sd = sqrt(var_v), and the largest L1 norm of one.  The transforms of D
-    are exact in _exact_dtype(n), as every partial sum is a signed count of
-    at most n traces; centring and scaling them runs in float64.  Each
-    _COLUMN_BLOCK columns are stored in turn, so no (C, 256) float64 array is
-    held."""
+    are exact (_GroupedSums.transforms); centring and scaling them runs in
+    float64.  Each _COLUMN_BLOCK columns are stored in turn, so no (C, 256)
+    float64 array is held."""
     d, D = g.counts[:, j], g.sums[:, j]
     m = g.sv / g.n
     sd = np.sqrt(g.sv - g.sv * m)
@@ -315,7 +318,7 @@ def _walsh_columns(g: _GroupedSums, j: int):
     norm = 0.0
     for lo in range(0, g.ids.size, _COLUMN_BLOCK):
         cols = slice(lo, lo + _COLUMN_BLOCK)
-        walsh = _wht(D[:, g.ids[cols]].T.astype(_exact_dtype(g.n), order="C")).astype(np.float64)
+        walsh = g.transforms(D[:, g.ids[cols]])
         walsh -= np.outer(m[cols], d_hat)
         walsh /= sd[cols, None]
         norm = max(norm, float(np.abs(walsh).sum(axis=1).max()))
@@ -341,8 +344,7 @@ def _dca_scores(g: _GroupedSums, h: np.ndarray, j: int, walsh: np.ndarray, norm:
     Confirm: each kept (column, guess) pair gets its float64 r as above, and
     a guess's largest such |r| is its peak over every column."""
     n = g.n
-    H = _hypothesis_matrix(h)
-    sh = g.hypothesis_counts(j, H)
+    sh = g.hypothesis_counts(j, h)
     var_h = sh - sh * sh / n
     ok = var_h > 0  # a constant hypothesis bit scores 0
     spectrum = (_wht(1 - 2 * h.astype(np.int64)) / 512).astype(np.float32)
@@ -361,7 +363,7 @@ def _dca_scores(g: _GroupedSums, h: np.ndarray, j: int, walsh: np.ndarray, norm:
     c, guess = np.divmod(flat[value >= best[flat % 256] - 2 * e], 256)
     cols, at = np.unique(c, return_inverse=True)
     sv = g.sv[cols][at].astype(np.float64)
-    r = g.products(j, H, cols)[guess, at] - sh[guess] * sv / n
+    r = g.products(j, h, cols)[guess, at] - sh[guess] * sv / n
     r /= np.sqrt(var_h[guess] * (sv - sv * sv / n))  # binary columns: sum of squares equals the sum
     peak = np.zeros(256)
     np.maximum.at(peak, guess, np.abs(r))
@@ -458,12 +460,11 @@ def _mia_scores(g: _GroupedSums, h: np.ndarray, j: int) -> np.ndarray:
     columns per _binary_mi call bounds its (4, 256, columns) temporaries; the
     running max is the same in any order."""
     n = g.n
-    H = _hypothesis_matrix(h)
-    p1_ = (g.hypothesis_counts(j, H) / n)[:, None]
+    p1_ = (g.hypothesis_counts(j, h) / n)[:, None]
     peak = np.zeros(256)
     for lo in range(0, g.ids.size, _COLUMN_BLOCK):
         cols = slice(lo, lo + _COLUMN_BLOCK)
-        hs = g.products(j, H, cols)
+        hs = g.products(j, h, cols)
         hs /= n
         np.maximum(peak, _binary_mi(hs, p1_, g.sv[cols] / n).max(axis=1), out=peak)
     return peak

@@ -23,14 +23,10 @@ a recorded walk cuts each trace sample from a value it gathered with one shift
 and mask, in the same pass.  A TableSet's arrays are read-only, so its
 walk-ready copy cannot go stale.
 
-A table file is an 8-byte header (magic, version, set id, a reserved byte
-that must be 0), then the TableSet arrays in their index order: ut
-(9*16*1024 bytes), tx packed two nibbles per byte with the even entry of each
-pair in the low nibble (864*128 bytes), t10 (16*256 bytes), and a CRC-32 of
-everything before it.  A spec file is its header (magic, version,
-xor-boundary mode, a reserved byte that must be 0), seed and key, then the
-EncodingSpec arrays fg, ut_partners and stage_partners in their index order,
-and a CRC-32."""
+Table, spec and trace files share one Frame: magic, version and header
+fields, the body, and a CRC-32, checked and written in one place.  A table
+file's body is the TableSet arrays in their index order, a spec file's the
+seed, the key and the EncodingSpec arrays."""
 
 from __future__ import annotations
 
@@ -50,8 +46,6 @@ from .gfcore import MC, RoundKeys, reference_encrypt_batch
 from .binmat import COEFF, assembled_rows, derive_blacklist_W, sample_pair, shear_maps, walsh_grid
 from .nibenc import NIB, codec_bytes, find_candidates
 
-TABLE_MAGIC = b"BAE1"
-SPEC_MAGIC = b"BAS1"
 FORMAT_VERSION = 1
 
 UT_BYTES = 9 * 4 * 4 * 256 * 4
@@ -480,32 +474,90 @@ def size_and_lookup_report(ts: TableSet) -> dict:
 
 # --- serialization -----------------------------------------------------------
 
-def write_in_place(path, magic: bytes, chunks) -> None:
-    """Write the file magic `magic` and then the byte buffers `chunks` to
-    `path`, from offset 0 over whatever the file holds, and cut it to the
-    bytes written.  An existing file is rewritten in place instead of first
-    truncated to nothing, which on ext4 costs more than the write; writing a
-    temporary file and renaming it over `path` would be slower still, as
-    ext4 flushes the new file at the rename.
+class Frame:
+    """The frame every balaes file shares: a 4-byte magic, a little-endian
+    header (struct format `fields`, the version first), the body, and a CRC-32
+    of all before it.  `body` maps the header fields after the version to the
+    body's length, or refuses them with a FormatError."""
 
-    The magic's place holds zeros until every chunk is written, so a write
-    cut short fails its magic check however it ends, even when a killed
-    process skips the `finally` cut and leaves the old file's tail.  An
-    exception part way leaves the zeros and the chunks written so far.  Only
-    a regular file gets the zeros and the cut: /dev/null or a pipe is
+    def __init__(self, kind: str, magic: bytes, fields: str, body):
+        self.kind, self.magic, self.fields, self.body = kind, magic, fields, body
+        self.header_size = 4 + struct.calcsize(fields)
+
+    def chunks(self, fields, body):
+        """The file as byte buffers: the header of `fields`, the buffers of
+        `body`, each checksummed before the next is asked for, then the CRC."""
+        header = self.magic + struct.pack(self.fields, FORMAT_VERSION, *fields)
+        yield header
+        crc = zlib.crc32(header)
+        for chunk in body:
+            yield chunk
+            crc = zlib.crc32(chunk, crc)
+        yield struct.pack("<I", crc)
+
+    def check(self, head, size: int) -> list:
+        """The header fields after the version, once the file's first bytes and
+        length hold; a file too short for a header and a CRC has a bad magic."""
+        if size < self.header_size + 4 or head[:4] != self.magic:
+            raise FormatError(f"bad magic for {self.kind} file")
+        version, *fields = struct.unpack(self.fields, head[4 : self.header_size])
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported {self.kind} format version {version}")
+        if size != (expected := self.header_size + self.body(*fields) + 4):
+            raise FormatError(f"{self.kind} file length {size} != {expected}")
+        return fields
+
+    def _check_crc(self, crc: int, stored) -> None:
+        if stored != struct.pack("<I", crc):
+            raise FormatError(f"{self.kind} file checksum mismatch")
+
+    def unpack(self, data) -> list:
+        """The checked header fields of a whole file in memory."""
+        fields = self.check(data, len(data))
+        self._check_crc(zlib.crc32(memoryview(data)[:-4]), data[-4:])
+        return fields
+
+    def read(self, fh, buffers):
+        """The checked header fields of the file open in `fh`, and a generator
+        that reads and yields each buffer of `buffers(*fields)`, then the CRC."""
+        head = fh.read(self.header_size)
+        fields = self.check(head, os.fstat(fh.fileno()).st_size)
+
+        def body():
+            crc = zlib.crc32(head)
+            for buf in buffers(*fields):
+                if fh.readinto(buf) != buf.nbytes:
+                    raise FormatError(f"{self.kind} file ended early")
+                crc = zlib.crc32(buf, crc)
+                yield buf
+            self._check_crc(crc, fh.read(4))
+
+        return fields, body()
+
+
+def write_in_place(path, chunks) -> None:
+    """Write the byte buffers `chunks` to `path` from offset 0 over whatever
+    the file holds, and cut it to the bytes written: on ext4 cheaper than
+    truncating first or renaming a temporary file over `path`.  The magic,
+    the first chunk's first 4 bytes, is written as zeros and put in last, so
+    a write cut short fails its magic check however it ends, even when a
+    killed process skips the `finally` cut and leaves the old file's tail.
+    Only a regular file gets the zeros and the cut: /dev/null or a pipe is
     written straight through."""
+    chunks = iter(chunks)
+    first = memoryview(next(chunks)).cast("B")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     regular = stat.S_ISREG(os.fstat(fd).st_mode)
     written = 0
     try:
-        for chunk in itertools.chain([bytes(len(magic)) if regular else magic], chunks):
+        for chunk in itertools.chain([bytes(4) if regular else first[:4], first[4:]], chunks):
             view = memoryview(chunk).cast("B")
             while view:
                 n = os.write(fd, view)
                 written += n
                 view = view[n:]
         if regular:
-            os.pwrite(fd, magic, 0)
+            os.pwrite(fd, first[:4], 0)
     finally:
         try:
             if regular and os.fstat(fd).st_size > written:
@@ -514,29 +566,20 @@ def write_in_place(path, magic: bytes, chunks) -> None:
             os.close(fd)
 
 
+_TABLE_FRAME = Frame("table", b"BAE1", "<HBB", lambda set_id, reserved: TOTAL_BYTES)
+
+
 def serialize_tableset(ts: TableSet) -> bytes:
-    """Header, then ut, tx and t10 in their index order; tx holds two nibbles
-    per byte, the even entry of each pair in the low nibble."""
+    """Header (set id and a reserved 0), then ut, tx and t10 in their index
+    order; tx holds two nibbles per byte, the even entry of each pair in the
+    low nibble."""
     tx = ts.tx & 0xF
-    out = b"".join((TABLE_MAGIC, struct.pack("<HBB", FORMAT_VERSION, ts.set_id, 0), ts.ut.tobytes(),
-                    (tx[..., 0::2] | tx[..., 1::2] << 4).tobytes(), ts.t10.tobytes()))
-    return out + struct.pack("<I", zlib.crc32(out))
+    body = (ts.ut.tobytes(), (tx[..., 0::2] | tx[..., 1::2] << 4).tobytes(), ts.t10.tobytes())
+    return b"".join(_TABLE_FRAME.chunks((ts.set_id, 0), body))
 
 
 def deserialize_tableset(data: bytes) -> TableSet:
-    if len(data) < 12:
-        raise FormatError("truncated table file")
-    if data[:4] != TABLE_MAGIC:
-        raise FormatError("bad magic for table file")
-    version, set_id, reserved = struct.unpack("<HBB", data[4:8])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported table format version {version}")
-    expected_len = 8 + TOTAL_BYTES + 4
-    if len(data) != expected_len:
-        raise FormatError(f"table file length {len(data)} != {expected_len}")
-    (crc,) = struct.unpack("<I", data[-4:])
-    if crc != zlib.crc32(memoryview(data)[:-4]):
-        raise FormatError("table file checksum mismatch")
+    set_id, reserved = _TABLE_FRAME.unpack(data)
     if set_id not in (0, 1):
         raise FormatError(f"table set id {set_id} is not 0 or 1")
     if reserved:
@@ -556,13 +599,12 @@ def serialize_spec(spec: EncodingSpec) -> bytes:
     if not 0 <= spec.seed <= 2**64 - 1:
         raise ValueError(f"spec seed {spec.seed} is outside 0..2**64 - 1 and cannot be saved")
     mode = 0 if spec.xor_boundary_mode == "balanced" else 1
-    out = b"".join((SPEC_MAGIC, struct.pack("<HBBQ", FORMAT_VERSION, mode, 0, spec.seed), spec.key,
-                    *(getattr(spec, name).tobytes() for name in _SPEC_SHAPES)))
-    return out + struct.pack("<I", zlib.crc32(out))
+    body = (struct.pack("<Q", spec.seed), spec.key, *(getattr(spec, name).tobytes() for name in _SPEC_SHAPES))
+    return b"".join(_SPEC_FRAME.chunks((mode, 0), body))
 
 
 _SPEC_SIZES = [math.prod(shape) for shape in _SPEC_SHAPES.values()]
-_SPEC_PAYLOAD = 8 + 16 + sum(_SPEC_SIZES)
+_SPEC_FRAME = Frame("spec", b"BAS1", "<HBB", lambda mode, reserved: 8 + 16 + sum(_SPEC_SIZES))
 
 
 def deserialize_spec(data: bytes) -> EncodingSpec:
@@ -572,18 +614,7 @@ def deserialize_spec(data: bytes) -> EncodingSpec:
     blacklist, a table-output codec partner 0, an XOR-stage partner 0 in
     balanced mode or nonzero in identity mode, or a partner outside its
     boundary's candidate set (one find_candidates call over all 144 pairs)."""
-
-    if len(data) < 12 or data[:4] != SPEC_MAGIC:
-        raise FormatError("bad magic for spec file")
-    version, mode, reserved = struct.unpack("<HBB", data[4:8])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported spec format version {version}")
-    expected_len = 8 + _SPEC_PAYLOAD + 4
-    if len(data) != expected_len:
-        raise FormatError(f"spec file length {len(data)} != {expected_len}")
-    (crc,) = struct.unpack("<I", data[-4:])
-    if crc != zlib.crc32(data[:-4]):
-        raise FormatError("spec file checksum mismatch")
+    mode, reserved = _SPEC_FRAME.unpack(data)
     if mode not in (0, 1):
         raise FormatError(f"unknown spec xor-boundary mode {mode}")
     if reserved:

@@ -412,12 +412,38 @@ def test_walk_error_over_a_longer_file_leaves_the_blocks_written_and_no_magic(tm
         mp.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
         with pytest.raises(RuntimeError, match="third block"):
             cipher.write_campaign(std_pair, policy, pts, None, path)
-    written = cipher._HEADER + 2 * WALK_CHUNK * cipher._RECORD
+    written = cipher._TRACE_FRAME.header_size + 2 * WALK_CHUNK * cipher._RECORD
     data = path.read_bytes()
     assert len(data) == written  # nothing of the longer old file is left past the blocks written
     assert data[:4] == bytes(4) and data[4:] == good.read_bytes()[4:written]
     with pytest.raises(FormatError, match="bad magic"):
         cipher.load_traces(path)
+
+
+# a campaign whose table walk fails part way raises, and leaves nothing behind
+# that spoils the campaigns after it, however many fail in a row
+@pytest.mark.parametrize("failures", [1, 2, 4])
+def test_walk_error_on_third_block_propagates_and_next_campaign_succeeds(tmp_path, std_pair, failures):
+    pts = random_plaintexts(5 * WALK_CHUNK, random.Random(4))
+    policy = SelectorPolicy.fixed_q0()
+    walk = cipher.encrypt_batch_with_tables
+
+    def failing_walk(ts, block, record=False):
+        if np.array_equal(block[0], pts[2 * WALK_CHUNK]):
+            raise RuntimeError("walk failed on the third block")
+        return walk(ts, block, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cipher, "encrypt_batch_with_tables", failing_walk)
+        for i in range(failures):
+            with pytest.raises(RuntimeError, match="third block"):
+                collect_traces(std_pair, policy, pts)
+            with pytest.raises(RuntimeError, match="third block"):
+                cipher.write_campaign(std_pair, policy, pts, None, tmp_path / f"failed{i}.btr")
+    ts = collect_traces(std_pair, policy, pts)
+    cipher.write_campaign(std_pair, policy, pts, None, tmp_path / "next.btr")
+    assert np.array_equal(ts.samples, walk(std_pair.q0, pts, record=True)[1])
+    assert cipher.load_traces(tmp_path / "next.btr").samples.tobytes() == ts.samples.tobytes()
 
 
 def test_killed_write_over_a_campaign_of_the_same_count_fails_to_load(tmp_path, std_pair, monkeypatch):
@@ -432,6 +458,6 @@ def test_killed_write_over_a_campaign_of_the_same_count_fails_to_load(tmp_path, 
     monkeypatch.setattr(tablegen.os, "ftruncate", lambda fd, length: None)  # a kill skips the cut
     with pytest.raises(RuntimeError, match="first block"):
         cipher.write_campaign(std_pair, SelectorPolicy.fixed_q0(), pts, None, path)
-    assert path.stat().st_size == cipher._HEADER + len(pts) * cipher._RECORD + 4  # the old campaign's length
+    assert path.stat().st_size == cipher._TRACE_FRAME.header_size + len(pts) * cipher._RECORD + 4  # the old campaign's length
     with pytest.raises(FormatError, match="bad magic"):
         cipher.load_traces(path)

@@ -498,6 +498,59 @@ def test_damaged_sample_outside_the_window_is_format_error(trace_file, tmp_path,
     assert "checksum mismatch" in capfd.readouterr().err
 
 
+# --- the file frame every format shares: FormatError, exit 3 --------------------
+
+_HEADER_BYTES = {"table": 8, "spec": 8, "trace": 12}
+
+
+def _frame_damaged(case: str, blob: bytes, header: int) -> bytes:
+    b = bytearray(blob)
+    if case == "short":  # too short to hold a header and a CRC
+        return bytes(b[: header + 3])
+    if case == "one-byte-short":
+        return bytes(b[:-1])
+    if case == "bad-magic":
+        b[:4] = b"NOPE"
+    elif case == "version":
+        b[4] = 2
+    elif case == "body-byte":
+        b[header] ^= 1
+    return bytes(b)
+
+
+@pytest.mark.parametrize("kind", ["table", "spec", "trace"])
+@pytest.mark.parametrize("case, message", [
+    ("short", "bad magic for {kind} file"),
+    ("bad-magic", "bad magic for {kind} file"),
+    ("version", "unsupported {kind} format version 2"),
+    ("one-byte-short", "{kind} file length {size} != {full}"),
+    ("body-byte", "{kind} file checksum mismatch"),
+])
+def test_frame_error_messages(gen_dir, trace_file, tmp_path, kind, case, message):
+    source = {"table": gen_dir / "q0.tbl", "spec": gen_dir / "enc.spec", "trace": trace_file}[kind]
+    full = source.read_bytes()
+    bad = _frame_damaged(case, full, _HEADER_BYTES[kind])
+    (tmp_path / "bad").write_bytes(bad)
+    load = {"table": lambda p: tablegen.deserialize_tableset(p.read_bytes()),
+            "spec": lambda p: deserialize_spec(p.read_bytes()), "trace": load_traces}[kind]
+    with pytest.raises(tablegen.FormatError) as exc:
+        load(tmp_path / "bad")
+    assert str(exc.value) == message.format(kind=kind, size=len(bad), full=len(full))
+
+
+@pytest.mark.parametrize("kind", ["table", "spec", "trace"])
+def test_frame_error_exits_3(gen_dir, trace_file, tmp_path, capfd, kind):
+    tables = tmp_path / "tables"
+    shutil.copytree(gen_dir, tables)
+    target = {"table": tables / "q0.tbl", "spec": tables / "enc.spec", "trace": tmp_path / "t.btr"}[kind]
+    source = trace_file if kind == "trace" else target
+    target.write_bytes(_frame_damaged("body-byte", source.read_bytes(), _HEADER_BYTES[kind]))
+    argv = (["analyze", "--kind", "tvla", "--fixed", str(target), "--random", str(target)] if kind == "trace"
+            else ["verify", "--tables", str(tables), "--spec", str(tables / "enc.spec")])
+    assert main(argv) == 3
+    assert f"{kind} file checksum mismatch" in capfd.readouterr().err
+
+
 def test_analyze_walsh_ut_trace_mode(gen_dir, trace_file, capfd):
     rc = main(
         ["analyze", "--kind", "walsh-ut", "--traces", str(trace_file), "--key", FIPS_KEY,

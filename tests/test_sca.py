@@ -458,6 +458,12 @@ def _bit_groups_before_the_xor_form(model, pts: np.ndarray, bit: int):
     return 2 * pts[:, 5].astype(np.int64) + kb, np.stack([tb, tb ^ 1], axis=2).reshape(256, 512)
 
 
+def _hypothesis_matrix(h: np.ndarray) -> np.ndarray:
+    """The dense (256, 256) 0/1 reference H[g, x] = h[x ^ g] of a table bit h."""
+    x = np.arange(256)
+    return h[np.bitwise_xor.outer(x, x)]
+
+
 @pytest.mark.parametrize("model_name", ["sbox-1", "sbox-3", "round-output"])
 def test_xor_form_rebuilds_bit_groups(round_output_model, model_name):
     model = {"sbox-1": SboxHypothesis(ell=1, pt_index=5), "sbox-3": SboxHypothesis(ell=3, pt_index=12),
@@ -469,7 +475,7 @@ def test_xor_form_rebuilds_bit_groups(round_output_model, model_name):
         labels, H = _bit_groups_before_the_xor_form(model, pts, bit)
         h = (table >> (7 - bit)) & 1
         f = 0 if k is None else (k >> (7 - bit)) & 1
-        dense = sca._hypothesis_matrix(h)
+        dense = _hypothesis_matrix(h)
         assert np.array_equal(dense[:, x] ^ f, H[:, labels])  # every guess, every trace
         if k is None:
             assert np.array_equal(dense, H)
@@ -481,7 +487,7 @@ def _dense_dca_reference(h: np.ndarray, counts: np.ndarray, sums: np.ndarray, n:
     """DCA scores of table bit h from ungrouped-by-flip sums (counts (256,),
     sums (256, columns)), every column at once in float64: one product, then
     r = (A - sh sv / n) / sqrt(var_h var_v) and its peak |r| per guess."""
-    H = sca._hypothesis_matrix(h).astype(np.float64)
+    H = _hypothesis_matrix(h).astype(np.float64)
     sv = sums.sum(axis=0)
     nz = (sv > 0) & (sv < n)
     S, sv = sums[:, nz].astype(np.float64), sv[nz].astype(np.float64)
@@ -512,7 +518,7 @@ def test_group_sums_past_2_24_traces_are_scored_in_float64(group_size, gemm):
     g = sca._GroupedSums(counts[:, None], sums[:, None])
     assert sca._exact_dtype(n) == gemm and g.ids.size == 2499
     # the float64 reference: one product, then the statistics over all columns at once
-    H = sca._hypothesis_matrix(h).astype(np.float64)
+    H = _hypothesis_matrix(h).astype(np.float64)
     S64 = np.delete(sums, 7, axis=1).astype(np.float64)
     HS = H @ S64
     sh = H @ counts.astype(np.float64)
@@ -520,9 +526,13 @@ def test_group_sums_past_2_24_traces_are_scored_in_float64(group_size, gemm):
     mi = sca._binary_mi(HS / n, (sh / n)[:, None], sv / n).max(axis=1)
     assert np.array_equal(_screened_dca(h, counts, sums), _dense_dca_reference(h, counts, sums, n))
     assert np.array_equal(sca._mia_scores(g, h, 0), mi)
-    # float32 sums of integers past 2^24 round, so the switch is needed there
+    # the peaks read random columns only; every product is exact, the nearly full columns' too
+    assert np.array_equal(g.products(0, h, slice(None)), HS)
+    # float32 sums of integers past 2^24 round, so the switch is needed there:
+    # in a dense product, and in the Walsh transforms the products go through
     exact32 = np.array_equal(H.astype(np.float32) @ S64.astype(np.float32), HS)
-    assert exact32 == (gemm == np.float32)
+    transform32 = np.array_equal(sca._wht(S64.T.astype(np.float32)), sca._wht(S64.T))
+    assert exact32 == transform32 == (gemm == np.float32)
 
 
 def _leaky_sums(rng, counts: np.ndarray, h: np.ndarray, guess: int, p0: float, p1: float) -> np.ndarray:
@@ -545,7 +555,7 @@ def test_dca_screen_keeps_exact_and_one_ulp_ties():
     ref = _dense_dca_reference(h, counts, sums, n)
     # the cases are exercised: for some guesses the peak and the complement's
     # |r| differ by one to four ulps, for others they are equal
-    H = sca._hypothesis_matrix(h).astype(np.float64)
+    H = _hypothesis_matrix(h).astype(np.float64)
     sh, sv = H @ counts, sums.sum(axis=0).astype(np.float64)
     r = np.abs(H @ sums - np.outer(sh, sv) / n) / np.sqrt(np.outer(sh - sh * sh / n, sv - sv * sv / n))
     gap = np.abs(r[:, :12] - r[:, 24:36]) / np.spacing(r[:, :12])
@@ -620,7 +630,7 @@ def test_mia_max_full_window_memory_bound_and_exact(traces_mixed_10k):
     whole = np.zeros_like(mi)
     g, per_bit = sca._grouped(traces_mixed_10k, model, bits)
     for bi, (h, j) in enumerate(per_bit):
-        H = sca._hypothesis_matrix(h).astype(np.float64)
+        H = _hypothesis_matrix(h).astype(np.float64)
         hs = H @ g.sums[:, j][:, g.ids]  # no flips: the signed sums are the sums
         whole[:, bi] = sca._binary_mi(hs / n, (H @ g.counts[:, j] / n)[:, None], g.sv / n).max(axis=1, initial=0.0)
     assert np.array_equal(mi, whole)
@@ -834,7 +844,7 @@ def test_round_output_experiment_is_the_named_byte(key):
     x, k, table = model.xor_form(pts)
     byte = np.zeros(1000, dtype=np.int64)
     for bit in range(8):  # at the true k1, bit `bit` of the byte is H[k1, x] ^ f for table bit h
-        H = sca._hypothesis_matrix((table >> (7 - bit)) & 1)
+        H = _hypothesis_matrix((table >> (7 - bit)) & 1)
         byte |= (H[k1, x] ^ (k >> (7 - bit)) & 1).astype(np.int64) << (7 - bit)
     expected = [gf_mul(2, SBOX[p[0] ^ key[0]]) ^ gf_mul(3, SBOX[p[5] ^ key[5]])
                 ^ SBOX[p[10] ^ key[10]] ^ SBOX[p[15] ^ key[15]] for p in pts.tolist()]

@@ -12,7 +12,6 @@ from balaes.binmat import COEFF
 from balaes.gfcore import MC, SBOX, RoundKeys, gf_mul, reference_encrypt
 from balaes.nibenc import find_candidates
 from balaes.tablegen import (
-    TABLE_MAGIC,
     FormatError,
     build_q1,
     build_table_pair,
@@ -150,7 +149,7 @@ def reference_generate_tableset(spec) -> tablegen.TableSet:
 
 def reference_serialize_tableset(ts) -> bytes:
     out = bytearray()
-    out += TABLE_MAGIC
+    out += b"BAE1"
     out += struct.pack("<HBB", tablegen.FORMAT_VERSION, ts.set_id, 0)
     for r in range(9):
         for i in range(4):
