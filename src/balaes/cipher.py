@@ -25,8 +25,9 @@ Trace layout per encryption (1,456 samples): for each round 1..9 and each
 column, 16 table-output bytes in (input row, byte position) order followed by
 24 XOR nibbles in (output byte, stage, upper-then-lower) order; then the 16
 final-round output bytes in ciphertext order.  ROUND_SAMPLES, UT_SAMPLES and
-XOR_SAMPLES state it once, as the sample at each coordinate; every window and
-check that names samples selects from them."""
+XOR_SAMPLES, beside the walk in tablegen that writes it, state it once as the
+sample at each coordinate; every window and check that names samples selects
+from them."""
 
 from __future__ import annotations
 
@@ -38,25 +39,16 @@ import numpy as np
 from .tablegen import (
     FormatError,
     Frame,
+    ROUND_SAMPLES,
+    SAMPLE_COUNT,
+    UT_SAMPLES,
     WALK_CHUNK,
+    XOR_SAMPLES,
     TableSetPair,
     encrypt_batch_with_tables,
     encrypt_with_tables,
     write_in_place,
 )
-
-SAMPLE_COUNT = 1456
-
-
-# --- sample layout --------------------------------------------------------------
-# The sample at each coordinate of rounds 1..9 (160 samples a round, 40 a
-# column); all three are read-only views of one arange.  The last 16 samples
-# have no array: they are the ciphertext, and nothing reads them by coordinate.
-
-ROUND_SAMPLES = np.arange(1440).reshape(9, 4, 40)  # [r - 1, j, slot]
-ROUND_SAMPLES.flags.writeable = False
-UT_SAMPLES = ROUND_SAMPLES[..., :16].reshape(9, 4, 4, 4)  # [r - 1, j, i, k]
-XOR_SAMPLES = ROUND_SAMPLES[..., 16:].reshape(9, 4, 4, 3, 2)  # [r - 1, j, k, stage, half]
 
 
 def resolve_window(window) -> np.ndarray:

@@ -38,7 +38,7 @@ Every 256-point Walsh-Hadamard transform here is _wht, two batched 16-point
 products.
 
 The round-output analyses attack the one byte defined below and score all
-256 guesses of k1 at once. walsh-ro is one Walsh grid (tablegen.round_output_walsh);
+256 guesses of k1 at once. walsh-ro is one Walsh grid (walsh_round_output_all);
 collision and cluster scores come from a 2-D XOR convolution of per-(a, p5)
 count and bit grids, a = 2 * S(p0 ^ k0), computed by Walsh-Hadamard transforms.
 The t-test works from exact integer sums, so t does not depend on layout."""
@@ -53,7 +53,6 @@ import numpy as np
 from .gfcore import RoundKeys, position_for_pt_index
 from .binmat import COEFF, admissible_g, derive_blacklist_W, sample_f, shear_maps, walsh_grid
 from .cipher import UT_SAMPLES, XOR_SAMPLES, TraceSet
-from .tablegen import round_output_walsh
 
 
 # --- the round-output experiment -------------------------------------------------
@@ -154,11 +153,17 @@ def _grid_round_output_bytes(traces: TraceSet) -> np.ndarray:
 
 
 def walsh_round_output_all(traces: TraceSet) -> np.ndarray:
-    """(guess, i, iprime) grid of the round-output Walsh statistic of a
-    complete two-byte grid campaign: zero at the correct guess for a balanced
-    single-set run.  One sign-matrix product covers every guess (see
-    tablegen.round_output_walsh)."""
-    return round_output_walsh(_grid_round_output_bytes(traces))
+    """(guess, i, iprime) round-output Walsh statistic of a complete two-byte
+    grid campaign, zero at the correct guess for a balanced single-set run:
+    with c[p0, p5] the encoded round-output byte and s(b) = (-1)^b, bits MSB
+    first, out[g, i, iprime] = sum over p0 of |sum over p5 of s(bit i of
+    c[p0, p5]) * s(bit iprime of 3 * S(p5 ^ g))|.  The full hypothesis byte
+    is 2 * S(p0 ^ k0) ^ 3 * S(p5 ^ g); its first term puts one sign per p0
+    in front of each inner sum, which the absolute value drops, so k0 does
+    not enter, and every inner sum is one entry of one binmat.walsh_grid of
+    the rows of c against 3 * S(p5 ^ g) for every g."""
+    inner = walsh_grid(_grid_round_output_bytes(traces), COEFF[2])  # (p0, i, g, iprime)
+    return np.abs(inner, out=inner).sum(axis=0, dtype=np.int64).transpose(1, 0, 2)
 
 
 # --- DCA ------------------------------------------------------------------------

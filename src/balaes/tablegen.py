@@ -20,8 +20,9 @@ start of the next round's table row block, its lower half v.  An XOR stage is
 then one add and one gather, and the next round's indices are the sum of
 stage 2's halves put through ShiftRows.  Every start is a multiple of 256, so
 a recorded walk cuts each trace sample from a value it gathered with one shift
-and mask, in the same pass.  A TableSet's arrays are read-only, so its
-walk-ready copy cannot go stale.
+and mask, in the same pass, at the place the trace layout arrays beside the
+walk give.  A TableSet's arrays are read-only, so its walk-ready copy cannot
+go stale.
 
 Table, spec and trace files share one Frame: magic, version and header
 fields, the body, and a CRC-32, checked and written in one place.  A table
@@ -265,6 +266,16 @@ def build_table_pair(key: bytes, seed: int, xor_boundary_mode: str = "balanced")
 
 WALK_CHUNK = 1024  # rows per pass; 2,048 and up were slower on the 65,536-row grid
 
+# The trace layout a recorded walk writes: the sample at each coordinate of
+# rounds 1..9 (160 samples a round, 40 a column); all three are read-only
+# views of one arange.  The last 16 samples have no array: they are the
+# ciphertext, and nothing reads them by coordinate.
+SAMPLE_COUNT = 1456
+ROUND_SAMPLES = np.arange(1440).reshape(9, 4, 40)  # [r - 1, j, slot]
+ROUND_SAMPLES.flags.writeable = False
+UT_SAMPLES = ROUND_SAMPLES[..., :16].reshape(9, 4, 4, 4)  # [r - 1, j, i, k]
+XOR_SAMPLES = ROUND_SAMPLES[..., 16:].reshape(9, 4, 4, 3, 2)  # [r - 1, j, k, stage, half]
+
 # Table (i, j) of a round starts at row (4i + j) * 256 of the round's flattened
 # tables, and XOR table (j, k, stage, half) at entry (((j*4 + k)*3 + stage)*2 + half) * 256.
 _TABLE_ROW = (np.arange(16, dtype=np.uint16) * 256).reshape(4, 4, 1)
@@ -315,14 +326,15 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
     samples are written as it is walked, each a shift and a mask of a value
     it gathered (see walk_tables): per column, byte pairs of table outputs
     (i, k), then of XOR nibbles (k, stage), built sample-major and transposed
-    into the trace.  Returns (ciphertexts (N, 16), samples (N, 1456) or None,
-    lookups), the lookup count summed from the sizes of the index arrays."""
+    into the trace, as ROUND_SAMPLES lays it out.  Returns (ciphertexts
+    (N, 16), samples (N, SAMPLE_COUNT) or None, lookups), the lookup count
+    summed from the sizes of the index arrays."""
     pts = np.asarray(pts, dtype=np.uint8)
     n = pts.shape[0]
     ut, tx = ts.walk
     t10 = ts.t10.reshape(-1)
     cts = np.empty((n, 16), dtype=np.uint8)
-    samples = np.empty((n, 1456), dtype=np.uint8) if record else None
+    samples = np.empty((n, SAMPLE_COUNT), dtype=np.uint8) if record else None
     lookups = 0
     for start in range(0, n, WALK_CHUNK):
         block = pts[start : start + WALK_CHUNK]
@@ -331,7 +343,7 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
         halves = state.reshape(4, 4, m).transpose(0, 2, 1)  # byte 4j + k as (j, row, k)
         idx = block.T[_SHIFT_ROWS] + _TABLE_ROW  # (i, j, row) table-row indices
         if record:
-            trace = samples[start : start + m].view(np.uint16)[:, :720].reshape(m, 9, 80)
+            trace = samples[start : start + m, : ROUND_SAMPLES.size].view(np.uint16).reshape(m, 9, 80)
             # a row of 32 mod 64 bytes keeps the transpose's reads off one cache set
             pairs = np.empty((80, m - m % 32 + 48), dtype=np.uint16)[:, :m].reshape(4, 20, m)  # (j, pair, row)
             table = np.empty((4, 4, m, 4), dtype=np.uint8)  # (i, j, row, k)
@@ -362,7 +374,7 @@ def encrypt_batch_with_tables(ts: TableSet, pts: np.ndarray, record: bool = Fals
         lookups += idx.size
         cts[start : start + m].reshape(m, 4, 4)[...] = final.transpose(2, 1, 0)
     if record:
-        samples[:, 1440:] = cts
+        samples[:, ROUND_SAMPLES.size :] = cts
     return cts, samples, lookups
 
 
@@ -393,53 +405,42 @@ def walsh_ut_grid_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
     return grid
 
 
-def round_output_bytes_grid(ts: TableSet) -> np.ndarray:
-    """Encoded first-round output byte (column 0, byte 0) over the full
-    (p1, p2) grid, other contributing bytes fixed to zero.  Shape (256, 256)."""
-    y0 = ts.ut[0, 0, 0, :, 0].astype(np.uint16)  # varies with p1
-    y1 = ts.ut[0, 1, 0, :, 0].astype(np.uint16)  # varies with p2
-    y2 = int(ts.ut[0, 2, 0, 0, 0])
-    y3 = int(ts.ut[0, 3, 0, 0, 0])
-    cu = (y0 >> 4)[:, None] * 16 + (y1 >> 4)[None, :]
-    cl = (y0 & 0xF)[:, None] * 16 + (y1 & 0xF)[None, :]
-    cu = ts.tx[0, 0, 0, 0, 0][cu].astype(np.uint16)
-    cl = ts.tx[0, 0, 0, 0, 1][cl].astype(np.uint16)
-    cu = ts.tx[0, 0, 0, 1, 0][cu * 16 + (y2 >> 4)].astype(np.uint16)
-    cl = ts.tx[0, 0, 0, 1, 1][cl * 16 + (y2 & 0xF)].astype(np.uint16)
-    cu = ts.tx[0, 0, 0, 2, 0][cu * 16 + (y3 >> 4)].astype(np.uint16)
-    cl = ts.tx[0, 0, 0, 2, 1][cl * 16 + (y3 & 0xF)].astype(np.uint16)
-    return (cu * 16 + cl).astype(np.uint8)
+def round_output_walsh_static(ts: TableSet, spec: EncodingSpec) -> np.ndarray:
+    """(j, k, i, iprime) int32: the round-output Walsh statistic of every
+    round-1 output byte at the correct key, over one row of the paper's grid.
 
-
-def round_output_walsh(c: np.ndarray, guesses=range(256)) -> np.ndarray:
-    """Round-output Walsh statistic of a (p1, p2) grid c of encoded
-    round-output bytes, one (i, iprime) block per second-row key guess g:
-
-        out[n, i, iprime] = sum over p1 of |sum over p2 of
-                            s(bit i of c[p1, p2]) * s(bit iprime of 3 * S(p2 ^ g_n))|
-
-    with s(b) = (-1)^b and bits MSB first.  The full hypothesis byte is
-    2 * S(p1 ^ k0) ^ 3 * S(p2 ^ g); its first term puts one sign per p1 in
-    front of each inner sum, which the absolute value drops, so the known key
-    byte k0 does not enter.  Every inner sum over every guess is one entry of
-    a single Walsh grid: row p1 of c is one table over p2 for binmat.walsh_grid."""
-    inner = walsh_grid(c, COEFF[2, np.asarray(guesses, dtype=np.uint8)])  # (p1, i, g, i')
-    return np.abs(inner, out=inner).sum(axis=0, dtype=np.int64).transpose(1, 0, 2)
+    One recorded walk of 256 plaintexts, bytes 1, 5, 9 and 13 equal to p and
+    the rest 0, varies input row 1 of every column.  Output byte (j, k) is
+    then c[p] = E(y ^ ell * S(p ^ k1)), k1 = khat[0][1][j], ell = MC[k][1],
+    E its encoding and y the other rows' fixed share, so every inner sum over
+    p has the magnitude of E's Walsh sum at (i, iprime) whatever y is: the
+    full-grid statistic (sca.walsh_round_output_all for byte (0, 0)) is
+    exactly 256 times this one, as long as the stage tables fold by XOR,
+    which the functional check covers.  One walsh_grid call gives the sums of
+    all 16 bytes against all 16 hypotheses; the diagonal is kept."""
+    pts = np.zeros((256, 16), dtype=np.uint8)
+    pts[:, 1::4] = _X[:, None]
+    _, samples, _ = encrypt_batch_with_tables(ts, pts, record=True)
+    upper, lower = np.moveaxis(samples[:, XOR_SAMPLES[0, :, :, 2]], -1, 0)  # (p, j, k) each
+    c = (upper << 4 | lower).reshape(256, 16).T
+    hyp = COEFF[_ELL[1], np.array(spec.round_keys.khat[0][1], dtype=np.uint8)[:, None]].reshape(16, 256)
+    grid = walsh_grid(c, hyp)  # (jk, i, jk', iprime)
+    jk = np.arange(16)
+    return np.abs(grid[jk, :, jk]).reshape(4, 4, 8, 8)
 
 
 def verify_tableset(ts: TableSet, spec: EncodingSpec) -> VerifyReport:
     """Check the construction: at the correct key every Walsh sum of a round-1
-    table output, and of the encoded round output on the two-byte input
-    subspace, is zero, and the walk encrypts as plain AES does."""
+    table output, and the round-output Walsh statistic of every round-1
+    output byte (round_output_walsh_static), is zero, and the walk encrypts
+    as plain AES does."""
     failures = []
     checks = {}
 
-    # khat[0][1][0] is k1 of sca.round_output_keys, which tablegen cannot
-    # import: sca imports tablegen
     for name, label, grid in (
             ("ut_walsh_zero", "ut walsh nonzero at (i,j,k,bit,ellp,iprime)", walsh_ut_grid_static(ts, spec)),
-            ("round_output_walsh_zero", "round-output walsh nonzero at (i,iprime)",
-             round_output_walsh(round_output_bytes_grid(ts), [spec.round_keys.khat[0][1][0]])[0])):
+            ("round_output_walsh_zero", "round-output walsh nonzero at (j,k,i,iprime)",
+             round_output_walsh_static(ts, spec))):
         checks[name] = not grid.any()
         failures += [f"{label}={tuple(int(x) for x in idx)}" for idx in np.argwhere(grid)[:8]]
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from balaes.binmat import COEFF, admissible_g, assembled_rows, derive_blacklist_F, shear_maps, walsh_grid
 from balaes.gfcore import SBOX, gf_mul
+from balaes.nibenc import find_candidates
 
 STD_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 STD_SEED = 42
@@ -228,3 +229,18 @@ def codec_map(cp: CodecPair) -> bytes:
 def spec_codec(partners) -> CodecPair:
     """The codec pair of one (upper, lower) row of a spec's partner array."""
     return CodecPair.of(*partners.tolist())
+
+
+def non_candidate_stage2_spec(spec: tablegen.EncodingSpec, j: int, k: int):
+    """A copy of spec whose round-1 stage-2 codec partner of output byte
+    (j, k), the round-output boundary, lies outside its candidate set (the
+    upper one if the slot's pair admits such a partner, else the lower), or
+    None if the pair admits every partner.  The tables it generates still
+    encrypt correctly, since the codecs cancel functionally."""
+    # partner 0 is always a candidate, so these are the nonzero non-candidates
+    non_hi, non_lo = (np.flatnonzero(~half).tolist() for half in find_candidates(spec.fg[0, j, k])[3])
+    if not (non_hi or non_lo):
+        return None
+    partners = spec.stage_partners.copy()
+    partners[0, j, k, 2, 0 if non_hi else 1] = (non_hi or non_lo)[0]
+    return dataclasses.replace(spec, stage_partners=partners)

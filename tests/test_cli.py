@@ -203,7 +203,7 @@ def test_verify_passes_and_detects_corruption(gen_dir, tmp_path, capfd):
     rc = main(["verify", "--tables", str(gen_dir), "--spec", str(gen_dir / "enc.spec")])
     assert rc == 0
     summary = json.loads(capfd.readouterr().out)
-    assert summary["pass"] is True
+    assert summary["pass"] is True and summary["q1_matches_q0"] is True
     # corrupt a table byte: checksum failure -> I/O-format exit
     blob = bytearray((gen_dir / "q0.tbl").read_bytes())
     blob[5000] ^= 0x40
@@ -218,6 +218,23 @@ def test_verify_passes_and_detects_corruption(gen_dir, tmp_path, capfd):
     assert rc == 1
     summary = json.loads(capfd.readouterr().out)
     assert summary["pass"] is False
+
+
+def test_verify_checks_q1_is_q0s_exact_twin(gen_dir, tmp_path, capfd):
+    # one flipped bit in an inner-round q1 table entry, which a walk of a few
+    # random plaintexts seldom reaches: q0 still passes every check, and q1 is
+    # no longer build_q1(q0)
+    q1 = tablegen.deserialize_tableset((gen_dir / "q1.tbl").read_bytes())
+    ut = q1.ut.copy()
+    ut[4, 1, 2, 0x5A, 3] ^= 0x04
+    bad = tablegen.TableSet(set_id=1, ut=ut, tx=q1.tx, t10=q1.t10)
+    (tmp_path / "q0.tbl").write_bytes((gen_dir / "q0.tbl").read_bytes())
+    (tmp_path / "q1.tbl").write_bytes(tablegen.serialize_tableset(bad))
+    rc = main(["verify", "--tables", str(tmp_path), "--spec", str(gen_dir / "enc.spec")])
+    assert rc == 1
+    summary = json.loads(capfd.readouterr().out)
+    assert summary["q1_matches_q0"] is False and summary["pass"] is False
+    assert all(summary["checks"].values()) and summary["failures"] == []
 
 
 def test_analyze_walsh_ut_static(gen_dir, capfd):

@@ -9,7 +9,7 @@ import pytest
 from balaes import cipher, sca, tablegen
 from balaes.binmat import COEFF, sample_pair, walsh_grid
 from balaes.cipher import SelectorPolicy, TraceSet, collect_traces, fixed_plaintexts, random_plaintexts
-from balaes.gfcore import SBOX, gf_mul, position_for_pt_index
+from balaes.gfcore import MC, SBOX, gf_mul, position_for_pt_index
 from balaes.sca import (
     RoundOutputHypothesis,
     SboxHypothesis,
@@ -23,7 +23,7 @@ from balaes.sca import (
     walsh_round_output_all,
 )
 
-from conftest import STD_KEY, walsh_balance_check, windowed
+from conftest import STD_KEY, STD_SEED, non_candidate_stage2_spec, walsh_balance_check, windowed
 
 _SBOX = np.frombuffer(SBOX, dtype=np.uint8)
 _MUL = {c: np.array([gf_mul(c, x) for x in range(256)], dtype=np.uint8) for c in (1, 2, 3)}
@@ -735,11 +735,28 @@ def test_walsh_round_output_matches_per_guess_reference_exactly(request, std_spe
     assert np.array_equal(walsh_round_output_all(traces), _walsh_round_output_reference(traces, known))
 
 
-def test_static_round_output_check_uses_the_trace_kernel(std_pair, std_spec, grid_q0):
-    correct = std_spec.round_keys.khat[0][1][0]
-    static = tablegen.round_output_walsh(tablegen.round_output_bytes_grid(std_pair.q0), [correct])[0]
-    assert static.shape == (8, 8)
-    assert np.array_equal(static, walsh_round_output_all(grid_q0)[correct])
+def test_static_round_output_check_is_the_grid_statistic_over_256():
+    # STD_SEED + 15's round 1 admits non-candidate round-output partners in
+    # column 0 bytes 0 and 2; with both broken, the statistic of one row of
+    # input row 1 times 256 is the full (p0, p5) grid statistic of every
+    # column-0 byte, byte 0's through walsh_round_output_all itself
+    _, spec = tablegen.build_table_pair(STD_KEY, STD_SEED + 15)
+    for k in range(4):
+        spec = non_candidate_stage2_spec(spec, 0, k) or spec
+    ts = tablegen.generate_tableset(spec)
+    static = tablegen.round_output_walsh_static(ts, spec)
+    assert static[0, 0].any() and static[0, 2].any()
+    cols = cipher.XOR_SAMPLES[0, 0, :, 2].ravel()  # (k, half)
+    pts = cipher.grid_plaintexts()
+    nibs = np.concatenate([tablegen.encrypt_batch_with_tables(ts, pts[n : n + 8192], record=True)[1][:, cols]
+                           for n in range(0, 65536, 8192)])
+    grid = TraceSet(plaintexts=pts, set_bits=np.zeros(65536, dtype=np.uint8), samples=nibs, sample_ids=cols)
+    k1 = spec.round_keys.khat[0][1][0]
+    assert np.array_equal(walsh_round_output_all(grid)[k1], 256 * static[0, 0])
+    c = (nibs[:, 0::2] << 4 | nibs[:, 1::2]).T.reshape(4, 256, 256)  # (k, p0, p5)
+    for k in range(4):
+        inner = walsh_grid(c[k], COEFF[MC[k][1] - 1, k1][None])[:, :, 0]  # (p0, i, iprime)
+        assert np.array_equal(np.abs(inner).sum(axis=0), 256 * static[0, k])
 
 
 # --- collision / cluster ------------------------------------------------------------

@@ -20,7 +20,7 @@ from balaes.tablegen import (
     encrypt_batch_with_tables,
     encrypt_with_tables,
     generate_tableset,
-    round_output_bytes_grid,
+    round_output_walsh_static,
     serialize_spec,
     serialize_tableset,
     size_and_lookup_report,
@@ -37,6 +37,7 @@ from conftest import (
     bit_rows,
     codec_map,
     decode_map,
+    non_candidate_stage2_spec,
     reference_encode_map,
     s_matrix_rows,
     spec_codec,
@@ -389,17 +390,6 @@ def test_walsh_ut_grid_static_matches_popcount_reference(std_pair, std_spec):
     assert np.abs(walsh_ut_grid_static(plain, spec)).max() == 256
 
 
-@pytest.mark.parametrize("bit", [0, 1])
-def test_round_output_bytes_grid_equals_the_walk(std_pair, bit):
-    # the hand-unrolled column-0 walk behind the static round-output check
-    # must read what the table walk records on the (p0, p5) grid
-    pts = cipher.grid_plaintexts()
-    _, samples, _ = encrypt_batch_with_tables(std_pair.select(bit), pts, record=True)
-    u_idx, l_idx = cipher.XOR_SAMPLES[0, 0, 0, 2]
-    walked = ((samples[:, u_idx] << 4) | samples[:, l_idx]).reshape(256, 256)
-    assert np.array_equal(round_output_bytes_grid(std_pair.select(bit)), walked)
-
-
 def test_verify_passes_fresh_build(std_pair, std_spec):
     report = verify_tableset(std_pair.q0, std_spec)
     assert report.passed, report.failures
@@ -438,27 +428,32 @@ def test_verify_detects_non_candidate_codec(std_spec, std_pair):
     assert not report.checks["ut_walsh_zero"]
 
 
-def test_verify_detects_bad_round_output_codec():
-    # rebuild with a corrupted final-stage codec on the analyzed byte and check
-    # the round-output grid turns nonzero
-    key = STD_KEY
-    for attempt in range(8):
-        pair, spec = build_table_pair(key, STD_SEED + 9 + attempt)
-        partners = spec.stage_partners[0, 0, 0, 2]  # (upper, lower) of slot (1, 0, 0), stage 2
-        # partner 0 is always a candidate, so these are the nonzero non-candidates
-        non_hi, non_lo = (np.flatnonzero(~half).tolist() for half in find_candidates(spec.fg[0, 0, 0])[3])
-        if non_hi:
-            partners[0] = non_hi[0]
-        elif non_lo:
-            partners[1] = non_lo[0]
-        else:
-            continue
+def test_verify_detects_bad_round_output_codec(std_spec):
+    # rebuild with a corrupted final-stage codec on the first round-1 output
+    # byte whose pair admits one, and check the round-output check turns nonzero
+    spec = next(filter(None, (non_candidate_stage2_spec(std_spec, j, k) for j, k in np.ndindex(4, 4))), None)
+    assert spec is not None, "no round-1 output byte admits an inadmissible swap partner"
+    ts = tablegen.generate_tableset(spec)
+    report = verify_tableset(ts, spec)
+    assert not report.checks["round_output_walsh_zero"]
+    assert report.checks["functional_equality"]  # codecs cancel functionally
+
+
+def test_verify_checks_every_round_output_byte(std_spec):
+    # a non-candidate round-output partner is caught in whichever of the 16
+    # round-1 output bytes it sits, and named by that byte
+    specs = {(j, k): spec for j, k in np.ndindex(4, 4) if (spec := non_candidate_stage2_spec(std_spec, j, k))}
+    assert any(slot != (0, 0) for slot in specs)
+    for (j, k), spec in specs.items():
         ts = tablegen.generate_tableset(spec)
         report = verify_tableset(ts, spec)
         assert not report.checks["round_output_walsh_zero"]
-        assert report.checks["functional_equality"]  # codecs cancel functionally
-        return
-    pytest.fail("no rebuild produced an inadmissible swap partner to inject")
+        assert report.checks["functional_equality"] and report.checks["ut_walsh_zero"]
+        assert report.failures and all(
+            f.startswith(f"round-output walsh nonzero at (j,k,i,iprime)=({j}, {k}, ") for f in report.failures)
+        grid = round_output_walsh_static(ts, spec)
+        assert grid.shape == (4, 4, 8, 8)
+        assert np.argwhere(grid.any(axis=(2, 3))).tolist() == [[j, k]]
 
 
 def test_size_and_lookup_report(std_pair):
